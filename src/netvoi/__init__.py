@@ -26,8 +26,7 @@ from .local_metrics import (LocalCostModel, apply_repairs, cumulative_approx_voi
                             series_pair_policy, voi_heuristic, voi_local)
 from .model import (DEFAULT_COMPONENT_CAP, FormulaTree, Network, STGraph,
                     StructureFunction, TruthTable, parallel, series)
-from .oracle import (SimulationConfig, brute_force_plan_risks, mc_system_failure,
-                     mc_voi_local)
+from .oracle import SimulationConfig, brute_force_plan_risks, mc_system_failure
 from .reports import ImportanceReport, PosteriorActionTable, VoIReport
 from .scenario import ScenarioDocument, parse_scenario, parse_scenario_file
 
@@ -78,7 +77,6 @@ __all__ = [
     "importance_measures",
     "interval_dominates",
     "mc_system_failure",
-    "mc_voi_local",
     "optimal_plan",
     "parallel",
     "parse_scenario",

@@ -1,8 +1,12 @@
 """Joint distributions over component-state masks.
 
-Every distribution is immutable; posterior updates return new objects.
-Masks follow the convention of :mod:`netvoi.model`: bit i set means
-component i works, so "failure" of component i is a cleared bit.
+Every distribution is immutable and exposes one factorised view,
+``blocks()``: (member bits, weight table) pairs of mutually independent
+blocks whose product is the pmf. A posterior after one inspection is one
+such table with the likelihood multiplied in along one bit, not a new
+distribution object. Masks follow the convention of :mod:`netvoi.model`:
+bit i set means component i works, so "failure" of component i is a
+cleared bit.
 """
 
 from __future__ import annotations
@@ -18,27 +22,57 @@ EXPLICIT_SUM_TOL = 1e-12
 
 
 class JointDistribution:
-    """Probability mass over the 2^N component-state masks."""
+    """Probability mass over the 2^N component-state masks.
+
+    Subclasses set ``n_components`` and ``_blocks``; the pmf is the product
+    of the block tables, bit j of a block's table index being the state of
+    its j-th member.
+    """
 
     n_components: int
+    _blocks: tuple
+    _vector: np.ndarray | None = None
+
+    def blocks(self) -> tuple:
+        """Independent blocks as (member bits, read-only weight table) pairs."""
+        return self._blocks
 
     def pmf(self, state: int) -> float:
-        raise NotImplementedError
+        check_state(state, self.n_components)
+        out = 1.0
+        for members, table in self._blocks:
+            out *= float(table[_local_mask(state, members)])
+        return out
 
     def pmf_vector(self) -> np.ndarray:
         """Read-only vector of probabilities indexed by mask."""
-        raise NotImplementedError
+        if self._vector is None:
+            masks = np.arange(1 << self.n_components, dtype=np.int64)
+            v = np.ones(masks.size)
+            for members, table in self._blocks:
+                v *= table[_local_mask(masks, members)]
+            v.flags.writeable = False
+            self._vector = v
+        return self._vector
 
     def marginal_failure(self, i: int) -> float:
-        raise NotImplementedError
-
-    def reweight_component(self, i: int, w_failed: float, w_working: float):
-        """Multiply states by a per-state-of-component-i likelihood and renormalize."""
-        raise NotImplementedError
+        self._check_index(i)
+        members, table = next(b for b in self._blocks if i in b[0])
+        sub = np.arange(table.size, dtype=np.int64)
+        return float(table[(sub >> members.index(i)) & 1 == 0].sum())
 
     def condition(self, evidence):
         """Condition on exact component states, given as {index: 0 or 1}."""
-        raise NotImplementedError
+        masks = np.arange(1 << self.n_components, dtype=np.int64)
+        keep = np.ones(masks.size, dtype=bool)
+        for i, s in dict(evidence).items():
+            self._check_index(i)
+            keep &= ((masks >> i) & 1) == int(s)
+        w = np.where(keep, self.pmf_vector(), 0.0)
+        total = float(w.sum())
+        if total <= 0.0:
+            raise ConditioningError("evidence has probability zero")
+        return Explicit(w / total)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -46,6 +80,39 @@ class JointDistribution:
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n_components:
             raise IndexError(f"component index {i} out of range")
+
+
+def _local_mask(masks, members):
+    """Block-table index of each mask: bit j is the state of members[j]."""
+    sub = 0
+    for j, m in enumerate(members):
+        sub = sub | (((masks >> m) & 1) << j)
+    return sub
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _reweight(table: np.ndarray, bit: int, w_failed: float, w_working: float) -> np.ndarray:
+    """Posterior weights: ``table`` times a likelihood along ``bit``, renormalised.
+
+    States in which the component on that bit has failed are scaled by
+    ``w_failed``, the others by ``w_working``.
+    """
+    w = table.reshape(-1, 2, 1 << bit) * np.array([[w_failed], [w_working]])
+    total = float(w.sum())
+    if total <= 0.0:
+        raise ConditioningError("observation has probability zero")
+    return (w / total).reshape(-1)
+
+
+def _reweight_blocks(blocks, i: int, w_failed: float, w_working: float) -> tuple:
+    """Blocks of a posterior: only the table holding component i changes."""
+    return tuple((members, _reweight(table, members.index(i), w_failed, w_working))
+                 if i in members else (members, table) for members, table in blocks)
 
 
 class Independent(JointDistribution):
@@ -60,39 +127,7 @@ class Independent(JointDistribution):
                 raise ValueError(f"failure probability {p} of component {i} not in [0, 1]")
         self.failure_probs = probs
         self.n_components = len(probs)
-        self._vector: np.ndarray | None = None
-
-    def pmf(self, state: int) -> float:
-        check_state(state, self.n_components)
-        out = 1.0
-        for i, p in enumerate(self.failure_probs):
-            out *= (1.0 - p) if (state >> i) & 1 else p
-        return out
-
-    def pmf_vector(self) -> np.ndarray:
-        if self._vector is None:
-            masks = np.arange(1 << self.n_components, dtype=np.int64)
-            v = np.ones(masks.size)
-            for i, p in enumerate(self.failure_probs):
-                working = (masks >> i) & 1
-                v *= np.where(working, 1.0 - p, p)
-            v.flags.writeable = False
-            self._vector = v
-        return self._vector
-
-    def marginal_failure(self, i: int) -> float:
-        self._check_index(i)
-        return self.failure_probs[i]
-
-    def reweight_component(self, i, w_failed, w_working):
-        self._check_index(i)
-        p = self.failure_probs[i]
-        total = w_failed * p + w_working * (1.0 - p)
-        if total <= 0.0:
-            raise ConditioningError("observation has probability zero")
-        probs = list(self.failure_probs)
-        probs[i] = w_failed * p / total
-        return Independent(probs)
+        self._blocks = tuple(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(probs))
 
     def condition(self, evidence):
         probs = list(self.failure_probs)
@@ -117,7 +152,7 @@ class Independent(JointDistribution):
 
 
 class Explicit(JointDistribution):
-    """Arbitrary pmf stored as one weight per mask."""
+    """Arbitrary pmf stored as one weight per mask: a single N-bit block."""
 
     def __init__(self, weights):
         arr = np.array(weights, dtype=float)
@@ -131,47 +166,14 @@ class Explicit(JointDistribution):
             raise ValueError(f"weights sum to {total}, not 1")
         arr.flags.writeable = False
         self.n_components = size.bit_length() - 1
-        self._weights = arr
-
-    def pmf(self, state: int) -> float:
-        check_state(state, self.n_components)
-        return float(self._weights[state])
-
-    def pmf_vector(self) -> np.ndarray:
-        return self._weights
-
-    def marginal_failure(self, i: int) -> float:
-        self._check_index(i)
-        masks = np.arange(self._weights.size, dtype=np.int64)
-        return float(self._weights[(masks >> i) & 1 == 0].sum())
-
-    def reweight_component(self, i, w_failed, w_working):
-        self._check_index(i)
-        masks = np.arange(self._weights.size, dtype=np.int64)
-        working = ((masks >> i) & 1).astype(bool)
-        w = self._weights * np.where(working, w_working, w_failed)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ConditioningError("observation has probability zero")
-        return Explicit(w / total)
-
-    def condition(self, evidence):
-        keep = np.ones(self._weights.size, dtype=bool)
-        masks = np.arange(self._weights.size, dtype=np.int64)
-        for i, s in dict(evidence).items():
-            self._check_index(i)
-            keep &= ((masks >> i) & 1) == int(s)
-        w = np.where(keep, self._weights, 0.0)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ConditioningError("evidence has probability zero")
-        return Explicit(w / total)
+        self._vector = arr
+        self._blocks = ((tuple(range(self.n_components)), arr),)
 
     def sample(self, rng, size):
-        cdf = np.cumsum(self._weights)
+        cdf = np.cumsum(self._vector)
         cdf[-1] = 1.0
         idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return np.minimum(idx, self._weights.size - 1).astype(np.int64)
+        return np.minimum(idx, self._vector.size - 1).astype(np.int64)
 
 
 class _SharedCauseBlock:
@@ -195,30 +197,17 @@ class _SharedCauseBlock:
         self.members = members
         self.p = float(p)
         self.rho = float(rho)
-        theta = math.sqrt(self.rho)
-        self._fail_given_active = theta + (1.0 - theta) * self.p
-        self._fail_given_inactive = (1.0 - theta) * self.p
-        self._theta = theta
-        self._table: np.ndarray | None = None
-
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            k = len(self.members)
-            sub = np.arange(1 << k, dtype=np.int64)
-            active = np.ones(sub.size)
-            inactive = np.ones(sub.size)
-            for j in range(k):
-                working = ((sub >> j) & 1).astype(bool)
-                a, b = self._fail_given_active, self._fail_given_inactive
-                active *= np.where(working, 1.0 - a, a)
-                inactive *= np.where(working, 1.0 - b, b)
-            table = self.p * active + (1.0 - self.p) * inactive
-            table.flags.writeable = False
-            self._table = table
-        return self._table
-
-    def marginal_failure(self, j: int) -> float:
-        return self.p
+        self._theta = math.sqrt(self.rho)
+        a = self._theta + (1.0 - self._theta) * self.p  # failure given the shared cause
+        b = (1.0 - self._theta) * self.p  # failure without it
+        sub = np.arange(1 << len(members), dtype=np.int64)
+        active = np.ones(sub.size)
+        inactive = np.ones(sub.size)
+        for j in range(len(members)):
+            working = ((sub >> j) & 1).astype(bool)
+            active *= np.where(working, 1.0 - a, a)
+            inactive *= np.where(working, 1.0 - b, b)
+        self.table = _frozen(self.p * active + (1.0 - self.p) * inactive)
 
     def sample(self, rng, size):
         k = len(self.members)
@@ -228,30 +217,6 @@ class _SharedCauseBlock:
         failed = np.where(d, z[:, None], e)
         powers = np.left_shift(np.int64(1), np.arange(k, dtype=np.int64))
         return (~failed) @ powers
-
-
-class _TableBlock:
-    """Explicit joint over one group, produced by conditioning."""
-
-    def __init__(self, members, weights):
-        self.members = tuple(int(m) for m in members)
-        arr = np.asarray(weights, dtype=float)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._weights = arr
-
-    def table(self) -> np.ndarray:
-        return self._weights
-
-    def marginal_failure(self, j: int) -> float:
-        sub = np.arange(self._weights.size, dtype=np.int64)
-        return float(self._weights[(sub >> j) & 1 == 0].sum())
-
-    def sample(self, rng, size):
-        cdf = np.cumsum(self._weights)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return np.minimum(idx, self._weights.size - 1).astype(np.int64)
 
 
 class Group:
@@ -264,22 +229,15 @@ class Group:
 
 
 class CommonCauseGroups(JointDistribution):
-    """Product of independent component groups.
+    """Product of independent shared-cause groups, one block each.
 
-    Groups are given as :class:`Group` specs (shared-cause construction)
-    and must partition the component indices. Conditioning on evidence
-    inside a group turns just that group into an explicit table; the other
-    groups keep their parametric form.
+    Groups are given as :class:`Group` specs and must partition the
+    component indices.
     """
 
     def __init__(self, groups, n_components: int | None = None):
-        blocks = []
-        for g in groups:
-            if isinstance(g, (_SharedCauseBlock, _TableBlock)):
-                blocks.append(g)
-            else:
-                blocks.append(_SharedCauseBlock(g.members, g.p, g.rho))
-        blocks.sort(key=lambda b: min(b.members))
+        blocks = sorted((_SharedCauseBlock(g.members, g.p, g.rho) for g in groups),
+                        key=lambda b: min(b.members))
         covered = [m for b in blocks for m in b.members]
         if len(set(covered)) != len(covered):
             raise ValueError("groups overlap")
@@ -288,77 +246,17 @@ class CommonCauseGroups(JointDistribution):
             n = int(n_components)
         if sorted(covered) != list(range(n)):
             raise ValueError(f"groups must partition components 0..{n - 1}")
-        self.blocks = tuple(blocks)
+        self.groups = tuple(blocks)
         self.n_components = n
-        self._vector: np.ndarray | None = None
-
-    def _local_mask(self, state: int, members) -> int:
-        sub = 0
-        for j, m in enumerate(members):
-            sub |= ((state >> m) & 1) << j
-        return sub
-
-    def pmf(self, state: int) -> float:
-        check_state(state, self.n_components)
-        out = 1.0
-        for block in self.blocks:
-            out *= float(block.table()[self._local_mask(state, block.members)])
-        return out
-
-    def pmf_vector(self) -> np.ndarray:
-        if self._vector is None:
-            masks = np.arange(1 << self.n_components, dtype=np.int64)
-            v = np.ones(masks.size)
-            for block in self.blocks:
-                sub = np.zeros(masks.size, dtype=np.int64)
-                for j, m in enumerate(block.members):
-                    sub |= ((masks >> m) & 1) << j
-                v *= block.table()[sub]
-            v.flags.writeable = False
-            self._vector = v
-        return self._vector
+        self._blocks = tuple((b.members, b.table) for b in blocks)
 
     def marginal_failure(self, i: int) -> float:
         self._check_index(i)
-        for block in self.blocks:
-            if i in block.members:
-                return block.marginal_failure(block.members.index(i))
-        raise IndexError(i)
-
-    def reweight_component(self, i, w_failed, w_working):
-        self._check_index(i)
-        blocks = []
-        for block in self.blocks:
-            if i not in block.members:
-                blocks.append(block)
-                continue
-            j = block.members.index(i)
-            sub = np.arange(block.table().size, dtype=np.int64)
-            working = ((sub >> j) & 1).astype(bool)
-            w = block.table() * np.where(working, w_working, w_failed)
-            total = float(w.sum())
-            if total <= 0.0:
-                raise ConditioningError("observation has probability zero")
-            blocks.append(_TableBlock(block.members, w / total))
-        return CommonCauseGroups(blocks, n_components=self.n_components)
-
-    def condition(self, evidence):
-        evidence = dict(evidence)
-        for i in evidence:
-            self._check_index(i)
-        masks = np.arange(1 << self.n_components, dtype=np.int64)
-        keep = np.ones(masks.size, dtype=bool)
-        for i, s in evidence.items():
-            keep &= ((masks >> i) & 1) == int(s)
-        w = np.where(keep, self.pmf_vector(), 0.0)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ConditioningError("evidence has probability zero")
-        return Explicit(w / total)
+        return next(g.p for g in self.groups if i in g.members)
 
     def sample(self, rng, size):
         out = np.zeros(size, dtype=np.int64)
-        for block in self.blocks:
+        for block in self.groups:
             local = block.sample(rng, size)
             for j, m in enumerate(block.members):
                 out |= ((local >> j) & 1) << m

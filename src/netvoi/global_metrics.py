@@ -67,8 +67,9 @@ def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:
     """Birnbaum, criticality, risk-achievement and risk-reduction measures.
 
     All four read off the posterior system failure probabilities after an
-    alarm or a silence, so with perfect inspections they reduce to the
-    classical definitions.
+    alarm (hi) or a silence (lo): BM = hi - lo, CRT = BM * p_i / prior,
+    RAW = hi / prior and RRW = prior / lo, infinite when lo vanishes. With
+    perfect inspections they reduce to the classical definitions.
     """
     prior = system_failure_prob(net, dist)
     if prior <= 0.0:
@@ -84,10 +85,10 @@ def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:
         p_i = dist.marginal_failure(i)
         bm.append(hi - lo)
         crt.append((hi - lo) * p_i / prior)
-        raw.append((1.0 - lo) / prior)
-        saturated = hi >= 1.0 - RRW_SATURATION_TOL
+        raw.append(hi / prior)
+        saturated = lo <= RRW_SATURATION_TOL
         infinite.append(saturated)
-        rrw.append(math.inf if saturated else prior / (1.0 - hi))
+        rrw.append(math.inf if saturated else prior / lo)
     rankings = {
         "bm": rank_order(bm),
         "crt": rank_order(crt),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import JointDistribution, system_failure_prob
+from .distributions import Explicit, JointDistribution, _reweight
 from .errors import DegenerateObservationError, IncomparableIntervalsError
 
 ALARM = 0
@@ -71,20 +71,34 @@ def alarm_probability(dist: JointDistribution, i: int, insp: InspectionModel) ->
     return insp.fa(i) + insp.k(i) * dist.marginal_failure(i)
 
 
+def _alarm_prob_checked(dist: JointDistribution, i: int, insp: InspectionModel) -> float:
+    """Alarm probability, refusing an inspection whose outcome is certain."""
+    h = alarm_probability(dist, i, insp)
+    if h <= 0.0 or h >= 1.0:
+        raise DegenerateObservationError(
+            f"inspecting component {i} has a certain outcome (alarm probability {h})"
+        )
+    return h
+
+
+def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
+    """Probability of outcome y on component i if it failed, and if it works."""
+    if y == SILENCE:
+        return insp.fs(i), 1.0 - insp.fa(i)
+    if y == ALARM:
+        return 1.0 - insp.fs(i), insp.fa(i)
+    raise ValueError(f"outcome must be {ALARM} (alarm) or {SILENCE} (silence)")
+
+
 def posterior_given_observation(dist: JointDistribution, i: int, y: int,
                                 insp: InspectionModel) -> JointDistribution:
     """Belief over component states after observing outcome y on component i."""
-    if y == SILENCE:
-        w_failed, w_working = insp.fs(i), 1.0 - insp.fa(i)
-    elif y == ALARM:
-        w_failed, w_working = 1.0 - insp.fs(i), insp.fa(i)
-    else:
-        raise ValueError(f"outcome must be {ALARM} (alarm) or {SILENCE} (silence)")
-    return dist.reweight_component(i, w_failed, w_working)
+    return Explicit(_reweight(dist.pmf_vector(), i, *_likelihood(i, y, insp)))
 
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
-    return system_failure_prob(net, posterior_given_observation(dist, i, y, insp))
+    post = _reweight(dist.pmf_vector(), i, *_likelihood(i, y, insp))
+    return float(post[~net.truth_table()].sum())
 
 
 @dataclass(frozen=True)
@@ -109,16 +123,16 @@ class PosteriorInterval:
 
 
 def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
-    h = alarm_probability(dist, i, insp)
-    if h <= 0.0 or h >= 1.0:
-        raise DegenerateObservationError(
-            f"inspecting component {i} has a certain outcome (alarm probability {h})"
-        )
-    prior = system_failure_prob(net, dist)
+    """Posterior system failure probabilities after each outcome on component i.
+
+    The prior is their mixture by the alarm probability, so it costs no
+    pass of its own.
+    """
+    h = _alarm_prob_checked(dist, i, insp)
     lo = posterior_system_failure(net, dist, i, SILENCE, insp)
     hi = posterior_system_failure(net, dist, i, ALARM, insp)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
-                             prior=prior, alarm_prob=h)
+                             prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
 
 
 class Dominance(Enum):

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution
-from .errors import (DegenerateObservationError, InfeasibleCorrelationError,
-                     NotApplicableError, SizeCapError)
-from .inference import (ALARM, SILENCE, InspectionModel, alarm_probability,
-                        posterior_given_observation)
+from .distributions import Independent, JointDistribution, _reweight, _reweight_blocks
+from .errors import InfeasibleCorrelationError, NotApplicableError, SizeCapError
+from .inference import (ALARM, SILENCE, InspectionModel, _alarm_prob_checked, _likelihood,
+                        alarm_probability)
 from .model import DEFAULT_COMPONENT_CAP, check_state
 from .reports import PosteriorActionTable, VoIReport, normalize, rank_order
 
@@ -27,6 +26,9 @@ TIE_TOL = 1e-12
 # float-summation noise of each other; losses this close count as tied so the
 # lowest-mask rule actually bites.
 PLAN_TIE_RTOL = 1e-9
+# Block bits the plan-risk sweep resolves by one gather instead of recursing:
+# 4^3 cells against 3^3, for one numpy call instead of about 2^4.
+SWEEP_LEAF_BITS = 3
 
 
 @dataclass(frozen=True)
@@ -86,43 +88,70 @@ def plan_expected_loss(net, dist: JointDistribution, plan: int,
     """Residual failure risk after the plan plus its repair bill."""
     _check_setup(net, dist, costs)
     check_state(plan, net.n_components)
+    return _plan_loss(net, dist.pmf_vector(), plan, costs)
+
+
+def _plan_loss(net, pmf: np.ndarray, plan: int, costs: LocalCostModel) -> float:
     table = net.truth_table()
     masks = np.arange(table.size, dtype=np.int64)
-    fails = ~table[masks | plan]
-    risk = costs.c_fail * float(dist.pmf_vector()[fails].sum())
+    risk = costs.c_fail * float(pmf[~table[masks | plan]].sum())
     return risk + repair_cost(plan, costs)
 
 
 def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     """Post-repair system failure probability for every plan mask.
 
-    Sweeps components from the highest bit down, branching on whether the
-    plan repairs them. Repairing a component sums its prior state out of
-    the pmf and pins its entry in the structure table to working; leaving
-    it keeps both axes for the final contraction. Total work is the sum
-    over plans of 2^(number left alone), i.e. Theta(3^N), instead of the
-    Theta(4^N) plan-by-state enumeration.
+    Plan risk is linear in the pmf, and a product of independent blocks
+    makes it a product of per-block operators on the failure indicator.
+    Each block runs the restriction-lattice sweep along its own bits,
+    vectorised over all other bits: Theta(2^N * sum of 1.5^k) for blocks
+    of k bits, so Theta(N 2^N) for independent components and Theta(3^N)
+    for an explicit table, instead of the Theta(4^N) plan-by-state
+    enumeration.
     """
-    n = net.n_components
-    if dist.n_components != n:
+    if dist.n_components != net.n_components:
         raise ValueError("network and distribution disagree on the component count")
-    out = np.empty(1 << n)
+    return _plan_risks(net, dist.blocks())
 
-    def sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int) -> None:
-        if r == 0:
-            out[plan] = 1.0 - float(p @ f)
-            return
-        sweep(p, f, r - 1, plan)
-        half = 1 << (r - 1)
-        k = p.size >> r
-        p_rep = p.reshape(k, 2, half).sum(axis=1).reshape(k * half)
-        f_rep = f.reshape(k, 2, half)[:, 1, :].reshape(k * half)
-        sweep(p_rep, f_rep, r - 1, plan | (1 << (r - 1)))
 
-    pmf = dist.pmf_vector()
-    table = net.truth_table().astype(np.float64)
-    sweep(pmf, table, n, 0)
-    return out
+def _plan_risks(net, blocks) -> np.ndarray:
+    """Plan failure risks of the belief whose pmf is the product of ``blocks``."""
+    n = net.n_components
+    risk = (~net.truth_table()).astype(np.float64)
+    for members, table in blocks:
+        k = len(members)
+        # Bring the block's bits last, member 0 lowest, as the columns of f.
+        src = [n - 1 - m for m in members]
+        dst = list(range(n - 1, n - 1 - k, -1))
+        cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
+        f = cube.reshape(-1, 1 << k)
+        out = np.empty_like(f)
+        _sweep(table, f, k, 0, out)
+        risk = np.moveaxis(out.reshape(cube.shape), dst, src).reshape(-1)
+    return risk
+
+
+def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> None:
+    """Lattice sweep of one block: ``out[:, A] = sum_s p[s] * f[:, s | A]`` for all A.
+
+    Sweeps the block's bits from the highest down, branching on whether the
+    plan repairs them. Repairing a bit sums it out of the weights ``p`` and
+    keeps only the working half of the columns of ``f``; leaving it keeps
+    both for the final contraction, so every plan costs 2^(bits left alone).
+    The last ``SWEEP_LEAF_BITS`` bits are done in one gather over all their
+    sub-plans a, reading column s | a for state s; the gathered array holds
+    at most 2^SWEEP_LEAF_BITS times as many cells as ``f``.
+    """
+    if r <= SWEEP_LEAF_BITS:
+        sub_plans = np.arange(1 << r)[:, None]
+        out[:, plan:plan + (1 << r)] = f[:, np.arange(p.size) | sub_plans] @ p
+        return
+    _sweep(p, f, r - 1, plan, out)
+    half = 1 << (r - 1)
+    k = p.size >> r
+    _sweep(p.reshape(k, 2, half).sum(axis=1).reshape(k * half),
+           f.reshape(-1, k, 2, half)[:, :, 1, :].reshape(-1, k * half),
+           r - 1, plan | half, out)
 
 
 def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarray:
@@ -131,51 +160,55 @@ def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarr
     return costs.c_fail * plan_failure_risks(net, dist) + _repair_cost_vector(costs)
 
 
-def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel,
-                 cap: int = DEFAULT_COMPONENT_CAP) -> tuple[int, float]:
-    """Cheapest plan and its loss; ties resolve to the lowest mask."""
-    _check_setup(net, dist, costs)
-    if net.n_components > cap:
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
         raise SizeCapError(
-            f"exact plan optimization over {net.n_components} components exceeds the "
-            f"cap of {cap}; mc_voi_local in netvoi.oracle can estimate beyond it"
+            f"exact plan optimization over {n} components exceeds the cap of {cap}; "
+            f"raise the cap to analyse larger networks"
         )
-    losses = plan_losses(net, dist, costs)
-    threshold = losses.min() + PLAN_TIE_RTOL * costs.c_fail
+
+
+def _cheapest(losses: np.ndarray, c_fail: float) -> tuple[int, float]:
+    threshold = losses.min() + PLAN_TIE_RTOL * c_fail
     best = int(np.argmax(losses <= threshold))
     return best, float(losses[best])
 
 
-def _alarm_prob_checked(dist, i, insp) -> float:
-    h = alarm_probability(dist, i, insp)
-    if h <= 0.0 or h >= 1.0:
-        raise DegenerateObservationError(
-            f"inspecting component {i} has a certain outcome (alarm probability {h})"
-        )
-    return h
+def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel,
+                 cap: int = DEFAULT_COMPONENT_CAP) -> tuple[int, float]:
+    """Cheapest plan and its loss; ties resolve to the lowest mask."""
+    _check_setup(net, dist, costs)
+    _check_cap(net.n_components, cap)
+    return _cheapest(plan_losses(net, dist, costs), costs.c_fail)
 
 
 def posterior_action_table(net, dist: JointDistribution, insp: InspectionModel,
                            costs: LocalCostModel,
                            cap: int = DEFAULT_COMPONENT_CAP) -> PosteriorActionTable:
-    """Re-optimized plan for each inspected component and outcome."""
+    """Re-optimized plan for each inspected component and outcome.
+
+    Each posterior is the prior's blocks with the likelihood multiplied
+    into the one block that holds the inspected component.
+    """
     _check_setup(net, dist, costs)
-    silence_plans, alarm_plans, silence_losses, alarm_losses = [], [], [], []
+    _check_cap(net.n_components, cap)
+    blocks = dist.blocks()
+    repair = _repair_cost_vector(costs)
+    plans = {SILENCE: [], ALARM: []}
+    losses = {SILENCE: [], ALARM: []}
     for i in range(net.n_components):
         _alarm_prob_checked(dist, i, insp)
-        plan_s, loss_s = optimal_plan(
-            net, posterior_given_observation(dist, i, SILENCE, insp), costs, cap)
-        plan_a, loss_a = optimal_plan(
-            net, posterior_given_observation(dist, i, ALARM, insp), costs, cap)
-        silence_plans.append(plan_s)
-        alarm_plans.append(plan_a)
-        silence_losses.append(loss_s)
-        alarm_losses.append(loss_a)
+        for y in (SILENCE, ALARM):
+            post = _reweight_blocks(blocks, i, *_likelihood(i, y, insp))
+            plan, loss = _cheapest(costs.c_fail * _plan_risks(net, post) + repair,
+                                   costs.c_fail)
+            plans[y].append(plan)
+            losses[y].append(loss)
     return PosteriorActionTable(
-        silence_plans=tuple(silence_plans),
-        alarm_plans=tuple(alarm_plans),
-        silence_losses=tuple(silence_losses),
-        alarm_losses=tuple(alarm_losses),
+        silence_plans=tuple(plans[SILENCE]),
+        alarm_plans=tuple(plans[ALARM]),
+        silence_losses=tuple(losses[SILENCE]),
+        alarm_losses=tuple(losses[ALARM]),
     )
 
 
@@ -218,6 +251,7 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     _check_setup(net, dist, costs)
     prior_plan, prior_loss = optimal_plan(net, dist, costs, cap)
     n = net.n_components
+    pmf = dist.pmf_vector()
     silence_plans, alarm_plans, silence_losses, alarm_losses = [], [], [], []
     posterior_loss, voi = [], []
     for i in range(n):
@@ -226,13 +260,13 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
         losses = {}
         plans = {}
         for y in (SILENCE, ALARM):
-            post = posterior_given_observation(dist, i, y, insp)
-            keep = plan_expected_loss(net, post, prior_plan, costs)
+            post = _reweight(pmf, i, *_likelihood(i, y, insp))
+            keep = _plan_loss(net, post, prior_plan, costs)
             if y != prior_action:
                 plans[y], losses[y] = prior_plan, keep
                 continue
             flipped = prior_plan ^ (1 << i)
-            flip = plan_expected_loss(net, post, flipped, costs)
+            flip = _plan_loss(net, post, flipped, costs)
             tied = abs(flip - keep) <= PLAN_TIE_RTOL * costs.c_fail
             if (tied and flipped < prior_plan) or (not tied and flip < keep):
                 plans[y], losses[y] = flipped, flip

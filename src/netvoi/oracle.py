@@ -16,9 +16,7 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .errors import SizeCapError
-from .inference import InspectionModel, alarm_probability, posterior_given_observation
-from .local_metrics import LocalCostModel, _repair_cost_vector, optimal_plan
-from .model import DEFAULT_COMPONENT_CAP
+from .local_metrics import LocalCostModel, _repair_cost_vector
 
 N_BATCHES = 32
 BRUTE_FORCE_CAP = 12
@@ -70,40 +68,6 @@ def mc_system_failure(net, dist: JointDistribution,
         masks = dist.sample(_substream(cfg.seed, j), size)
         batches.append((~table[masks]).astype(float))
     return _batched_mean(batches, sizes)
-
-
-def mc_voi_local(net, dist: JointDistribution, insp: InspectionModel,
-                 costs: LocalCostModel, i: int, cfg: SimulationConfig,
-                 cap: int = DEFAULT_COMPONENT_CAP) -> tuple[float, float]:
-    """Monte Carlo estimate of the component-level inspection value.
-
-    Draws prior states and the noisy outcome of inspecting component i;
-    each sampled outcome is priced by exact plan re-optimization under the
-    matching posterior. Outcomes that cannot occur never get priced, so
-    deterministic components are fine and yield a value of zero.
-    """
-    _, prior_loss = optimal_plan(net, dist, costs, cap)
-    h = alarm_probability(dist, i, insp)
-    loss_if = {}
-    for y, prob in ((0, h), (1, 1.0 - h)):
-        if prob > 0.0:
-            post = posterior_given_observation(dist, i, y, insp)
-            loss_if[y] = optimal_plan(net, post, costs, cap)[1]
-    loss_alarm = loss_if.get(0, prior_loss)
-    loss_silence = loss_if.get(1, prior_loss)
-
-    fa, fs = insp.fa(i), insp.fs(i)
-    sizes = _batch_sizes(cfg.n_samples)
-    batches = []
-    for j, size in enumerate(sizes):
-        rng = _substream(cfg.seed, j)
-        masks = dist.sample(rng, size)
-        working = ((masks >> i) & 1).astype(bool)
-        u = rng.random(size)
-        alarm = np.where(working, u < fa, u < 1.0 - fs)
-        batches.append(np.where(alarm, loss_alarm, loss_silence))
-    posterior_loss, stderr = _batched_mean(batches, sizes)
-    return prior_loss - posterior_loss, stderr
 
 
 def brute_force_plan_risks(net, dist: JointDistribution,

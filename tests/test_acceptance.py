@@ -299,7 +299,7 @@ def test_criterion5_costly_failure_uninformative_components():
                                          1, Fraction(1, 10000))
         assert float(exact) == COSTLY_ALARM_VOI
         assert ref_voi == pytest.approx(COSTLY_ALARM_VOI, rel=1e-9, abs=0.0)
-        assert voi == pytest.approx(COSTLY_ALARM_VOI, rel=1e-9, abs=0.0), \
+        assert voi == pytest.approx(COSTLY_ALARM_VOI, rel=1e-12, abs=0.0), \
             f"{name}: VoI {voi:.12e}, certified {COSTLY_ALARM_VOI:.12e}"
     print("\ncriterion 5c (sixteen components: c2, c3, c5, c6 worthless, "
           "c9, c10, c14, c15 at the certified alarm value): PASS")
@@ -319,9 +319,9 @@ def test_criterion5_vulnerable_middle():
 def test_criterion5_runtime_budget():
     for tag in ("moderate", "costly", "vulnerable"):
         _layered_case(tag)
-    assert _LAYERED_CACHE["elapsed"] < 600.0
+    assert _LAYERED_CACHE["elapsed"] < 60.0
     print(f"\ncriterion 5e (sixteen-component analyses in "
-          f"{_LAYERED_CACHE['elapsed']:.0f}s < 600s): PASS")
+          f"{_LAYERED_CACHE['elapsed']:.0f}s < 60s): PASS")
 
 
 # --------------------------------------------------------------- criterion 6

@@ -1,11 +1,14 @@
 """Joint distributions: pmf evaluation, marginals, conditioning, sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
                     Group, Independent, Network, parallel, series,
                     system_failure_prob)
+from netvoi.distributions import _reweight, _reweight_blocks
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
                       random_distribution)
@@ -143,20 +146,6 @@ def test_condition_explicit_zero_probability_evidence():
         dist.condition({1: 1})
 
 
-def test_reweight_preserves_representation():
-    ind = Independent([0.1, 0.2]).reweight_component(0, 0.9, 0.1)
-    assert isinstance(ind, Independent)
-    exp = Explicit([0.25] * 4).reweight_component(0, 0.9, 0.1)
-    assert isinstance(exp, Explicit)
-    ccg = CommonCauseGroups([Group([0, 1], 0.2, 0.4), Group([2], 0.3, 0.0)])
-    post = ccg.reweight_component(0, 0.9, 0.1)
-    assert isinstance(post, CommonCauseGroups)
-    kinds = {min(b.members): type(b).__name__ for b in post.blocks}
-    assert kinds[0] == "_TableBlock"  # touched group becomes explicit
-    assert kinds[2] == "_SharedCauseBlock"  # untouched group keeps its form
-    assert abs(float(post.pmf_vector().sum()) - 1.0) < 1e-12
-
-
 def test_reweight_matches_explicit_route():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -164,11 +153,19 @@ def test_reweight_matches_explicit_route():
         dist = random_distribution(rng, n)
         i = int(rng.integers(n))
         w0, w1 = float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.05, 1.0))
-        direct = dist.reweight_component(i, w0, w1).pmf_vector()
         masks = np.arange(1 << n)
         ref = dist.pmf_vector() * np.where((masks >> i) & 1, w1, w0)
         ref = ref / ref.sum()
-        assert np.allclose(direct, ref, atol=1e-12)
+        assert np.allclose(_reweight(dist.pmf_vector(), i, w0, w1), ref, atol=1e-12)
+        # block route: only the block holding i changes, and the product of
+        # the blocks is the reweighted pmf
+        prior_blocks = dist.blocks()
+        post_blocks = _reweight_blocks(prior_blocks, i, w0, w1)
+        for (members, table), (_, post) in zip(prior_blocks, post_blocks):
+            assert (post is table) == (i not in members)
+        product = [math.prod(float(t[sum(((m >> b) & 1) << j for j, b in enumerate(mem))])
+                             for mem, t in post_blocks) for m in range(1 << n)]
+        assert np.allclose(product, ref, atol=1e-12)
 
 
 def test_sampling_is_deterministic_and_matches_marginals():

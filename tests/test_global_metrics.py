@@ -103,11 +103,22 @@ def test_importance_three_branch():
             report.bm[i] * THREE_BRANCH_PROBS[i] / p_sys, abs=1e-12)
 
 
-def test_importance_series_rrw_saturates():
-    net = Network(FormulaTree(series(0, 1)))
-    report = importance_measures(net, Independent([0.2, 0.3]), PERFECT_INSPECTION)
-    assert all(report.rrw_is_infinite)
-    assert all(math.isinf(v) for v in report.rrw)
+def test_importance_raw_rrw_textbook():
+    # RAW = P(down | i down) / P(down), RRW = P(down) / P(down | i up)
+    dist = Independent([0.1, 0.3])
+    srs = importance_measures(Network(FormulaTree(series(0, 1))), dist,
+                              PERFECT_INSPECTION)
+    prior = 1.0 - 0.9 * 0.7  # 0.37
+    assert srs.raw == pytest.approx((1.0 / prior, 1.0 / prior), rel=1e-12)
+    assert srs.rrw == pytest.approx((prior / 0.3, prior / 0.1), rel=1e-12)
+    assert srs.rrw_is_infinite == (False, False)
+    assert srs.rankings["rrw"] == (1, 0)
+    # in parallel, a working component alone keeps the system up
+    par = importance_measures(Network(FormulaTree(parallel(0, 1))), dist,
+                              PERFECT_INSPECTION)
+    assert par.raw == pytest.approx((0.3 / 0.03, 0.1 / 0.03), rel=1e-12)
+    assert par.rrw_is_infinite == (True, True)
+    assert all(math.isinf(v) for v in par.rrw)
 
 
 def test_importance_single_component():

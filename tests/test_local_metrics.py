@@ -1,16 +1,20 @@
 """Plan optimization, local/heuristic inspection values, and pair policies."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from netvoi import (PERFECT_INSPECTION, DegenerateObservationError, Explicit,
-                    FormulaTree, Independent, InfeasibleCorrelationError,
+from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, DegenerateObservationError,
+                    Explicit, FormulaTree, Group, Independent, InfeasibleCorrelationError,
                     InspectionModel, LocalCostModel, Network, NotApplicableError,
                     SizeCapError, apply_repairs, brute_force_plan_risks,
                     cumulative_approx_voi, optimal_plan, parallel,
                     plan_expected_loss, plan_losses, posterior_action_table,
                     series, series_pair_policy, system_failure_prob,
                     voi_heuristic, voi_local)
+from netvoi.distributions import _reweight_blocks
+from netvoi.local_metrics import _plan_risks, _repair_cost_vector
 
 from conftest import (make_three_branch, random_distribution, random_network,
                       THREE_BRANCH_PROBS)
@@ -74,6 +78,31 @@ def test_optimal_plan_cap():
         optimal_plan(net, dist, LocalCostModel.uniform(6, 1.0, 0.1), cap=4)
 
 
+def beliefs_of_every_kind(rng, n, certain=False):
+    """An independent, an explicit and a shared-cause belief over n components.
+
+    With ``certain`` some components never fail and some always do, and the
+    explicit table has zero weights.
+    """
+    def draw(size):
+        p = rng.uniform(0.02, 0.98, size=size)
+        if certain:
+            p = np.where(rng.random(size) < 0.5, rng.integers(0, 2, size=size), p)
+        return p
+
+    weights = rng.uniform(0.01, 1.0, size=1 << n)
+    if certain:
+        weights[rng.random(weights.size) < 0.5] = 0.0
+        weights[int(rng.integers(weights.size))] = 1.0
+    order = [int(m) for m in rng.permutation(n)]
+    cuts = [0] + sorted(rng.choice(np.arange(1, n), size=min(n - 1, n // 2),
+                                   replace=False).tolist()) + [n]
+    groups = [Group(order[a:b], float(draw(1)[0]), float(rng.uniform(0.0, 0.9)))
+              for a, b in zip(cuts, cuts[1:])]
+    return (Independent(draw(n)), Explicit(weights / weights.sum()),
+            CommonCauseGroups(groups, n_components=n))
+
+
 def test_sweep_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(40):
@@ -84,6 +113,40 @@ def test_sweep_matches_brute_force():
                                rng.uniform(0.0, 0.5, size=n))
         assert np.allclose(plan_losses(net, dist, costs),
                            brute_force_plan_risks(net, dist, costs), atol=1e-12)
+        # every belief kind, with certain components, and the posteriors the
+        # local metric forms by reweighting the block that holds component i
+        masks = np.arange(1 << n)
+        for dist in beliefs_of_every_kind(rng, n, certain=True):
+            assert np.allclose(plan_losses(net, dist, costs),
+                               brute_force_plan_risks(net, dist, costs), atol=1e-12)
+            i = int(rng.integers(n))
+            w_failed, w_working = rng.uniform(0.05, 1.0, size=2)
+            post = dist.pmf_vector() * np.where((masks >> i) & 1, w_working, w_failed)
+            losses = (costs.c_fail * _plan_risks(net, _reweight_blocks(
+                dist.blocks(), i, w_failed, w_working)) + _repair_cost_vector(costs))
+            assert np.allclose(losses, brute_force_plan_risks(
+                net, Explicit(post / post.sum()), costs), atol=1e-12)
+
+
+def test_local_metrics_leave_no_reference_cycles():
+    # an array held in a reference cycle outlives its call until the cyclic
+    # collector runs; every 2^N array of the plan-risk engine must be freed
+    # by reference counting
+    rng = np.random.default_rng(17)
+    net = Network(FormulaTree(series(0, parallel(1, 2), 3)))
+    insp = InspectionModel(0.05, 0.1)
+    costs = LocalCostModel.uniform(4, 1.0, 0.05)
+    beliefs = beliefs_of_every_kind(rng, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        for dist in beliefs:
+            voi_local(net, dist, insp, costs)
+            voi_heuristic(net, dist, insp, costs)
+            posterior_action_table(net, dist, insp, costs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_posterior_action_table_three_branch_alt_costs():

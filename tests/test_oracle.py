@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from netvoi import (PERFECT_INSPECTION, FormulaTree, Independent, InspectionModel,
-                    LocalCostModel, Network, SimulationConfig, SizeCapError,
-                    brute_force_plan_risks, mc_system_failure, mc_voi_local,
-                    plan_losses, series, system_failure_prob, voi_local)
+from netvoi import (FormulaTree, Independent, LocalCostModel, Network,
+                    SimulationConfig, SizeCapError, brute_force_plan_risks,
+                    mc_system_failure, plan_losses, series, system_failure_prob)
 
 from conftest import make_crossed_pair, make_substation, make_three_branch
 
@@ -62,37 +61,6 @@ def test_error_shrinks_with_sample_size():
     errors = [mean_abs_error(n) for n in (1_000, 10_000, 100_000, 1_000_000)]
     assert errors[0] > errors[2]
     assert errors[1] > errors[3]
-
-
-def test_mc_voi_deterministic_component_is_zero():
-    net = Network(FormulaTree(series(0, 1)))
-    dist = Independent([1.0, 0.4])
-    costs = LocalCostModel.uniform(2, 1.0, 0.1)
-    est, se = mc_voi_local(net, dist, PERFECT_INSPECTION, costs, 0,
-                           SimulationConfig(5_000, seed=5))
-    assert est == pytest.approx(0.0, abs=1e-12)
-    assert se == pytest.approx(0.0, abs=1e-12)
-
-
-def test_mc_voi_matches_exact_three_branch():
-    net = make_three_branch()
-    dist = Independent([0.1, 0.4, 0.2, 0.5, 0.3, 0.6])
-    costs = LocalCostModel.uniform(6, 1.0, 0.1)
-    exact = voi_local(net, dist, PERFECT_INSPECTION, costs).voi[1]
-    est, se = mc_voi_local(net, dist, PERFECT_INSPECTION, costs, 1,
-                           SimulationConfig(100_000, seed=2))
-    assert abs(est - exact) <= 3 * se
-    assert abs(est - exact) < 0.01
-
-
-def test_mc_voi_uninformative_inspection_near_zero():
-    net = make_three_branch()
-    dist = Independent([0.1, 0.4, 0.2, 0.5, 0.3, 0.6])
-    costs = LocalCostModel.uniform(6, 1.0, 0.1)
-    nearly_blind = InspectionModel(0.4999, 0.4999)
-    est, se = mc_voi_local(net, dist, nearly_blind, costs, 1,
-                           SimulationConfig(50_000, seed=9))
-    assert abs(est) <= max(3 * se, 1e-4)
 
 
 def test_brute_force_single_component():
