@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 validation failure, 2 size cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .distributions import system_failure_prob
@@ -259,10 +260,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser for every ``run_command`` call, built on first use."""
+    return build_parser()
+
+
 def run_command(argv) -> int:
     """Run a CLI invocation and return its exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -8,13 +8,15 @@ risk plus the summed repair costs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution, _reweight, _reweight_blocks
-from .errors import InfeasibleCorrelationError, NotApplicableError, SizeCapError
+from .distributions import Independent, JointDistribution, _reweight_blocks
+from .errors import (ConditioningError, InfeasibleCorrelationError, NotApplicableError,
+                     SizeCapError)
 from .inference import (ALARM, SILENCE, InspectionModel, _alarm_prob_checked, _likelihood,
                         alarm_probability)
 from .model import DEFAULT_COMPONENT_CAP, check_state
@@ -26,9 +28,10 @@ TIE_TOL = 1e-12
 # float-summation noise of each other; losses this close count as tied so the
 # lowest-mask rule actually bites.
 PLAN_TIE_RTOL = 1e-9
-# Block bits the plan-risk sweep resolves by one gather instead of recursing:
-# 4^3 cells against 3^3, for one numpy call instead of about 2^4.
-SWEEP_LEAF_BITS = 3
+# Bits one dense plan-risk operator covers: a 2^W x 2^W matrix, one matmul.
+# Adjacent small blocks fuse into chunks of this width; wider or scattered
+# blocks recurse on the restriction lattice down to operators of this width.
+CHUNK_BITS = 4
 
 
 @dataclass(frozen=True)
@@ -68,11 +71,10 @@ def repair_cost(plan: int, costs: LocalCostModel) -> float:
 
 
 def _repair_cost_vector(costs: LocalCostModel) -> np.ndarray:
-    n = costs.n_components
-    masks = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(masks.size)
-    for i, c in enumerate(costs.c_repair):
-        out += np.where((masks >> i) & 1, c, 0.0)
+    """Repair bill of every plan mask, summed in component order like ``repair_cost``."""
+    out = np.zeros(1)
+    for c in costs.c_repair:
+        out = np.concatenate((out, out + c))
     return out
 
 
@@ -103,11 +105,12 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
 
     Plan risk is linear in the pmf, and a product of independent blocks
     makes it a product of per-block operators on the failure indicator.
-    Each block runs the restriction-lattice sweep along its own bits,
-    vectorised over all other bits: Theta(2^N * sum of 1.5^k) for blocks
-    of k bits, so Theta(N 2^N) for independent components and Theta(3^N)
-    for an explicit table, instead of the Theta(4^N) plan-by-state
-    enumeration.
+    Blocks on adjacent bits fuse into chunks of up to ``CHUNK_BITS`` bits,
+    each applied as one dense 2^w x 2^w matrix: 2^N * 2^w multiply-adds per
+    chunk, so Theta(N 2^N) for independent components. A wider or scattered
+    block runs the restriction-lattice sweep along its own bits, vectorised
+    over all other bits: Theta(2^N * 1.5^k) for k bits, so Theta(3^N) for an
+    explicit table, instead of the Theta(4^N) plan-by-state enumeration.
     """
     if dist.n_components != net.n_components:
         raise ValueError("network and distribution disagree on the component count")
@@ -116,19 +119,63 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
 
 def _plan_risks(net, blocks) -> np.ndarray:
     """Plan failure risks of the belief whose pmf is the product of ``blocks``."""
-    n = net.n_components
     risk = (~net.truth_table()).astype(np.float64)
-    for members, table in blocks:
+    first, chunk = 0, np.ones(1)  # pending chunk: weights over bits first, first + 1, ...
+    for members, table in sorted(blocks, key=lambda block: min(block[0])):
         k = len(members)
-        # Bring the block's bits last, member 0 lowest, as the columns of f.
-        src = [n - 1 - m for m in members]
-        dst = list(range(n - 1, n - 1 - k, -1))
-        cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
-        f = cube.reshape(-1, 1 << k)
-        out = np.empty_like(f)
-        _sweep(table, f, k, 0, out)
-        risk = np.moveaxis(out.reshape(cube.shape), dst, src).reshape(-1)
-    return risk
+        if k > CHUNK_BITS or members != tuple(range(members[0], members[0] + k)):
+            risk = _apply_block(risk, members, table)
+            continue
+        w = chunk.size.bit_length() - 1
+        if members[0] != first + w or w + k > CHUNK_BITS:
+            risk = _apply_chunk(risk, first, chunk)
+            first, chunk = members[0], np.ones(1)
+        # a product of independent blocks is itself a block
+        chunk = np.multiply.outer(table, chunk).reshape(-1)
+    return _apply_chunk(risk, first, chunk)
+
+
+@functools.cache
+def _or_table(r: int) -> np.ndarray:
+    """0/1 table ``E[s, (t, a)] = [s | a == t]`` over r-bit states s, t and sub-plans a."""
+    s = np.arange(1 << r)
+    table = ((s[:, None, None] | s) == s[:, None]).astype(np.float64).reshape(1 << r, -1)
+    table.flags.writeable = False
+    return table
+
+
+def _operator(p: np.ndarray, r: int) -> np.ndarray:
+    """Dense plan-risk operator of weights ``p`` for the sub-plans of its low ``r`` bits.
+
+    Returns M transposed, of shape (p.size, 2^r), where ``M[a, t]`` is the
+    sum of p[s] over the states s with s | a = t: right-multiplying the
+    failure indicator over t gives the failure mass of every sub-plan a.
+    """
+    return (p.reshape(-1, 1 << r) @ _or_table(r)).reshape(p.size, 1 << r)
+
+
+def _apply_chunk(risk: np.ndarray, first: int, table: np.ndarray) -> np.ndarray:
+    """Apply the weights ``table`` over bits first, first + 1, ... as one matmul."""
+    if table.size == 1:
+        return risk
+    m_t = _operator(table, table.size.bit_length() - 1)
+    if first == 0:
+        return (risk.reshape(-1, table.size) @ m_t).reshape(-1)
+    return (m_t.T @ risk.reshape(-1, table.size, 1 << first)).reshape(-1)
+
+
+def _apply_block(risk: np.ndarray, members, table: np.ndarray) -> np.ndarray:
+    """Apply a wide or scattered block by the lattice sweep along its bits."""
+    n = risk.size.bit_length() - 1
+    k = len(members)
+    # Bring the block's bits last, member 0 lowest, as the columns of f.
+    src = [n - 1 - m for m in members]
+    dst = list(range(n - 1, n - 1 - k, -1))
+    cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
+    f = cube.reshape(-1, 1 << k)
+    out = np.empty_like(f)
+    _sweep(table, f, k, 0, out)
+    return np.moveaxis(out.reshape(cube.shape), dst, src).reshape(-1)
 
 
 def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> None:
@@ -138,13 +185,11 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
     plan repairs them. Repairing a bit sums it out of the weights ``p`` and
     keeps only the working half of the columns of ``f``; leaving it keeps
     both for the final contraction, so every plan costs 2^(bits left alone).
-    The last ``SWEEP_LEAF_BITS`` bits are done in one gather over all their
-    sub-plans a, reading column s | a for state s; the gathered array holds
-    at most 2^SWEEP_LEAF_BITS times as many cells as ``f``.
+    The last ``CHUNK_BITS`` bits are one dense operator (``_operator``) over
+    all their sub-plans, with as many rows as ``f`` has columns.
     """
-    if r <= SWEEP_LEAF_BITS:
-        sub_plans = np.arange(1 << r)[:, None]
-        out[:, plan:plan + (1 << r)] = f[:, np.arange(p.size) | sub_plans] @ p
+    if r <= CHUNK_BITS:
+        out[:, plan:plan + (1 << r)] = f @ _operator(p, r)
         return
     _sweep(p, f, r - 1, plan, out)
     half = 1 << (r - 1)
@@ -238,6 +283,12 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     )
 
 
+def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
+    """Sums of ``x`` over the states where component i has failed and where it works."""
+    v = x.reshape(-1, 2, 1 << i)
+    return float(v[:, 0].sum()), float(v[:, 1].sum())
+
+
 def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
                   costs: LocalCostModel, cap: int = DEFAULT_COMPONENT_CAP) -> VoIReport:
     """Inspection values when the posterior may only toggle the inspected repair.
@@ -252,33 +303,43 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     prior_plan, prior_loss = optimal_plan(net, dist, costs, cap)
     n = net.n_components
     pmf = dist.pmf_vector()
+    fail = ~net.truth_table()
+    masks = np.arange(fail.size, dtype=np.int64)
+    kept = pmf * fail[masks | prior_plan]
     silence_plans, alarm_plans, silence_losses, alarm_losses = [], [], [], []
     posterior_loss, voi = [], []
     for i in range(n):
-        h = _alarm_prob_checked(dist, i, insp)
-        prior_action = (prior_plan >> i) & 1
-        losses = {}
-        plans = {}
+        _alarm_prob_checked(dist, i, insp)
+        flipped = prior_plan ^ (1 << i)
+        # prior masses split by the state of component i; a posterior only
+        # reweights the two halves, so no posterior pmf is formed
+        prob = _halves(pmf, i)
+        mass = {prior_plan: _halves(kept, i),
+                flipped: _halves(pmf * fail[masks | flipped], i)}
+        plans, losses, gain = {}, {}, 0.0
         for y in (SILENCE, ALARM):
-            post = _reweight(pmf, i, *_likelihood(i, y, insp))
-            keep = _plan_loss(net, post, prior_plan, costs)
-            if y != prior_action:
-                plans[y], losses[y] = prior_plan, keep
-                continue
-            flipped = prior_plan ^ (1 << i)
-            flip = _plan_loss(net, post, flipped, costs)
+            w_failed, w_working = _likelihood(i, y, insp)
+            total = w_failed * prob[0] + w_working * prob[1]
+            if total <= 0.0:
+                raise ConditioningError("observation has probability zero")
+            loss = {plan: costs.c_fail * (w_failed * m0 + w_working * m1) / total
+                    + repair_cost(plan, costs) for plan, (m0, m1) in mass.items()}
+            keep, flip = loss[prior_plan], loss[flipped]
             tied = abs(flip - keep) <= PLAN_TIE_RTOL * costs.c_fail
-            if (tied and flipped < prior_plan) or (not tied and flip < keep):
+            if y == (prior_plan >> i) & 1 and (
+                    (tied and flipped < prior_plan) or (not tied and flip < keep)):
                 plans[y], losses[y] = flipped, flip
             else:
                 plans[y], losses[y] = prior_plan, keep
+            # the prior loss of the kept plan is the mixture of its posterior
+            # losses, so only a flipped outcome adds value
+            gain += total * (keep - losses[y])
         silence_plans.append(plans[SILENCE])
         alarm_plans.append(plans[ALARM])
         silence_losses.append(losses[SILENCE])
         alarm_losses.append(losses[ALARM])
-        loss_i = (1.0 - h) * losses[SILENCE] + h * losses[ALARM]
-        posterior_loss.append(loss_i)
-        voi.append(prior_loss - loss_i)
+        posterior_loss.append(prior_loss - gain)
+        voi.append(gain)
     ranking = rank_order(voi)
     return VoIReport(
         metric="heuristic",

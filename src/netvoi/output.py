@@ -13,16 +13,19 @@ import json
 import math
 
 
+def printed_value(x: float) -> float:
+    """``x`` rounded to the 12 significant digits the output prints; -0.0 becomes 0.0."""
+    rounded = float(f"{float(x):.12g}")
+    return 0.0 if rounded == 0.0 else rounded
+
+
 def format_number(x: float) -> str:
     x = float(x)
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    rounded = float(f"{x:.12g}")
-    if rounded == 0.0:
-        rounded = 0.0  # normalize -0.0
-    return repr(rounded)
+    return repr(printed_value(x))
 
 
 def json_value(x: float):
@@ -30,8 +33,7 @@ def json_value(x: float):
     x = float(x)
     if math.isinf(x) or math.isnan(x):
         return format_number(x)
-    rounded = float(f"{x:.12g}")
-    return 0.0 if rounded == 0.0 else rounded
+    return printed_value(x)
 
 
 def render_csv(header, rows) -> str:

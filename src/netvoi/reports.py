@@ -4,10 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .output import printed_value
+
 
 def rank_order(values) -> tuple[int, ...]:
-    """Indices sorted by descending value; ties go to the lower index."""
-    vals = list(values)
+    """Indices sorted by descending printed value; ties go to the lower index.
+
+    Values equal to the 12 digits the output prints count as tied, so
+    summation noise never orders rows that print the same.
+    """
+    vals = [printed_value(v) for v in values]
     return tuple(sorted(range(len(vals)), key=lambda i: (-vals[i], i)))
 
 

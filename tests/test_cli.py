@@ -3,13 +3,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from netvoi.cli import run_command
 from netvoi.output import format_number
+from netvoi.scenario import parse_scenario_file
 
 from conftest import scenario_path
+
+SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -156,3 +163,52 @@ def test_cap_exceeded_exits_2(capsys):
                        scenario_path("layered16.json"), "--cap", "8")
     assert code == 2
     assert "cap" in err
+
+
+def component_column(out):
+    return [row[1] for row in list(csv.reader(io.StringIO(out)))[1:]]
+
+
+def test_rows_printing_equal_values_list_in_index_order(capsys):
+    # c8 and c16 sit symmetrically in layered16 and print the same local VoI
+    code, out, _ = run(capsys, "rank", "--metric", "local",
+                       scenario_path("layered16.json"))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[1] for row in rows[:2]] == ["c8", "c16"]
+    assert rows[0][2] == rows[1][2]
+    values = [float(row[2]) for row in rows]
+    assert values == sorted(values, reverse=True)
+
+
+def test_explicit_form_of_substation_ranks_alike(tmp_path, capsys):
+    # the same joint as shared-cause groups and as an explicit table runs
+    # through different engine paths; the ranking must not see the noise
+    doc = parse_scenario_file(scenario_path("substation.json"))
+    obj = json.loads(doc.to_json())
+    obj["dependence"] = {"kind": "explicit",
+                         "weights": doc.build_distribution().pmf_vector().tolist()}
+    explicit = tmp_path / "substation_explicit.json"
+    explicit.write_text(json.dumps(obj))
+    for metric in ("local", "global", "bm"):
+        code, grouped, _ = run(capsys, "rank", "--metric", metric,
+                               scenario_path("substation.json"))
+        assert code == 0
+        code, flat, _ = run(capsys, "rank", "--metric", metric, str(explicit))
+        assert code == 0
+        assert component_column(flat) == component_column(grouped), metric
+
+
+def test_shared_parser_prints_what_a_fresh_process_prints(capsys):
+    commands = [
+        ["rank", "--metric", "heuristic", scenario_path("three_branch.json")],
+        ["rank", "--metric", "nope", scenario_path("three_branch.json")],
+        ["actions", scenario_path("three_branch_alt_costs.json"), "--format", "json"],
+    ]
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    in_process = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in in_process] == [0, 64, 0]
+    for argv, (code, out, err) in zip(commands, in_process):
+        fresh = subprocess.run([sys.executable, "-m", "netvoi.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv

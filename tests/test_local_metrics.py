@@ -10,7 +10,8 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, DegenerateObservation
                     InspectionModel, LocalCostModel, Network, NotApplicableError,
                     SizeCapError, apply_repairs, brute_force_plan_risks,
                     cumulative_approx_voi, optimal_plan, parallel,
-                    plan_expected_loss, plan_losses, posterior_action_table,
+                    plan_expected_loss, plan_failure_risks, plan_losses,
+                    posterior_action_table, repair_cost,
                     series, series_pair_policy, system_failure_prob,
                     voi_heuristic, voi_local)
 from netvoi.distributions import _reweight_blocks
@@ -103,29 +104,75 @@ def beliefs_of_every_kind(rng, n, certain=False):
             CommonCauseGroups(groups, n_components=n))
 
 
+def assert_engine_matches_brute_force(rng, net, dist, costs, atol=1e-14):
+    """Prior plan losses, and the block-reweighted posterior of each component."""
+    n = net.n_components
+    assert np.allclose(plan_losses(net, dist, costs),
+                       brute_force_plan_risks(net, dist, costs), rtol=0.0, atol=atol)
+    masks = np.arange(1 << n)
+    for i in range(n):
+        w_failed, w_working = rng.uniform(0.05, 1.0, size=2)
+        post = dist.pmf_vector() * np.where((masks >> i) & 1, w_working, w_failed)
+        if post.sum() <= 0.0:
+            continue
+        losses = (costs.c_fail * _plan_risks(net, _reweight_blocks(
+            dist.blocks(), i, w_failed, w_working)) + _repair_cost_vector(costs))
+        assert np.allclose(losses, brute_force_plan_risks(
+            net, Explicit(post / post.sum()), costs), rtol=0.0, atol=atol), i
+
+
 def test_sweep_matches_brute_force():
     rng = np.random.default_rng(13)
     for _ in range(40):
         n = int(rng.integers(2, 7))
         net = random_network(rng, n)
-        dist = random_distribution(rng, n)
         costs = LocalCostModel(float(rng.uniform(0.5, 2.0)),
                                rng.uniform(0.0, 0.5, size=n))
-        assert np.allclose(plan_losses(net, dist, costs),
-                           brute_force_plan_risks(net, dist, costs), atol=1e-12)
-        # every belief kind, with certain components, and the posteriors the
-        # local metric forms by reweighting the block that holds component i
-        masks = np.arange(1 << n)
+        assert_engine_matches_brute_force(rng, net, random_distribution(rng, n), costs)
+        # every belief kind, with certain components and zero explicit weights
         for dist in beliefs_of_every_kind(rng, n, certain=True):
-            assert np.allclose(plan_losses(net, dist, costs),
-                               brute_force_plan_risks(net, dist, costs), atol=1e-12)
-            i = int(rng.integers(n))
-            w_failed, w_working = rng.uniform(0.05, 1.0, size=2)
-            post = dist.pmf_vector() * np.where((masks >> i) & 1, w_working, w_failed)
-            losses = (costs.c_fail * _plan_risks(net, _reweight_blocks(
-                dist.blocks(), i, w_failed, w_working)) + _repair_cost_vector(costs))
-            assert np.allclose(losses, brute_force_plan_risks(
-                net, Explicit(post / post.sum()), costs), atol=1e-12)
+            assert_engine_matches_brute_force(rng, net, dist, costs)
+    # block layouts that decide between fused chunks and the lattice sweep
+    layouts = [
+        [(0, 2), (1, 3, 4)],  # interleaved members: both blocks take the lattice
+        [(0, 1), (2, 3, 4, 5), (6,)],  # a group across the aligned chunk boundary at bit 4
+        [(0,), (1, 2, 3, 4, 5, 6)],  # a group wider than a chunk
+        [(4, 3), (0, 1, 2)],  # members listed out of bit order
+        [(0, 1, 2), (3, 4), (5, 6), (7,)],  # chunks of 3, 4 and 1 bits
+    ]
+    for layout in layouts:
+        n = sum(len(members) for members in layout)
+        net = random_network(rng, n)
+        costs = LocalCostModel(float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 0.5, size=n))
+        for p in (0.0, 1.0, float(rng.uniform(0.05, 0.5))):
+            groups = [Group(members, p, float(rng.uniform(0.1, 0.8))) for members in layout]
+            assert_engine_matches_brute_force(rng, net, CommonCauseGroups(groups), costs)
+    # independent beliefs: N = 1, N not a multiple of the chunk width, certain components
+    for n in (1, 5, 7):
+        net = random_network(rng, n) if n > 1 else Network(FormulaTree(series(0)))
+        costs = LocalCostModel(1.0, rng.uniform(0.0, 0.5, size=n))
+        probs = rng.uniform(0.05, 0.95, size=n)
+        probs[rng.random(n) < 0.3] = rng.integers(0, 2)
+        assert_engine_matches_brute_force(rng, net, Independent(probs), costs)
+
+
+def test_product_belief_matches_its_explicit_table():
+    # the same joint through fused chunks and through the lattice sweep
+    rng = np.random.default_rng(29)
+    for n in (3, 6, 9):
+        net = random_network(rng, n)
+        for dist in beliefs_of_every_kind(rng, n)[::2]:
+            explicit = Explicit(dist.pmf_vector())
+            assert np.allclose(plan_failure_risks(net, dist),
+                               plan_failure_risks(net, explicit), rtol=0.0, atol=1e-14)
+
+
+def test_repair_cost_vector_matches_repair_cost():
+    rng = np.random.default_rng(31)
+    for n in range(1, 11):
+        costs = LocalCostModel(1.0, rng.uniform(0.0, 3.0, size=n))
+        expected = np.array([repair_cost(plan, costs) for plan in range(1 << n)])
+        assert np.array_equal(_repair_cost_vector(costs), expected)
 
 
 def test_local_metrics_leave_no_reference_cycles():
@@ -231,6 +278,11 @@ def test_heuristic_bounded_by_local():
         for h, l in zip(heur.voi, local.voi):
             assert h >= -1e-10
             assert h <= l + 1e-10
+        # an inspection that confirms the prior plan either way is worth nothing
+        table = heur.action_table
+        for i, h in enumerate(heur.voi):
+            if table.silence_plans[i] == table.alarm_plans[i] == heur.prior_plan:
+                assert h == 0.0
 
 
 def test_degenerate_inspection_rejected():
