@@ -19,7 +19,7 @@ from .distributions import system_failure_prob
 from .errors import NetvoiError, ScenarioError, SizeCapError
 from .global_metrics import importance_measures, rank_global
 from .inference import InspectionModel, alarm_probability, posterior_interval
-from .local_metrics import posterior_action_table, voi_heuristic, voi_local
+from .local_metrics import _voi_heuristic, posterior_action_table, voi_heuristic, voi_local
 from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
 from .output import (format_number, json_value, render_bar_chart_svg, render_csv,
@@ -241,11 +241,12 @@ def _cmd_actions(args) -> int:
 def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load(args)
     costs = doc.build_costs()
-    series = [
-        ("global", rank_global(net, dist, insp, doc.build_envelope()).voi_normalized),
-        ("local", voi_local(net, dist, insp, costs, cap=args.cap).voi_normalized),
-        ("heuristic", voi_heuristic(net, dist, insp, costs, cap=args.cap).voi_normalized),
-    ]
+    system = rank_global(net, dist, insp, doc.build_envelope())
+    local = voi_local(net, dist, insp, costs, cap=args.cap)
+    # the heuristic starts from the prior plan the local metric optimised
+    heuristic = _voi_heuristic(net, dist, insp, costs, local.prior_plan, local.prior_loss)
+    series = [("global", system.voi_normalized), ("local", local.voi_normalized),
+              ("heuristic", heuristic.voi_normalized)]
     text = render_bar_chart_svg(net.names, series, title="normalized inspection value")
     _emit(text, args)
     return EXIT_OK

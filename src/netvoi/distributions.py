@@ -11,6 +11,7 @@ cleared bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,8 @@ from .errors import ConditioningError
 from .model import check_state
 
 EXPLICIT_SUM_TOL = 1e-12
+# Bits of one sampling chunk, drawn with one uniform: its cdf and masks take 64 KB.
+SAMPLE_BITS = 12
 
 
 class JointDistribution:
@@ -32,6 +35,7 @@ class JointDistribution:
     n_components: int
     _blocks: tuple
     _vector: np.ndarray | None = None
+    _chunks: tuple | None = None
 
     def blocks(self) -> tuple:
         """Independent blocks as (member bits, read-only weight table) pairs."""
@@ -39,20 +43,13 @@ class JointDistribution:
 
     def pmf(self, state: int) -> float:
         check_state(state, self.n_components)
-        out = 1.0
-        for members, table in self._blocks:
-            out *= float(table[_local_mask(state, members)])
-        return out
+        return math.prod(float(table[sum(((state >> m) & 1) << j for j, m in enumerate(members))])
+                         for members, table in self._blocks)
 
     def pmf_vector(self) -> np.ndarray:
         """Read-only vector of probabilities indexed by mask."""
         if self._vector is None:
-            masks = np.arange(1 << self.n_components, dtype=np.int64)
-            v = np.ones(masks.size)
-            for members, table in self._blocks:
-                v *= table[_local_mask(masks, members)]
-            v.flags.writeable = False
-            self._vector = v
+            self._vector = _frozen(_product_table(self._blocks, range(self.n_components)))
         return self._vector
 
     def marginal_failure(self, i: int) -> float:
@@ -75,23 +72,64 @@ class JointDistribution:
         return Explicit(w / total)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
+        if self._chunks is None:
+            self._chunks = _sampling_chunks(self._blocks)
+        u = rng.random((size, len(self._chunks)))
+        draws = (masks[np.searchsorted(cdf, u[:, c], side="right")]
+                 for c, (cdf, masks) in enumerate(self._chunks))
+        return functools.reduce(np.bitwise_or, draws)
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n_components:
             raise IndexError(f"component index {i} out of range")
 
 
-def _local_mask(masks, members):
-    """Block-table index of each mask: bit j is the state of members[j]."""
-    sub = 0
-    for j, m in enumerate(members):
-        sub = sub | (((masks >> m) & 1) << j)
-    return sub
+def _product_table(blocks, bits) -> np.ndarray:
+    """Product of the block tables over ``bits``; index bit j is the state of bits[j].
+
+    Each table multiplies in place, in block order, into a 2 x ... x 2 cube
+    whose axis for bits[j] is k - 1 - j: no index arrays, no 2^k temporaries.
+    """
+    k = len(bits)
+    v = np.ones((2,) * k)
+    for members, table in blocks:
+        axes = [k - 1 - bits.index(m) for m in reversed(members)]  # one per table axis
+        order = sorted(range(len(axes)), key=axes.__getitem__)
+        shape = [1] * k
+        for a in axes:
+            shape[a] = 2
+        v *= table.reshape((2,) * len(members)).transpose(order).reshape(shape)
+    return v.reshape(-1)
+
+
+def _sampling_chunks(blocks) -> tuple:
+    """(cdf, mask of each state) of every sampling chunk.
+
+    Blocks, by lowest member, join the open chunk unless that takes it past
+    ``SAMPLE_BITS`` bits, so a wider block is a chunk alone. A chunk's states
+    index its members in ascending bit order.
+    """
+    runs = [[]]
+    for block in sorted(blocks, key=lambda b: min(b[0])):
+        if runs[-1] and len(sum((m for m, _ in runs[-1]), block[0])) > SAMPLE_BITS:
+            runs.append([])
+        runs[-1].append(block)
+    chunks = []
+    for run in runs:
+        bits = sorted(sum((members for members, _ in run), ()))
+        masks = np.zeros(1, dtype=np.int64)
+        for b in bits:  # doubling: bits[j] is bit j of the state index
+            masks = np.concatenate((masks, masks | (1 << b)))
+        cdf = np.cumsum(_product_table(run, bits))
+        cdf[-1] = 1.0
+        chunks.append((cdf, masks))
+    return tuple(chunks)
 
 
 def _frozen(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    """``values`` as a read-only float array; a float array is frozen in place."""
+    arr = np.asarray(values, dtype=float)
     arr.flags.writeable = False
     return arr
 
@@ -144,12 +182,6 @@ class Independent(JointDistribution):
                 probs[i] = 0.0
         return Independent(probs)
 
-    def sample(self, rng, size):
-        p = np.asarray(self.failure_probs)
-        working = rng.random((size, self.n_components)) >= p
-        powers = np.left_shift(np.int64(1), np.arange(self.n_components, dtype=np.int64))
-        return working @ powers
-
 
 class Explicit(JointDistribution):
     """Arbitrary pmf stored as one weight per mask: a single N-bit block."""
@@ -169,54 +201,32 @@ class Explicit(JointDistribution):
         self._vector = arr
         self._blocks = ((tuple(range(self.n_components)), arr),)
 
-    def sample(self, rng, size):
-        cdf = np.cumsum(self._vector)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return np.minimum(idx, self._vector.size - 1).astype(np.int64)
 
+def _shared_cause_table(group) -> np.ndarray:
+    """Block weights of a group whose failures share one latent cause.
 
-class _SharedCauseBlock:
-    """Exchangeable group whose failures share one latent cause.
-
-    Component i of the group fails as ``f_i = D_i * Z + (1 - D_i) * E_i``
-    with D_i ~ Bernoulli(sqrt(rho)) choosing between the shared source Z
-    and a private source E_i, both Bernoulli(p). Marginals stay at p and
-    every pair correlates at exactly rho; conditioned on Z the components
-    are independent, so the block pmf is a two-term mixture of products.
+    Member j fails as ``D_j * Z + (1 - D_j) * E_j``, D_j ~ Bernoulli(sqrt(rho)),
+    Z and E_j ~ Bernoulli(p): marginals p, every pair correlated at exactly
+    rho. Given Z the members are independent: a mixture of two products.
     """
-
-    def __init__(self, members, p, rho):
-        members = tuple(int(m) for m in members)
-        if not members:
-            raise ValueError("a group needs at least one member")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"group failure probability {p} not in [0, 1]")
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"group correlation {rho} not in [0, 1)")
-        self.members = members
-        self.p = float(p)
-        self.rho = float(rho)
-        self._theta = math.sqrt(self.rho)
-        a = self._theta + (1.0 - self._theta) * self.p  # failure given the shared cause
-        b = (1.0 - self._theta) * self.p  # failure without it
-        sub = np.arange(1 << len(members), dtype=np.int64)
-        active = np.ones(sub.size)
-        inactive = np.ones(sub.size)
-        for j in range(len(members)):
-            working = ((sub >> j) & 1).astype(bool)
-            active *= np.where(working, 1.0 - a, a)
-            inactive *= np.where(working, 1.0 - b, b)
-        self.table = _frozen(self.p * active + (1.0 - self.p) * inactive)
-
-    def sample(self, rng, size):
-        k = len(self.members)
-        z = rng.random(size) < self.p
-        d = rng.random((size, k)) < self._theta
-        e = rng.random((size, k)) < self.p
-        failed = np.where(d, z[:, None], e)
-        powers = np.left_shift(np.int64(1), np.arange(k, dtype=np.int64))
-        return (~failed) @ powers
+    k, p, rho = len(group.members), group.p, group.rho
+    if not k:
+        raise ValueError("a group needs at least one member")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"group failure probability {p} not in [0, 1]")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"group correlation {rho} not in [0, 1)")
+    theta = math.sqrt(rho)
+    a = theta + (1.0 - theta) * p  # failure given the shared cause
+    b = (1.0 - theta) * p  # failure without it
+    sub = np.arange(1 << k, dtype=np.int64)
+    active = np.ones(sub.size)
+    inactive = np.ones(sub.size)
+    for j in range(k):
+        working = ((sub >> j) & 1).astype(bool)
+        active *= np.where(working, 1.0 - a, a)
+        inactive *= np.where(working, 1.0 - b, b)
+    return _frozen(p * active + (1.0 - p) * inactive)
 
 
 class Group:
@@ -236,31 +246,21 @@ class CommonCauseGroups(JointDistribution):
     """
 
     def __init__(self, groups, n_components: int | None = None):
-        blocks = sorted((_SharedCauseBlock(g.members, g.p, g.rho) for g in groups),
-                        key=lambda b: min(b.members))
-        covered = [m for b in blocks for m in b.members]
+        blocks = sorted(((g, _shared_cause_table(g)) for g in groups),
+                        key=lambda b: min(b[0].members))
+        covered = [m for g, _ in blocks for m in g.members]
         if len(set(covered)) != len(covered):
             raise ValueError("groups overlap")
-        n = (max(covered) + 1) if covered else 0
-        if n_components is not None:
-            n = int(n_components)
+        n = max(covered, default=-1) + 1 if n_components is None else int(n_components)
         if sorted(covered) != list(range(n)):
             raise ValueError(f"groups must partition components 0..{n - 1}")
-        self.groups = tuple(blocks)
+        self.groups = tuple(g for g, _ in blocks)
         self.n_components = n
-        self._blocks = tuple((b.members, b.table) for b in blocks)
+        self._blocks = tuple((g.members, table) for g, table in blocks)
 
     def marginal_failure(self, i: int) -> float:
         self._check_index(i)
         return next(g.p for g in self.groups if i in g.members)
-
-    def sample(self, rng, size):
-        out = np.zeros(size, dtype=np.int64)
-        for block in self.groups:
-            local = block.sample(rng, size)
-            for j, m in enumerate(block.members):
-                out |= ((local >> j) & 1) << m
-        return out
 
 
 def system_failure_prob(net, dist: JointDistribution) -> float:

@@ -230,31 +230,36 @@ def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel,
 def posterior_action_table(net, dist: JointDistribution, insp: InspectionModel,
                            costs: LocalCostModel,
                            cap: int = DEFAULT_COMPONENT_CAP) -> PosteriorActionTable:
-    """Re-optimized plan for each inspected component and outcome.
+    """Re-optimized plan for each inspected component and outcome."""
+    _check_setup(net, dist, costs)
+    _check_cap(net.n_components, cap)
+    return _posterior_optima(net, dist, insp, costs, 0)[0]
+
+
+def _posterior_optima(net, dist, insp, costs, kept_plan: int) -> tuple:
+    """Action table, and the posterior loss of ``kept_plan`` per outcome and component.
 
     Each posterior is the prior's blocks with the likelihood multiplied
     into the one block that holds the inspected component.
     """
-    _check_setup(net, dist, costs)
-    _check_cap(net.n_components, cap)
     blocks = dist.blocks()
     repair = _repair_cost_vector(costs)
-    plans = {SILENCE: [], ALARM: []}
-    losses = {SILENCE: [], ALARM: []}
+    plans, losses, kept = ({SILENCE: [], ALARM: []} for _ in range(3))
     for i in range(net.n_components):
         _alarm_prob_checked(dist, i, insp)
         for y in (SILENCE, ALARM):
             post = _reweight_blocks(blocks, i, *_likelihood(i, y, insp))
-            plan, loss = _cheapest(costs.c_fail * _plan_risks(net, post) + repair,
-                                   costs.c_fail)
+            post_losses = costs.c_fail * _plan_risks(net, post) + repair
+            plan, loss = _cheapest(post_losses, costs.c_fail)
             plans[y].append(plan)
             losses[y].append(loss)
+            kept[y].append(float(post_losses[kept_plan]))
     return PosteriorActionTable(
         silence_plans=tuple(plans[SILENCE]),
         alarm_plans=tuple(plans[ALARM]),
         silence_losses=tuple(losses[SILENCE]),
         alarm_losses=tuple(losses[ALARM]),
-    )
+    ), kept
 
 
 def voi_local(net, dist: JointDistribution, insp: InspectionModel,
@@ -262,18 +267,19 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     """Inspection values under full posterior plan re-optimization."""
     _check_setup(net, dist, costs)
     prior_plan, prior_loss = optimal_plan(net, dist, costs, cap)
-    table = posterior_action_table(net, dist, insp, costs, cap)
-    posterior_loss, voi = [], []
+    table, kept = _posterior_optima(net, dist, insp, costs, prior_plan)
+    voi = []
     for i in range(net.n_components):
         h = alarm_probability(dist, i, insp)
-        loss_i = (1.0 - h) * table.silence_losses[i] + h * table.alarm_losses[i]
-        posterior_loss.append(loss_i)
-        voi.append(prior_loss - loss_i)
+        # the prior loss of the prior plan is the mixture of its posterior
+        # losses, so an outcome that keeps that plan adds exactly 0
+        voi.append((1.0 - h) * (kept[SILENCE][i] - table.silence_losses[i])
+                   + h * (kept[ALARM][i] - table.alarm_losses[i]))
     ranking = rank_order(voi)
     return VoIReport(
         metric="local",
         prior_loss=prior_loss,
-        posterior_loss=tuple(posterior_loss),
+        posterior_loss=tuple(prior_loss - v for v in voi),
         voi=tuple(voi),
         voi_normalized=normalize(voi),
         ranking=ranking,
@@ -300,7 +306,11 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     flipping just that one action are compared and the cheaper executed.
     """
     _check_setup(net, dist, costs)
-    prior_plan, prior_loss = optimal_plan(net, dist, costs, cap)
+    return _voi_heuristic(net, dist, insp, costs, *optimal_plan(net, dist, costs, cap))
+
+
+def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
+    """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
     n = net.n_components
     pmf = dist.pmf_vector()
     fail = ~net.truth_table()

@@ -4,7 +4,10 @@ Random numbers come from NumPy's Philox 4x64 counter-based generator
 keyed with the configured seed. The sample budget splits over 32 equal
 substreams (stream j is the base generator jumped j times), whose batch
 means also provide the standard error, so estimates reproduce bit-for-bit
-for a fixed seed and are straightforward to port.
+for a fixed seed and are straightforward to port. Each substream draws its
+state masks with ``JointDistribution.sample``: one uniform per chunk of
+whole belief blocks, by inverse CDF of the chunk's table; up to 12
+components that is the inverse CDF of the pmf itself.
 """
 
 from __future__ import annotations

@@ -199,6 +199,22 @@ def test_explicit_form_of_substation_ranks_alike(tmp_path, capsys):
         assert component_column(flat) == component_column(grouped), metric
 
 
+def test_explicit_form_of_substation_samples_alike(tmp_path, capsys):
+    # a belief and its explicit table draw the same masks up to 12 components
+    doc = parse_scenario_file(scenario_path("substation.json"))
+    obj = json.loads(doc.to_json())
+    obj["dependence"] = {"kind": "explicit",
+                         "weights": doc.build_distribution().pmf_vector().tolist()}
+    explicit = tmp_path / "substation_explicit.json"
+    explicit.write_text(json.dumps(obj))
+    outputs = []
+    for path in (scenario_path("substation.json"), str(explicit)):
+        code, out, _ = run(capsys, "reliability", path, "--mc-samples", "20000", "--seed", "3")
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_shared_parser_prints_what_a_fresh_process_prints(capsys):
     commands = [
         ["rank", "--metric", "heuristic", scenario_path("three_branch.json")],

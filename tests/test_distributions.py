@@ -1,5 +1,7 @@
 """Joint distributions: pmf evaluation, marginals, conditioning, sampling."""
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +10,10 @@ import pytest
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
                     Group, Independent, Network, parallel, series,
                     system_failure_prob)
-from netvoi.distributions import _reweight, _reweight_blocks
+from netvoi.distributions import SAMPLE_BITS, _reweight, _reweight_blocks, _shared_cause_table
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
-                      random_distribution)
+                      make_groups_across_sampling_chunks, random_distribution)
 
 
 def test_independent_pmf_product_rule():
@@ -91,6 +93,17 @@ def test_normalization_across_variants():
         n = int(rng.integers(1, 9))
         dist = random_distribution(rng, n)
         assert abs(float(dist.pmf_vector().sum()) - 1.0) < 1e-12
+
+
+def test_pmf_vector_is_the_per_mask_product():
+    # the vector multiplies whole tables into a cube; the scalar pmf looks up
+    # each block's entry per mask, in the same order, so they agree exactly
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        dist = random_distribution(rng, n)
+        expected = [dist.pmf(m) for m in range(1 << n)]
+        assert np.array_equal(dist.pmf_vector(), expected)
 
 
 def test_system_failure_probability_parallel():
@@ -181,3 +194,64 @@ def test_sampling_is_deterministic_and_matches_marginals():
     joint = float((((a & 1) == 0) & (((a >> 1) & 1) == 0)).mean())
     expected = float(dist.pmf_vector()[np.arange(8) & 3 == 0].sum())
     assert abs(joint - expected) < 0.05
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("p, rho", [(0.3, 0.0), (0.01, 0.4), (0.2, 0.15), (0.7, 0.8),
+                                    (0.0, 0.5), (1.0, 0.3)])
+def test_shared_cause_table_is_the_latent_model(k, p, rho):
+    # enumerate Z, D_1..D_k and E_1..E_k; member j fails as D_j*Z + (1 - D_j)*E_j
+    theta = math.sqrt(rho)
+
+    def bern(x, q):
+        return q if x else 1.0 - q
+
+    ref = [0.0] * (1 << k)
+    for z in (0, 1):
+        for d in itertools.product((0, 1), repeat=k):
+            for e in itertools.product((0, 1), repeat=k):
+                prob = bern(z, p) * math.prod(bern(dj, theta) for dj in d) \
+                    * math.prod(bern(ej, p) for ej in e)
+                failed = [z if dj else ej for dj, ej in zip(d, e)]
+                ref[sum((1 - f) << j for j, f in enumerate(failed))] += prob
+    table = _shared_cause_table(Group(range(k), p, rho))
+    np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 14])
+def test_explicit_draws_are_a_plain_inverse_cdf(n):
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, size=1 << n) ** 3
+    dist = Explicit(w / w.sum())
+    cdf = list(itertools.accumulate(dist.pmf_vector().tolist()))
+    cdf[-1] = 1.0
+    uniforms = np.random.default_rng(99).random(3000)
+    expected = [bisect.bisect_right(cdf, u) for u in uniforms.tolist()]
+    assert dist.sample(np.random.default_rng(99), 3000).tolist() == expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Independent(np.linspace(0.05, 0.5, 16)),
+    lambda: Independent(np.linspace(0.5, 0.02, 20)),
+    make_groups_across_sampling_chunks,
+])
+def test_multi_chunk_draws_match_the_pmf(make):
+    dist = make()
+    n, size = dist.n_components, 100_000
+    assert n > SAMPLE_BITS
+    masks = dist.sample(np.random.default_rng(7), size)
+    assert masks.dtype == np.int64
+    assert int(masks.min()) >= 0 and int(masks.max()) < (1 << n)
+    failed = (((masks[:, None] >> np.arange(n)) & 1) == 0).astype(float)
+    freq = failed.T @ failed / size  # diagonal: marginals; off it: pairs
+    for i in range(n):
+        half = failed_half(dist.pmf_vector(), i)
+        for j in range(i, n):
+            q = float((half if j == i else failed_half(half, j - 1)).sum())
+            se = math.sqrt(q * (1.0 - q) / size)
+            assert abs(freq[i, j] - q) <= 5.0 * se, (i, j, freq[i, j], q)
+
+
+def failed_half(x, bit):
+    """Entries of a mask-indexed vector where ``bit`` is clear, that bit dropped."""
+    return x.reshape(-1, 2, 1 << bit)[:, 0, :].reshape(-1)

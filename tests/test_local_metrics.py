@@ -16,9 +16,10 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, DegenerateObservation
                     voi_heuristic, voi_local)
 from netvoi.distributions import _reweight_blocks
 from netvoi.local_metrics import _plan_risks, _repair_cost_vector
+from netvoi.scenario import parse_scenario_file
 
 from conftest import (make_three_branch, random_distribution, random_network,
-                      THREE_BRANCH_PROBS)
+                      scenario_path, THREE_BRANCH_PROBS)
 
 
 def plan_of(names_on, names):
@@ -279,10 +280,25 @@ def test_heuristic_bounded_by_local():
             assert h >= -1e-10
             assert h <= l + 1e-10
         # an inspection that confirms the prior plan either way is worth nothing
-        table = heur.action_table
-        for i, h in enumerate(heur.voi):
-            if table.silence_plans[i] == table.alarm_plans[i] == heur.prior_plan:
-                assert h == 0.0
+        for report in (heur, local):
+            table = report.action_table
+            for i, v in enumerate(report.voi):
+                if table.silence_plans[i] == table.alarm_plans[i] == report.prior_plan:
+                    assert v == 0.0
+
+
+def test_local_value_of_inspections_that_change_no_plan_is_zero():
+    doc = parse_scenario_file(scenario_path("layered16.json"))
+    net = doc.build_network()
+    report = voi_local(net, doc.build_distribution(), doc.build_inspection(),
+                       doc.build_costs())
+    table = report.action_table
+    unchanged = [i for i in range(net.n_components)
+                 if table.silence_plans[i] == table.alarm_plans[i] == report.prior_plan]
+    assert len(unchanged) >= 8
+    for i in unchanged:
+        assert report.voi[i] == 0.0, net.names[i]
+        assert report.posterior_loss[i] == report.prior_loss
 
 
 def test_degenerate_inspection_rejected():

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from netvoi import (FormulaTree, Independent, LocalCostModel, Network,
+from netvoi import (Explicit, FormulaTree, Independent, LocalCostModel, Network,
                     SimulationConfig, SizeCapError, brute_force_plan_risks,
-                    mc_system_failure, plan_losses, series, system_failure_prob)
+                    mc_system_failure, parallel, plan_losses, series,
+                    system_failure_prob)
 
-from conftest import make_crossed_pair, make_substation, make_three_branch
+from conftest import (THREE_BRANCH_PROBS, make_crossed_pair,
+                      make_groups_across_sampling_chunks, make_substation,
+                      make_three_branch)
 
 
 def test_single_component_estimate():
@@ -36,6 +39,27 @@ def test_substation_estimate_with_groups():
     net, dist = make_substation(rho_ds=0.0)
     exact = system_failure_prob(net, dist)
     est, se = mc_system_failure(net, dist, SimulationConfig(400_000, seed=3))
+    assert abs(est - exact) <= 3 * se
+
+
+def test_belief_and_its_explicit_table_estimate_alike():
+    # up to 12 components every belief draws by the inverse CDF of its pmf
+    cfg = SimulationConfig(20_000, seed=5)
+    for net, dist in (make_substation(rho_ds=0.4),
+                      (make_three_branch(), Independent(THREE_BRANCH_PROBS))):
+        explicit = Explicit(dist.pmf_vector())
+        assert mc_system_failure(net, dist, cfg) == mc_system_failure(net, explicit, cfg)
+
+
+@pytest.mark.parametrize("net, dist", [
+    (Network(FormulaTree(parallel(*(series(*range(4 * b, 4 * b + 4)) for b in range(5))))),
+     Independent(np.linspace(0.05, 0.3, 20))),
+    (Network(FormulaTree(parallel(series(*range(0, 18, 2)), series(*range(1, 18, 2))))),
+     make_groups_across_sampling_chunks()),
+])
+def test_estimate_over_several_sampling_chunks(net, dist):
+    exact = system_failure_prob(net, dist)
+    est, se = mc_system_failure(net, dist, SimulationConfig(200_000, seed=21))
     assert abs(est - exact) <= 3 * se
 
 

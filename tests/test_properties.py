@@ -192,6 +192,28 @@ def test_monte_carlo_within_three_sigma_of_exact():
         assert abs(est - exact) <= 3.0 * sigma + 1e-12
 
 
+def test_monte_carlo_z_scores_are_calibrated():
+    # z-scores of a calibrated estimator are about standard normal: |z| > 3
+    # has probability 0.0027 (1.35 expected in 500; more than 6 has
+    # probability 3e-4 under the Poisson limit), and the mean of 500 has
+    # standard deviation 1/sqrt(500)
+    rng = np.random.default_rng(151)
+    n_samples = 4096
+    z = []
+    for k in range(N_INSTANCES):
+        n = int(rng.integers(1, 9))
+        net = random_network(rng, n)
+        dist = random_distribution(rng, n, lo=0.05, hi=0.95)
+        exact = system_failure_prob(net, dist)
+        est, _ = mc_system_failure(net, dist,
+                                   SimulationConfig(n_samples, seed=9000 + k))
+        sigma = math.sqrt(exact * (1.0 - exact) / n_samples)
+        z.append((est - exact) / sigma)
+    z = np.array(z)
+    assert int((np.abs(z) > 3.0).sum()) <= 6
+    assert abs(float(z.mean())) <= 3.0 / math.sqrt(N_INSTANCES)
+
+
 def test_heuristic_is_exact_when_alarms_force_single_repairs():
     # when the prior plan is empty, silences never trigger work, and an
     # alarm is answered by replacing just the inspected component, the
