@@ -122,26 +122,25 @@ def _cmd_reliability(args) -> int:
     return EXIT_OK
 
 
+def _table(args, header, rows, head=(), tail=()) -> str:
+    """``rows`` under ``header`` as CSV, or as JSON: ``head``, the keyed rows, ``tail``."""
+    if args.format == "csv":
+        return render_csv(header, rows)
+    obj = dict(head)
+    obj["rows"] = [{key: json_value(v) if isinstance(v, float) else v
+                    for key, v in zip(header, row)} for row in rows]
+    obj.update(tail)
+    return render_json(obj)
+
+
 def _cmd_intervals(args) -> int:
     doc, net, dist, insp = _load(args)
     rows = []
     for i, name in enumerate(net.names):
         iv = posterior_interval(net, dist, i, insp)
         rows.append((name, iv.lo, iv.hi, iv.prior, iv.alarm_prob))
-    if args.format == "csv":
-        text = render_csv(
-            ("component", "silence_posterior", "alarm_posterior", "prior",
-             "alarm_probability"), rows)
-    else:
-        text = render_json({
-            "rows": [
-                {"component": name, "silence_posterior": json_value(lo),
-                 "alarm_posterior": json_value(hi), "prior": json_value(prior),
-                 "alarm_probability": json_value(h)}
-                for name, lo, hi, prior, h in rows
-            ]
-        })
-    _emit(text, args)
+    _emit(_table(args, ("component", "silence_posterior", "alarm_posterior", "prior",
+                        "alarm_probability"), rows), args)
     return EXIT_OK
 
 
@@ -156,59 +155,29 @@ def _voi_report(args, doc, net, dist, insp):
 def _cmd_rank(args) -> int:
     doc, net, dist, insp = _load(args)
     names = net.names
+    tail = {}
     if args.metric in VOI_METRICS:
         report = _voi_report(args, doc, net, dist, insp)
-        with_regret = report.posterior_regret is not None
-        rows = []
-        for rank, i in enumerate(report.ranking, start=1):
-            row = [rank, names[i], report.voi[i], report.voi_normalized[i],
-                   report.posterior_loss[i]]
-            if with_regret:
-                row.append(report.posterior_regret[i])
-            rows.append(row)
-        if args.format == "csv":
-            header = ["rank", "component", "voi", "voi_normalized", "posterior_loss"]
-            if with_regret:
-                header.append("posterior_regret")
-            text = render_csv(header, rows)
-        else:
-            obj = {
-                "metric": report.metric,
-                "prior_loss": json_value(report.prior_loss),
-                "best": names[report.best],
-                "rows": [],
-            }
-            if with_regret:
-                obj["prior_regret"] = json_value(report.prior_regret)
-            if report.prior_plan is not None:
-                obj["prior_plan"] = _plan_label(report.prior_plan, names)
-            for row in rows:
-                entry = {"rank": row[0], "component": row[1],
-                         "voi": json_value(row[2]),
-                         "voi_normalized": json_value(row[3]),
-                         "posterior_loss": json_value(row[4])}
-                if with_regret:
-                    entry["posterior_regret"] = json_value(row[5])
-                obj["rows"].append(entry)
-            text = render_json(obj)
+        header = ["rank", "component", "voi", "voi_normalized", "posterior_loss"]
+        columns = [report.voi, report.voi_normalized, report.posterior_loss]
+        head = {"metric": report.metric, "prior_loss": json_value(report.prior_loss),
+                "best": names[report.best]}
+        if report.posterior_regret is not None:
+            header.append("posterior_regret")
+            columns.append(report.posterior_regret)
+            tail["prior_regret"] = json_value(report.prior_regret)
+        if report.prior_plan is not None:
+            tail["prior_plan"] = _plan_label(report.prior_plan, names)
+        ranking = report.ranking
     else:
         report = importance_measures(net, dist, insp)
-        values = report.values(args.metric)
+        header = ["rank", "component", args.metric]
+        columns = [report.values(args.metric)]
+        head = {"metric": args.metric, "prior_failure": json_value(report.prior_failure)}
         ranking = report.rankings[args.metric]
-        rows = [(rank, names[i], values[i])
-                for rank, i in enumerate(ranking, start=1)]
-        if args.format == "csv":
-            text = render_csv(("rank", "component", args.metric), rows)
-        else:
-            text = render_json({
-                "metric": args.metric,
-                "prior_failure": json_value(report.prior_failure),
-                "rows": [
-                    {"rank": rank, "component": name, args.metric: json_value(v)}
-                    for rank, name, v in rows
-                ],
-            })
-    _emit(text, args)
+    rows = [[rank, names[i]] + [column[i] for column in columns]
+            for rank, i in enumerate(ranking, start=1)]
+    _emit(_table(args, header, rows, head, tail), args)
     return EXIT_OK
 
 
@@ -222,19 +191,8 @@ def _cmd_actions(args) -> int:
          table.silence_losses[i], table.alarm_losses[i])
         for i in range(net.n_components)
     ]
-    if args.format == "csv":
-        text = render_csv(
-            ("component", "silence_plan", "alarm_plan", "silence_loss", "alarm_loss"),
-            rows)
-    else:
-        text = render_json({
-            "rows": [
-                {"component": name, "silence_plan": sp, "alarm_plan": ap,
-                 "silence_loss": json_value(sl), "alarm_loss": json_value(al)}
-                for name, sp, ap, sl, al in rows
-            ]
-        })
-    _emit(text, args)
+    _emit(_table(args, ("component", "silence_plan", "alarm_plan", "silence_loss",
+                        "alarm_loss"), rows), args)
     return EXIT_OK
 
 

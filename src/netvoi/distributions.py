@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConditioningError
-from .model import check_state
+from .model import _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
 # Bits of one sampling chunk, drawn with one uniform: its cdf and masks take 64 KB.
@@ -55,21 +55,21 @@ class JointDistribution:
     def marginal_failure(self, i: int) -> float:
         self._check_index(i)
         members, table = next(b for b in self._blocks if i in b[0])
-        sub = np.arange(table.size, dtype=np.int64)
-        return float(table[(sub >> members.index(i)) & 1 == 0].sum())
+        return _halves(table, members.index(i))[0]
 
     def condition(self, evidence):
-        """Condition on exact component states, given as {index: 0 or 1}."""
-        masks = np.arange(1 << self.n_components, dtype=np.int64)
-        keep = np.ones(masks.size, dtype=bool)
+        """Condition on exact component states, given as {index: 0 or 1}.
+
+        State s of component i is an inspection with likelihood (1, 0) for a
+        failure or (0, 1) for a working component, reweighting one block.
+        """
+        blocks = self._blocks
         for i, s in dict(evidence).items():
             self._check_index(i)
-            keep &= ((masks >> i) & 1) == int(s)
-        w = np.where(keep, self.pmf_vector(), 0.0)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ConditioningError("evidence has probability zero")
-        return Explicit(w / total)
+            if s not in (0, 1):
+                raise ValueError(f"evidence on component {i} must be state 0 or 1, not {s!r}")
+            blocks = _reweight_blocks(blocks, i, float(s == 0), float(s == 1))
+        return Explicit(_product_table(blocks, range(self.n_components)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
@@ -167,21 +167,6 @@ class Independent(JointDistribution):
         self.n_components = len(probs)
         self._blocks = tuple(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(probs))
 
-    def condition(self, evidence):
-        probs = list(self.failure_probs)
-        for i, s in dict(evidence).items():
-            self._check_index(i)
-            p = probs[i]
-            if s == 0:
-                if p <= 0.0:
-                    raise ConditioningError(f"component {i} never fails")
-                probs[i] = 1.0
-            else:
-                if p >= 1.0:
-                    raise ConditioningError(f"component {i} never works")
-                probs[i] = 0.0
-        return Independent(probs)
-
 
 class Explicit(JointDistribution):
     """Arbitrary pmf stored as one weight per mask: a single N-bit block."""
@@ -219,13 +204,8 @@ def _shared_cause_table(group) -> np.ndarray:
     theta = math.sqrt(rho)
     a = theta + (1.0 - theta) * p  # failure given the shared cause
     b = (1.0 - theta) * p  # failure without it
-    sub = np.arange(1 << k, dtype=np.int64)
-    active = np.ones(sub.size)
-    inactive = np.ones(sub.size)
-    for j in range(k):
-        working = ((sub >> j) & 1).astype(bool)
-        active *= np.where(working, 1.0 - a, a)
-        inactive *= np.where(working, 1.0 - b, b)
+    active = _product_table([((j,), np.array([a, 1.0 - a])) for j in range(k)], range(k))
+    inactive = _product_table([((j,), np.array([b, 1.0 - b])) for j in range(k)], range(k))
     return _frozen(p * active + (1.0 - p) * inactive)
 
 

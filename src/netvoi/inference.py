@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import Explicit, JointDistribution, _reweight
-from .errors import DegenerateObservationError, IncomparableIntervalsError
+from .errors import (ConditioningError, DegenerateObservationError,
+                     IncomparableIntervalsError)
+from .model import _halves
 
 ALARM = 0
 SILENCE = 1
@@ -71,16 +73,6 @@ def alarm_probability(dist: JointDistribution, i: int, insp: InspectionModel) ->
     return insp.fa(i) + insp.k(i) * dist.marginal_failure(i)
 
 
-def _alarm_prob_checked(dist: JointDistribution, i: int, insp: InspectionModel) -> float:
-    """Alarm probability, refusing an inspection whose outcome is certain."""
-    h = alarm_probability(dist, i, insp)
-    if h <= 0.0 or h >= 1.0:
-        raise DegenerateObservationError(
-            f"inspecting component {i} has a certain outcome (alarm probability {h})"
-        )
-    return h
-
-
 def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
     """Probability of outcome y on component i if it failed, and if it works."""
     if y == SILENCE:
@@ -96,9 +88,27 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
     return Explicit(_reweight(dist.pmf_vector(), i, *_likelihood(i, y, insp)))
 
 
+def _split_masses(net, dist: JointDistribution, i: int) -> tuple:
+    """Prior probability and system failure mass, each split by the state of component i."""
+    pmf = dist.pmf_vector()
+    return _halves(pmf, i), _halves(pmf * ~net.truth_table(), i)
+
+
+def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel) -> float:
+    """Posterior mean, after outcome y on component i, of a quantity with prior masses ``mass``.
+
+    ``prob`` and ``mass`` are split by the state of component i (``_halves``):
+    the likelihood only reweights the two halves, so no posterior is formed.
+    """
+    w_failed, w_working = _likelihood(i, y, insp)
+    total = w_failed * prob[0] + w_working * prob[1]
+    if total <= 0.0:
+        raise ConditioningError("observation has probability zero")
+    return (w_failed * mass[0] + w_working * mass[1]) / total
+
+
 def posterior_system_failure(net, dist, i, y, insp) -> float:
-    post = _reweight(dist.pmf_vector(), i, *_likelihood(i, y, insp))
-    return float(post[~net.truth_table()].sum())
+    return _posterior_mean(*_split_masses(net, dist, i), i, y, insp)
 
 
 @dataclass(frozen=True)
@@ -128,9 +138,13 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     The prior is their mixture by the alarm probability, so it costs no
     pass of its own.
     """
-    h = _alarm_prob_checked(dist, i, insp)
-    lo = posterior_system_failure(net, dist, i, SILENCE, insp)
-    hi = posterior_system_failure(net, dist, i, ALARM, insp)
+    h = alarm_probability(dist, i, insp)
+    if not 0.0 < h < 1.0:  # one of the two posteriors does not exist
+        raise DegenerateObservationError(
+            f"inspecting component {i} has a certain outcome (alarm probability {h})"
+        )
+    prob, mass = _split_masses(net, dist, i)
+    lo, hi = (_posterior_mean(prob, mass, i, y, insp) for y in (SILENCE, ALARM))
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Independent, JointDistribution, _reweight_blocks
-from .errors import (ConditioningError, InfeasibleCorrelationError, NotApplicableError,
-                     SizeCapError)
-from .inference import (ALARM, SILENCE, InspectionModel, _alarm_prob_checked, _likelihood,
+from .errors import InfeasibleCorrelationError, NotApplicableError, SizeCapError
+from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _posterior_mean,
                         alarm_probability)
-from .model import DEFAULT_COMPONENT_CAP, check_state
+from .model import DEFAULT_COMPONENT_CAP, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport, normalize, rank_order
 
 FRECHET_TOL = 1e-12
@@ -87,16 +86,12 @@ def _check_setup(net, dist, costs):
 
 def plan_expected_loss(net, dist: JointDistribution, plan: int,
                        costs: LocalCostModel) -> float:
-    """Residual failure risk after the plan plus its repair bill."""
+    """Residual failure risk after the plan plus its repair bill, by plan-by-state enumeration."""
     _check_setup(net, dist, costs)
     check_state(plan, net.n_components)
-    return _plan_loss(net, dist.pmf_vector(), plan, costs)
-
-
-def _plan_loss(net, pmf: np.ndarray, plan: int, costs: LocalCostModel) -> float:
     table = net.truth_table()
     masks = np.arange(table.size, dtype=np.int64)
-    risk = costs.c_fail * float(pmf[~table[masks | plan]].sum())
+    risk = costs.c_fail * float(dist.pmf_vector()[~table[masks | plan]].sum())
     return risk + repair_cost(plan, costs)
 
 
@@ -246,9 +241,12 @@ def _posterior_optima(net, dist, insp, costs, kept_plan: int) -> tuple:
     repair = _repair_cost_vector(costs)
     plans, losses, kept = ({SILENCE: [], ALARM: []} for _ in range(3))
     for i in range(net.n_components):
-        _alarm_prob_checked(dist, i, insp)
+        h = alarm_probability(dist, i, insp)
         for y in (SILENCE, ALARM):
-            post = _reweight_blocks(blocks, i, *_likelihood(i, y, insp))
+            # a certain outcome carries no news: the belief stays the prior, so
+            # both rows are the prior plan at the prior loss
+            post = (_reweight_blocks(blocks, i, *_likelihood(i, y, insp)) if 0.0 < h < 1.0
+                    else blocks)
             post_losses = costs.c_fail * _plan_risks(net, post) + repair
             plan, loss = _cheapest(post_losses, costs.c_fail)
             plans[y].append(plan)
@@ -289,12 +287,6 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     )
 
 
-def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
-    """Sums of ``x`` over the states where component i has failed and where it works."""
-    v = x.reshape(-1, 2, 1 << i)
-    return float(v[:, 0].sum()), float(v[:, 1].sum())
-
-
 def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
                   costs: LocalCostModel, cap: int = DEFAULT_COMPONENT_CAP) -> VoIReport:
     """Inspection values when the posterior may only toggle the inspected repair.
@@ -319,21 +311,20 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
     silence_plans, alarm_plans, silence_losses, alarm_losses = [], [], [], []
     posterior_loss, voi = [], []
     for i in range(n):
-        _alarm_prob_checked(dist, i, insp)
         flipped = prior_plan ^ (1 << i)
         # prior masses split by the state of component i; a posterior only
         # reweights the two halves, so no posterior pmf is formed
         prob = _halves(pmf, i)
         mass = {prior_plan: _halves(kept, i),
                 flipped: _halves(pmf * fail[masks | flipped], i)}
-        plans, losses, gain = {}, {}, 0.0
-        for y in (SILENCE, ALARM):
-            w_failed, w_working = _likelihood(i, y, insp)
-            total = w_failed * prob[0] + w_working * prob[1]
-            if total <= 0.0:
-                raise ConditioningError("observation has probability zero")
-            loss = {plan: costs.c_fail * (w_failed * m0 + w_working * m1) / total
-                    + repair_cost(plan, costs) for plan, (m0, m1) in mass.items()}
+        # a certain outcome carries no news: both rows keep the prior plan and loss
+        plans = dict.fromkeys((SILENCE, ALARM), prior_plan)
+        losses = dict.fromkeys((SILENCE, ALARM), prior_loss)
+        gain = 0.0
+        h = alarm_probability(dist, i, insp)
+        for y, p_y in ((SILENCE, 1.0 - h), (ALARM, h)) if 0.0 < h < 1.0 else ():
+            loss = {plan: costs.c_fail * _posterior_mean(prob, m, i, y, insp)
+                    + repair_cost(plan, costs) for plan, m in mass.items()}
             keep, flip = loss[prior_plan], loss[flipped]
             tied = abs(flip - keep) <= PLAN_TIE_RTOL * costs.c_fail
             if y == (prior_plan >> i) & 1 and (
@@ -343,7 +334,7 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
                 plans[y], losses[y] = prior_plan, keep
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
-            gain += total * (keep - losses[y])
+            gain += p_y * (keep - losses[y])
         silence_plans.append(plans[SILENCE])
         alarm_plans.append(plans[ALARM])
         silence_losses.append(losses[SILENCE])

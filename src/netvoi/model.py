@@ -76,34 +76,55 @@ def _collect_indices(node, out):
             _collect_indices(part, out)
 
 
-def _eval_node(node, state: int) -> int:
-    if isinstance(node, ComponentRef):
-        return (state >> node.index) & 1
-    if isinstance(node, SeriesNode):
-        return int(all(_eval_node(p, state) for p in node.parts))
-    return int(any(_eval_node(p, state) for p in node.parts))
+def _bits(masks: np.ndarray, i: int) -> np.ndarray:
+    """State of component i in each of ``masks``: True where it works."""
+    return ((masks >> i) & 1).astype(bool)
 
 
-def _table_node(node, masks: np.ndarray) -> np.ndarray:
+def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
+    """Sums of ``x``, indexed by mask, over the states where component i has failed and works.
+
+    Bit i splits the masks into runs of 2^i failed then 2^i working states,
+    so a (-1, 2, 2^i) view separates the halves without an index array.
+    """
+    v = x.reshape(-1, 2, 1 << i)
+    return float(v[:, 0].sum()), float(v[:, 1].sum())
+
+
+def _node_states(node, masks: np.ndarray) -> np.ndarray:
     if isinstance(node, ComponentRef):
-        return ((masks >> node.index) & 1).astype(bool)
-    tables = [_table_node(p, masks) for p in node.parts]
+        return _bits(masks, node.index)
+    states = [_node_states(p, masks) for p in node.parts]
     if isinstance(node, SeriesNode):
-        return np.logical_and.reduce(tables)
-    return np.logical_or.reduce(tables)
+        return np.logical_and.reduce(states)
+    return np.logical_or.reduce(states)
 
 
 class StructureFunction:
-    """Monotone map from component-state masks to the binary system state."""
+    """Monotone map from component-state masks to the binary system state.
+
+    Subclasses set ``n_components`` and define ``_states``, the system state
+    of each mask in an array; ``evaluate`` is its one-mask case and
+    ``truth_table`` its all-masks case, built once.
+    """
 
     n_components: int
+    _table: np.ndarray | None = None
+
+    def _states(self, masks: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
 
     def evaluate(self, state: int) -> int:
-        raise NotImplementedError
+        check_state(state, self.n_components)
+        return int(self._states(np.array([state], dtype=np.int64))[0])
 
     def truth_table(self) -> np.ndarray:
         """System state for every mask, as a read-only bool vector of length 2^N."""
-        raise NotImplementedError
+        if self._table is None:
+            table = self._states(np.arange(1 << self.n_components, dtype=np.int64))
+            table.flags.writeable = False
+            self._table = table
+        return self._table
 
 
 class FormulaTree(StructureFunction):
@@ -131,19 +152,9 @@ class FormulaTree(StructureFunction):
             )
         self.root = root
         self.n_components = n
-        self._table: np.ndarray | None = None
 
-    def evaluate(self, state: int) -> int:
-        check_state(state, self.n_components)
-        return _eval_node(self.root, state)
-
-    def truth_table(self) -> np.ndarray:
-        if self._table is None:
-            masks = np.arange(1 << self.n_components, dtype=np.int64)
-            table = _table_node(self.root, masks)
-            table.flags.writeable = False
-            self._table = table
-        return self._table
+    def _states(self, masks: np.ndarray) -> np.ndarray:
+        return _node_states(self.root, masks)
 
 
 class STGraph(StructureFunction):
@@ -193,45 +204,18 @@ class STGraph(StructureFunction):
         if not self.directed:
             arcs += [(v, u) for u, v in edge_list]
         self._arcs = tuple(arcs)
-        adjacency: dict = {}
-        for u, v in arcs:
-            adjacency.setdefault(u, []).append(v)
-        self._adjacency = adjacency
-        self._table: np.ndarray | None = None
 
-    def _passable(self, label, state: int) -> bool:
-        i = self._comp_of.get(label)
-        return True if i is None else bool((state >> i) & 1)
-
-    def evaluate(self, state: int) -> int:
-        check_state(state, self.n_components)
-        stack = [self.source]
-        seen = {self.source}
-        while stack:
-            node = stack.pop()
-            if node == self.sink:
-                return 1
-            for nxt in self._adjacency.get(node, ()):
-                if nxt not in seen and self._passable(nxt, state):
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return 0
-
-    def truth_table(self) -> np.ndarray:
-        if self._table is not None:
-            return self._table
-        size = 1 << self.n_components
-        masks = np.arange(size, dtype=np.int64)
+    def _states(self, masks: np.ndarray) -> np.ndarray:
         passable = {}
         reach = {}
         nodes = {u for arc in self._arcs for u in arc}
         for label in nodes:
             i = self._comp_of.get(label)
             if i is None:
-                passable[label] = np.ones(size, dtype=bool)
+                passable[label] = np.ones(masks.size, dtype=bool)
             else:
-                passable[label] = ((masks >> i) & 1).astype(bool)
-            reach[label] = np.zeros(size, dtype=bool)
+                passable[label] = _bits(masks, i)
+            reach[label] = np.zeros(masks.size, dtype=bool)
         reach[self.source][:] = True
         # Propagate reachability over all masks at once until a fixpoint;
         # each full sweep extends every frontier by at least one arc.
@@ -243,10 +227,7 @@ class STGraph(StructureFunction):
                 if add.any():
                     reach[v] |= add
                     changed = True
-        table = reach[self.sink].copy()
-        table.flags.writeable = False
-        self._table = table
-        return table
+        return reach[self.sink]
 
 
 class TruthTable(StructureFunction):
@@ -258,10 +239,9 @@ class TruthTable(StructureFunction):
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two, at least 2")
         n = size.bit_length() - 1
-        masks = np.arange(size, dtype=np.int64)
         for i in range(n):
-            low = masks[(masks >> i) & 1 == 0]
-            if np.any(arr[low] & ~arr[low + (1 << i)]):
+            split = arr.reshape(-1, 2, 1 << i)  # [:, 0] failed, [:, 1] working
+            if np.any(split[:, 0] & ~split[:, 1]):
                 raise NonMonotoneError(
                     f"repairing component {i} can flip the system from 1 to 0"
                 )
@@ -269,12 +249,8 @@ class TruthTable(StructureFunction):
         self.n_components = n
         self._table = arr
 
-    def evaluate(self, state: int) -> int:
-        check_state(state, self.n_components)
-        return int(self._table[state])
-
-    def truth_table(self) -> np.ndarray:
-        return self._table
+    def _states(self, masks: np.ndarray) -> np.ndarray:
+        return self._table[masks]
 
 
 class Network:
@@ -307,7 +283,6 @@ class Network:
         return self._index[name]
 
     def evaluate(self, state: int) -> int:
-        check_state(state, self.n_components)
         return self.structure.evaluate(state)
 
     def truth_table(self) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import JointDistribution
 from .errors import SizeCapError
-from .local_metrics import LocalCostModel, _repair_cost_vector
+from .local_metrics import LocalCostModel, plan_expected_loss
 
 N_BATCHES = 32
 BRUTE_FORCE_CAP = 12
@@ -77,8 +77,9 @@ def brute_force_plan_risks(net, dist: JointDistribution,
                            costs: LocalCostModel) -> np.ndarray:
     """Expected loss of every plan by plain plan-by-state enumeration.
 
-    Reference for the lattice sweep in netvoi.local_metrics; capped at
-    12 components because the enumeration is Theta(4^N).
+    Reference for the plan-risk engine in netvoi.local_metrics: one
+    ``plan_expected_loss`` per plan, capped at 12 components because the
+    enumeration is Theta(4^N).
     """
     n = net.n_components
     if n > BRUTE_FORCE_CAP:
@@ -87,12 +88,4 @@ def brute_force_plan_risks(net, dist: JointDistribution,
         )
     if dist.n_components != n or costs.n_components != n:
         raise ValueError("component counts disagree")
-    table = net.truth_table()
-    masks = np.arange(table.size, dtype=np.int64)
-    pmf = dist.pmf_vector()
-    repair = _repair_cost_vector(costs)
-    out = np.empty(table.size)
-    for plan in range(table.size):
-        fails = ~table[masks | plan]
-        out[plan] = costs.c_fail * float(pmf[fails].sum()) + repair[plan]
-    return out
+    return np.array([plan_expected_loss(net, dist, plan, costs) for plan in range(1 << n)])

@@ -32,7 +32,7 @@ from .errors import NetvoiError, ScenarioError
 from .inference import InspectionModel
 from .local_metrics import LocalCostModel
 from .model import (DEFAULT_COMPONENT_CAP, ComponentRef, FormulaTree, Network,
-                    ParallelNode, SeriesNode, STGraph, TruthTable)
+                    ParallelNode, SeriesNode, STGraph, TruthTable, _collect_indices)
 
 SCHEMA_VERSION = "1"
 
@@ -616,7 +616,7 @@ def _parse_formula(text: str, ids):
     if pos != len(tokens):
         raise ValueError(f"trailing input after formula: {tokens[pos][0]!r}")
     used: list[int] = []
-    _collect(root, used)
+    _collect_indices(root, used)
     missing = [ids[i] for i in range(len(ids)) if i not in set(used)]
     duplicates = sorted({ids[i] for i in used if used.count(i) > 1})
     if duplicates:
@@ -624,14 +624,6 @@ def _parse_formula(text: str, ids):
     if missing:
         raise ValueError(f"components never referenced: {missing}")
     return root
-
-
-def _collect(node, out):
-    if isinstance(node, ComponentRef):
-        out.append(node.index)
-    else:
-        for part in node.parts:
-            _collect(part, out)
 
 
 def _format_formula(node, ids) -> str:

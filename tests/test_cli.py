@@ -228,3 +228,39 @@ def test_shared_parser_prints_what_a_fresh_process_prints(capsys):
         fresh = subprocess.run([sys.executable, "-m", "netvoi.cli", *argv], env=env,
                                capture_output=True, text=True, timeout=60)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err), argv
+
+
+def test_certain_outcome_is_worth_zero_in_every_command(tmp_path, capsys):
+    # component a never fails, so inspecting it perfectly always reads silence
+    doc = {
+        "schema_version": "1",
+        "components": [{"id": "a", "failure_probability": 0.0},
+                       {"id": "b", "failure_probability": 0.2},
+                       {"id": "c", "failure_probability": 0.3}],
+        "structure": {"formula": "series(a, parallel(b, c))"},
+        "dependence": {"kind": "independent"},
+        "inspection": {"eps_fa": 0.0, "eps_fs": 0.0},
+        "costs": {"c_fail": 1.0, "c_repair": 0.01},
+        "envelope": "quadratic",
+    }
+    path = tmp_path / "certain.json"
+    path.write_text(json.dumps(doc))
+    for metric in ("local", "heuristic", "global", "bm"):
+        code, out, err = run(capsys, "rank", "--metric", metric, str(path))
+        assert (code, err) == (0, ""), metric
+        rows = {row[1]: row for row in list(csv.reader(io.StringIO(out)))[1:]}
+        assert rows["a"][2] == "0.0", metric
+        assert float(rows["b"][2]) > 0.0, metric
+    code, out, _ = run(capsys, "actions", str(path))
+    assert code == 0
+    prior = json.loads(run(capsys, "rank", "--metric", "local", str(path),
+                           "--format", "json")[1])["prior_plan"]
+    rows = {row[0]: row for row in list(csv.reader(io.StringIO(out)))[1:]}
+    assert rows["a"][1] == rows["a"][2] == prior
+    assert rows["a"][3] == rows["a"][4]
+    code, _, _ = run(capsys, "plot", str(path), "--output", str(tmp_path / "chart.svg"))
+    assert code == 0
+    # an interval prints both posteriors, and one of them does not exist
+    code, _, err = run(capsys, "intervals", str(path))
+    assert code == 1
+    assert "certain outcome" in err

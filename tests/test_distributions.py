@@ -159,6 +159,15 @@ def test_condition_explicit_zero_probability_evidence():
         dist.condition({1: 1})
 
 
+def test_condition_names_a_state_other_than_0_or_1():
+    beliefs = (Independent([0.1, 0.4]), Explicit([0.25] * 4),
+               CommonCauseGroups([Group([0, 1], 0.2, 0.3)]))
+    for dist in beliefs:
+        for state in (2, -1, 0.5):
+            with pytest.raises(ValueError, match=rf"component 1 .* 0 or 1, not {state}"):
+                dist.condition({0: 1, 1: state})
+
+
 def test_reweight_matches_explicit_route():
     rng = np.random.default_rng(5)
     for _ in range(25):

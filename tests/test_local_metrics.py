@@ -5,8 +5,8 @@ import gc
 import numpy as np
 import pytest
 
-from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, DegenerateObservationError,
-                    Explicit, FormulaTree, Group, Independent, InfeasibleCorrelationError,
+from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree,
+                    Group, Independent, InfeasibleCorrelationError,
                     InspectionModel, LocalCostModel, Network, NotApplicableError,
                     SizeCapError, apply_repairs, brute_force_plan_risks,
                     cumulative_approx_voi, optimal_plan, parallel,
@@ -301,12 +301,24 @@ def test_local_value_of_inspections_that_change_no_plan_is_zero():
         assert report.posterior_loss[i] == report.prior_loss
 
 
-def test_degenerate_inspection_rejected():
+def test_degenerate_inspection_is_worth_zero():
+    # an outcome of probability zero takes the other outcome's row: both rows
+    # are the prior plan at the prior loss, and the inspection is worth 0
     net = Network(FormulaTree(series(0, 1)))
-    dist = Independent([0.0, 0.4])
     costs = LocalCostModel.uniform(2, 1.0, 0.1)
-    with pytest.raises(DegenerateObservationError):
-        voi_local(net, dist, PERFECT_INSPECTION, costs)
+    for p in (0.0, 1.0):
+        for dist in (Independent([p, 0.4]), Explicit(Independent([p, 0.4]).pmf_vector())):
+            prior_plan, prior_loss = optimal_plan(net, dist, costs)
+            local = voi_local(net, dist, PERFECT_INSPECTION, costs)
+            heuristic = voi_heuristic(net, dist, PERFECT_INSPECTION, costs)
+            actions = posterior_action_table(net, dist, PERFECT_INSPECTION, costs)
+            for table in (local.action_table, heuristic.action_table, actions):
+                assert table.silence_plans[0] == table.alarm_plans[0] == prior_plan
+                assert table.silence_losses[0] == table.alarm_losses[0] == prior_loss
+            for report in (local, heuristic):
+                assert report.voi[0] == 0.0
+                assert report.posterior_loss[0] == prior_loss
+                assert report.voi[1] > 0.0
 
 
 def test_series_pair_policy_independent_cases():

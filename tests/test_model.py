@@ -1,5 +1,7 @@
 """Structure functions: evaluation, encodings, and monotonicity."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,64 @@ def test_pure_shape_detection():
     mixed = Network(FormulaTree(series(0, parallel(1, 2))))
     assert not mixed.is_pure_series()
     assert not mixed.is_pure_parallel()
+
+
+def random_st_graph(rng, n, directed):
+    """Components c0.. and up to two junctions on random source-to-sink paths, plus extra edges.
+
+    Paths run from o to s, each through a label no earlier path used, a
+    random component and up to three random others, until every label is
+    on one.
+    """
+    comps = [f"c{i}" for i in range(n)]
+    inner = comps + [f"j{k}" for k in range(int(rng.integers(0, 3)))]
+    edges, unused = [], set(inner)
+    while unused:
+        mids = {min(unused), comps[rng.integers(n)]}
+        mids |= {inner[j] for j in rng.integers(len(inner), size=rng.integers(4))}
+        path = ["o", *rng.permutation(sorted(mids)).tolist(), "s"]
+        unused -= mids
+        edges += zip(path, path[1:])
+    for _ in range(int(rng.integers(0, n + 1))):
+        if len(inner) > 1:
+            u, v = rng.choice(len(inner), size=2, replace=False)
+            edges.append((inner[u], inner[v]))
+    return STGraph(comps, edges, directed=directed)
+
+
+def bfs_works(graph, mask):
+    """Whether the sink is reachable from the source over working components."""
+    up = {label for i, label in enumerate(graph.component_nodes) if (mask >> i) & 1}
+    neighbours = {}
+    for u, v in graph.edges:
+        neighbours.setdefault(u, []).append(v)
+        if not graph.directed:
+            neighbours.setdefault(v, []).append(u)
+    seen, queue = {graph.source}, deque([graph.source])
+    while queue:
+        for nxt in neighbours.get(queue.popleft(), ()):
+            if nxt not in seen and (nxt in up or nxt not in graph.component_nodes):
+                seen.add(nxt)
+                queue.append(nxt)
+    return graph.sink in seen
+
+
+def test_st_graph_truth_table_matches_per_mask_search():
+    rng = np.random.default_rng(23)
+    for k in range(30):
+        n = 1 + k % 10
+        graph = random_st_graph(rng, n, directed=bool(k % 3 == 0))
+        expected = [bfs_works(graph, m) for m in range(1 << n)]
+        assert graph.truth_table().tolist() == expected, (graph.edges, graph.directed)
+
+
+def test_evaluate_is_the_one_mask_case_of_the_truth_table():
+    rng = np.random.default_rng(29)
+    for k in range(12):
+        n = 1 + k % 6
+        tree = random_network(rng, n).structure if n > 1 else FormulaTree(series(0))
+        graph = random_st_graph(rng, n, directed=bool(k % 2))
+        for structure in (tree, graph, TruthTable(graph.truth_table())):
+            table = structure.truth_table()
+            assert not table.flags.writeable
+            assert [structure.evaluate(m) for m in range(1 << n)] == table.astype(int).tolist()
