@@ -18,7 +18,7 @@ import sys
 from .distributions import system_failure_prob
 from .errors import NetvoiError, ScenarioError, SizeCapError
 from .global_metrics import importance_measures, rank_global
-from .inference import InspectionModel, alarm_probability, posterior_interval
+from .inference import InspectionModel, posterior_interval
 from .local_metrics import _voi_heuristic, posterior_action_table, voi_heuristic, voi_local
 from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
@@ -148,8 +148,8 @@ def _voi_report(args, doc, net, dist, insp):
     if args.metric == "global":
         return rank_global(net, dist, insp, doc.build_envelope())
     if args.metric == "local":
-        return voi_local(net, dist, insp, doc.build_costs(), cap=args.cap)
-    return voi_heuristic(net, dist, insp, doc.build_costs(), cap=args.cap)
+        return voi_local(net, dist, insp, doc.build_costs())
+    return voi_heuristic(net, dist, insp, doc.build_costs())
 
 
 def _cmd_rank(args) -> int:
@@ -183,7 +183,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_actions(args) -> int:
     doc, net, dist, insp = _load(args)
-    table = posterior_action_table(net, dist, insp, doc.build_costs(), cap=args.cap)
+    table = posterior_action_table(net, dist, insp, doc.build_costs())
     names = net.names
     rows = [
         (names[i], _plan_label(table.silence_plans[i], names),
@@ -200,7 +200,7 @@ def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load(args)
     costs = doc.build_costs()
     system = rank_global(net, dist, insp, doc.build_envelope())
-    local = voi_local(net, dist, insp, costs, cap=args.cap)
+    local = voi_local(net, dist, insp, costs)
     # the heuristic starts from the prior plan the local metric optimised
     heuristic = _voi_heuristic(net, dist, insp, costs, local.prior_plan, local.prior_loss)
     series = [("global", system.voi_normalized), ("local", local.voi_normalized),

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConditioningError
-from .model import _halves, check_state
+from .model import _bit_sums, _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
 # Bits of one sampling chunk, drawn with one uniform: its cdf and masks take 64 KB.
@@ -118,12 +118,9 @@ def _sampling_chunks(blocks) -> tuple:
     chunks = []
     for run in runs:
         bits = sorted(sum((members for members, _ in run), ()))
-        masks = np.zeros(1, dtype=np.int64)
-        for b in bits:  # doubling: bits[j] is bit j of the state index
-            masks = np.concatenate((masks, masks | (1 << b)))
         cdf = np.cumsum(_product_table(run, bits))
         cdf[-1] = 1.0
-        chunks.append((cdf, masks))
+        chunks.append((cdf, _bit_sums([1 << b for b in bits])))
     return tuple(chunks)
 
 
@@ -248,4 +245,5 @@ def system_failure_prob(net, dist: JointDistribution) -> float:
     if net.n_components != dist.n_components:
         raise ValueError("network and distribution disagree on the component count")
     table = net.truth_table()
-    return float(dist.pmf_vector()[~table].sum())
+    # an explicit table sums to 1 only within EXPLICIT_SUM_TOL
+    return min(float(dist.pmf_vector()[~table].sum()), 1.0)

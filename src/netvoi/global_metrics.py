@@ -12,9 +12,8 @@ import math
 
 from .distributions import system_failure_prob
 from .envelopes import LossEnvelope
-from .errors import DegenerateObservationError
-from .inference import InspectionModel, posterior_interval
-from .reports import ImportanceReport, VoIReport, normalize, rank_order
+from .inference import InspectionModel, _outcomes, posterior_interval
+from .reports import ImportanceReport, VoIReport
 
 RRW_SATURATION_TOL = 1e-12
 
@@ -32,35 +31,22 @@ def voi_global(net, dist, i, insp: InspectionModel, env: LossEnvelope):
     return _mix(posterior_interval(net, dist, i, insp), env)
 
 
+def _intervals(net, dist, insp: InspectionModel) -> list:
+    """Posterior interval of each component; None where the outcome is certain."""
+    return [posterior_interval(net, dist, i, insp) if _outcomes(dist, i, insp) else None
+            for i in range(net.n_components)]
+
+
 def rank_global(net, dist, insp: InspectionModel, env: LossEnvelope) -> VoIReport:
-    n = net.n_components
     prior = system_failure_prob(net, dist)
     prior_loss = env.value(prior)
     prior_regret = env.regret(prior)
-    posterior_loss = []
-    voi = []
-    posterior_regret = []
-    for i in range(n):
-        try:
-            loss_i, voi_i, regret_i = voi_global(net, dist, i, insp, env)
-        except DegenerateObservationError:
-            # A certain outcome carries no news: posterior loss equals prior.
-            loss_i, voi_i, regret_i = prior_loss, 0.0, prior_regret
-        posterior_loss.append(loss_i)
-        voi.append(voi_i)
-        posterior_regret.append(regret_i)
-    ranking = rank_order(voi)
-    return VoIReport(
-        metric="global",
-        prior_loss=prior_loss,
-        posterior_loss=tuple(posterior_loss),
-        voi=tuple(voi),
-        voi_normalized=normalize(voi),
-        ranking=ranking,
-        best=ranking[0],
-        prior_regret=prior_regret,
-        posterior_regret=tuple(posterior_regret),
-    )
+    # a certain outcome carries no news: the posterior loss is the prior's
+    rows = [_mix(iv, env) if iv else (prior_loss, 0.0, prior_regret)
+            for iv in _intervals(net, dist, insp)]
+    posterior_loss, voi, posterior_regret = zip(*rows)
+    return VoIReport(metric="global", prior_loss=prior_loss, posterior_loss=posterior_loss,
+                     voi=voi, prior_regret=prior_regret, posterior_regret=posterior_regret)
 
 
 def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:
@@ -74,36 +60,17 @@ def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:
     prior = system_failure_prob(net, dist)
     if prior <= 0.0:
         raise ValueError("importance measures need a positive prior failure probability")
-    n = net.n_components
-    bm, crt, raw, rrw, infinite = [], [], [], [], []
-    for i in range(n):
-        try:
-            iv = posterior_interval(net, dist, i, insp)
-            lo, hi = iv.lo, iv.hi
-        except DegenerateObservationError:
-            lo = hi = prior
+    bm, crt, raw, rrw = [], [], [], []
+    for i, iv in enumerate(_intervals(net, dist, insp)):
+        # a certain outcome carries no news: both posteriors are the prior
+        lo, hi = (iv.lo, iv.hi) if iv else (prior, prior)
         p_i = dist.marginal_failure(i)
         bm.append(hi - lo)
         crt.append((hi - lo) * p_i / prior)
         raw.append(hi / prior)
-        saturated = lo <= RRW_SATURATION_TOL
-        infinite.append(saturated)
-        rrw.append(math.inf if saturated else prior / lo)
-    rankings = {
-        "bm": rank_order(bm),
-        "crt": rank_order(crt),
-        "raw": rank_order(raw),
-        "rrw": rank_order(rrw),
-    }
-    return ImportanceReport(
-        prior_failure=prior,
-        bm=tuple(bm),
-        crt=tuple(crt),
-        raw=tuple(raw),
-        rrw=tuple(rrw),
-        rrw_is_infinite=tuple(infinite),
-        rankings=rankings,
-    )
+        rrw.append(math.inf if lo <= RRW_SATURATION_TOL else prior / lo)
+    return ImportanceReport(prior_failure=prior, bm=tuple(bm), crt=tuple(crt),
+                            raw=tuple(raw), rrw=tuple(rrw))
 
 
 def closed_form_rule(net, dist, insp: InspectionModel | None = None):

@@ -73,6 +73,16 @@ def alarm_probability(dist: JointDistribution, i: int, insp: InspectionModel) ->
     return insp.fa(i) + insp.k(i) * dist.marginal_failure(i)
 
 
+def _outcomes(dist: JointDistribution, i: int, insp: InspectionModel) -> tuple:
+    """Each outcome of inspecting component i with its probability; () when one is certain.
+
+    A certain outcome carries no news: every metric prices that inspection
+    at 0, and ``posterior_interval`` has no second posterior to report.
+    """
+    h = alarm_probability(dist, i, insp)
+    return ((SILENCE, 1.0 - h), (ALARM, h)) if 0.0 < h < 1.0 else ()
+
+
 def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
     """Probability of outcome y on component i if it failed, and if it works."""
     if y == SILENCE:
@@ -138,13 +148,13 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     The prior is their mixture by the alarm probability, so it costs no
     pass of its own.
     """
-    h = alarm_probability(dist, i, insp)
-    if not 0.0 < h < 1.0:  # one of the two posteriors does not exist
-        raise DegenerateObservationError(
-            f"inspecting component {i} has a certain outcome (alarm probability {h})"
-        )
+    outcomes = _outcomes(dist, i, insp)
+    if not outcomes:  # one of the two posteriors does not exist
+        raise DegenerateObservationError(f"inspecting component {i} has a certain outcome "
+                                         f"(alarm probability {alarm_probability(dist, i, insp)})")
+    h = outcomes[1][1]
     prob, mass = _split_masses(net, dist, i)
-    lo, hi = (_posterior_mean(prob, mass, i, y, insp) for y in (SILENCE, ALARM))
+    lo, hi = (_posterior_mean(prob, mass, i, y, insp) for y, _ in outcomes)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Independent, JointDistribution, _reweight_blocks
-from .errors import InfeasibleCorrelationError, NotApplicableError, SizeCapError
-from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _posterior_mean,
-                        alarm_probability)
-from .model import DEFAULT_COMPONENT_CAP, _halves, check_state
-from .reports import PosteriorActionTable, VoIReport, normalize, rank_order
+from .errors import InfeasibleCorrelationError, NotApplicableError
+from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _outcomes,
+                        _posterior_mean)
+from .model import _bit_sums, _halves, check_state
+from .reports import PosteriorActionTable, VoIReport
 
 FRECHET_TOL = 1e-12
 TIE_TOL = 1e-12
@@ -71,10 +71,7 @@ def repair_cost(plan: int, costs: LocalCostModel) -> float:
 
 def _repair_cost_vector(costs: LocalCostModel) -> np.ndarray:
     """Repair bill of every plan mask, summed in component order like ``repair_cost``."""
-    out = np.zeros(1)
-    for c in costs.c_repair:
-        out = np.concatenate((out, out + c))
-    return out
+    return _bit_sums(costs.c_repair)
 
 
 def _check_setup(net, dist, costs):
@@ -200,95 +197,66 @@ def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarr
     return costs.c_fail * plan_failure_risks(net, dist) + _repair_cost_vector(costs)
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise SizeCapError(
-            f"exact plan optimization over {n} components exceeds the cap of {cap}; "
-            f"raise the cap to analyse larger networks"
-        )
+def _cheapest(losses, c_fail: float, plans=None) -> tuple[int, float]:
+    """Lowest-mask plan within ``PLAN_TIE_RTOL``·c_fail of the least loss, and its loss.
+
+    ``losses[k]`` prices plan k, or ``plans[k]`` when given in ascending order.
+    """
+    losses = np.asarray(losses)
+    best = int(np.argmax(losses <= losses.min() + PLAN_TIE_RTOL * c_fail))
+    return best if plans is None else plans[best], float(losses[best])
 
 
-def _cheapest(losses: np.ndarray, c_fail: float) -> tuple[int, float]:
-    threshold = losses.min() + PLAN_TIE_RTOL * c_fail
-    best = int(np.argmax(losses <= threshold))
-    return best, float(losses[best])
-
-
-def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel,
-                 cap: int = DEFAULT_COMPONENT_CAP) -> tuple[int, float]:
+def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel) -> tuple[int, float]:
     """Cheapest plan and its loss; ties resolve to the lowest mask."""
-    _check_setup(net, dist, costs)
-    _check_cap(net.n_components, cap)
     return _cheapest(plan_losses(net, dist, costs), costs.c_fail)
 
 
 def posterior_action_table(net, dist: JointDistribution, insp: InspectionModel,
-                           costs: LocalCostModel,
-                           cap: int = DEFAULT_COMPONENT_CAP) -> PosteriorActionTable:
+                           costs: LocalCostModel) -> PosteriorActionTable:
     """Re-optimized plan for each inspected component and outcome."""
-    _check_setup(net, dist, costs)
-    _check_cap(net.n_components, cap)
-    return _posterior_optima(net, dist, insp, costs, 0)[0]
+    return voi_local(net, dist, insp, costs).action_table
 
 
-def _posterior_optima(net, dist, insp, costs, kept_plan: int) -> tuple:
-    """Action table, and the posterior loss of ``kept_plan`` per outcome and component.
+def _report(metric: str, prior_plan: int, prior_loss: float, rows) -> VoIReport:
+    """Report of per-component (silence row, alarm row, value), each row a (plan, loss)."""
+    silence, alarm, voi = zip(*rows)
+    (silence_plans, silence_losses), (alarm_plans, alarm_losses) = zip(*silence), zip(*alarm)
+    return VoIReport(metric=metric, prior_loss=prior_loss,
+                     posterior_loss=tuple(prior_loss - v for v in voi), voi=voi,
+                     prior_plan=prior_plan,
+                     action_table=PosteriorActionTable(silence_plans, alarm_plans,
+                                                       silence_losses, alarm_losses))
+
+
+def voi_local(net, dist: JointDistribution, insp: InspectionModel,
+              costs: LocalCostModel) -> VoIReport:
+    """Inspection values under full posterior plan re-optimization.
 
     Each posterior is the prior's blocks with the likelihood multiplied
     into the one block that holds the inspected component.
     """
+    prior_plan, prior_loss = optimal_plan(net, dist, costs)
     blocks = dist.blocks()
     repair = _repair_cost_vector(costs)
-    plans, losses, kept = ({SILENCE: [], ALARM: []} for _ in range(3))
+    rows = []
     for i in range(net.n_components):
-        h = alarm_probability(dist, i, insp)
-        for y in (SILENCE, ALARM):
-            # a certain outcome carries no news: the belief stays the prior, so
-            # both rows are the prior plan at the prior loss
-            post = (_reweight_blocks(blocks, i, *_likelihood(i, y, insp)) if 0.0 < h < 1.0
-                    else blocks)
-            post_losses = costs.c_fail * _plan_risks(net, post) + repair
-            plan, loss = _cheapest(post_losses, costs.c_fail)
-            plans[y].append(plan)
-            losses[y].append(loss)
-            kept[y].append(float(post_losses[kept_plan]))
-    return PosteriorActionTable(
-        silence_plans=tuple(plans[SILENCE]),
-        alarm_plans=tuple(plans[ALARM]),
-        silence_losses=tuple(losses[SILENCE]),
-        alarm_losses=tuple(losses[ALARM]),
-    ), kept
-
-
-def voi_local(net, dist: JointDistribution, insp: InspectionModel,
-              costs: LocalCostModel, cap: int = DEFAULT_COMPONENT_CAP) -> VoIReport:
-    """Inspection values under full posterior plan re-optimization."""
-    _check_setup(net, dist, costs)
-    prior_plan, prior_loss = optimal_plan(net, dist, costs, cap)
-    table, kept = _posterior_optima(net, dist, insp, costs, prior_plan)
-    voi = []
-    for i in range(net.n_components):
-        h = alarm_probability(dist, i, insp)
-        # the prior loss of the prior plan is the mixture of its posterior
-        # losses, so an outcome that keeps that plan adds exactly 0
-        voi.append((1.0 - h) * (kept[SILENCE][i] - table.silence_losses[i])
-                   + h * (kept[ALARM][i] - table.alarm_losses[i]))
-    ranking = rank_order(voi)
-    return VoIReport(
-        metric="local",
-        prior_loss=prior_loss,
-        posterior_loss=tuple(prior_loss - v for v in voi),
-        voi=tuple(voi),
-        voi_normalized=normalize(voi),
-        ranking=ranking,
-        best=ranking[0],
-        prior_plan=prior_plan,
-        action_table=table,
-    )
+        # a certain outcome carries no news: both rows stay at the prior plan and loss
+        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        value = 0.0
+        for y, p_y in _outcomes(dist, i, insp):
+            post = _reweight_blocks(blocks, i, *_likelihood(i, y, insp))
+            losses = costs.c_fail * _plan_risks(net, post) + repair
+            row[y] = _cheapest(losses, costs.c_fail)
+            # the prior loss of the prior plan is the mixture of its posterior
+            # losses, so an outcome that keeps that plan adds exactly 0
+            value += p_y * (float(losses[prior_plan]) - row[y][1])
+        rows.append((row[SILENCE], row[ALARM], value))
+    return _report("local", prior_plan, prior_loss, rows)
 
 
 def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
-                  costs: LocalCostModel, cap: int = DEFAULT_COMPONENT_CAP) -> VoIReport:
+                  costs: LocalCostModel) -> VoIReport:
     """Inspection values when the posterior may only toggle the inspected repair.
 
     The prior plan stays fixed for uninspected components. An outcome that
@@ -297,67 +265,36 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     otherwise the exact posterior losses of keeping the plan and of
     flipping just that one action are compared and the cheaper executed.
     """
-    _check_setup(net, dist, costs)
-    return _voi_heuristic(net, dist, insp, costs, *optimal_plan(net, dist, costs, cap))
+    return _voi_heuristic(net, dist, insp, costs, *optimal_plan(net, dist, costs))
 
 
 def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
     """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
-    n = net.n_components
     pmf = dist.pmf_vector()
     fail = ~net.truth_table()
     masks = np.arange(fail.size, dtype=np.int64)
     kept = pmf * fail[masks | prior_plan]
-    silence_plans, alarm_plans, silence_losses, alarm_losses = [], [], [], []
-    posterior_loss, voi = [], []
-    for i in range(n):
+    rows = []
+    for i in range(net.n_components):
         flipped = prior_plan ^ (1 << i)
         # prior masses split by the state of component i; a posterior only
         # reweights the two halves, so no posterior pmf is formed
         prob = _halves(pmf, i)
         mass = {prior_plan: _halves(kept, i),
                 flipped: _halves(pmf * fail[masks | flipped], i)}
-        # a certain outcome carries no news: both rows keep the prior plan and loss
-        plans = dict.fromkeys((SILENCE, ALARM), prior_plan)
-        losses = dict.fromkeys((SILENCE, ALARM), prior_loss)
-        gain = 0.0
-        h = alarm_probability(dist, i, insp)
-        for y, p_y in ((SILENCE, 1.0 - h), (ALARM, h)) if 0.0 < h < 1.0 else ():
-            loss = {plan: costs.c_fail * _posterior_mean(prob, m, i, y, insp)
-                    + repair_cost(plan, costs) for plan, m in mass.items()}
-            keep, flip = loss[prior_plan], loss[flipped]
-            tied = abs(flip - keep) <= PLAN_TIE_RTOL * costs.c_fail
-            if y == (prior_plan >> i) & 1 and (
-                    (tied and flipped < prior_plan) or (not tied and flip < keep)):
-                plans[y], losses[y] = flipped, flip
-            else:
-                plans[y], losses[y] = prior_plan, keep
+        # a certain outcome carries no news: both rows stay at the prior plan and loss
+        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        value = 0.0
+        for y, p_y in _outcomes(dist, i, insp):
+            plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
+            loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], i, y, insp)
+                    + repair_cost(plan, costs) for plan in plans}
+            row[y] = _cheapest(list(loss.values()), costs.c_fail, plans)
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
-            gain += p_y * (keep - losses[y])
-        silence_plans.append(plans[SILENCE])
-        alarm_plans.append(plans[ALARM])
-        silence_losses.append(losses[SILENCE])
-        alarm_losses.append(losses[ALARM])
-        posterior_loss.append(prior_loss - gain)
-        voi.append(gain)
-    ranking = rank_order(voi)
-    return VoIReport(
-        metric="heuristic",
-        prior_loss=prior_loss,
-        posterior_loss=tuple(posterior_loss),
-        voi=tuple(voi),
-        voi_normalized=normalize(voi),
-        ranking=ranking,
-        best=ranking[0],
-        prior_plan=prior_plan,
-        action_table=PosteriorActionTable(
-            silence_plans=tuple(silence_plans),
-            alarm_plans=tuple(alarm_plans),
-            silence_losses=tuple(silence_losses),
-            alarm_losses=tuple(alarm_losses),
-        ),
-    )
+            value += p_y * (loss[prior_plan] - row[y][1])
+        rows.append((row[SILENCE], row[ALARM], value))
+    return _report("heuristic", prior_plan, prior_loss, rows)
 
 
 def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:

@@ -81,6 +81,17 @@ def _bits(masks: np.ndarray, i: int) -> np.ndarray:
     return ((masks >> i) & 1).astype(bool)
 
 
+def _bit_sums(values) -> np.ndarray:
+    """For every mask over len(values) bits, the sum of ``values[j]`` over its set bits j.
+
+    Built by doubling, so each sum adds its terms in bit order.
+    """
+    out = np.zeros(1, dtype=np.asarray(values).dtype)
+    for v in values:  # the masks with bit j set are those before, plus values[j]
+        out = np.concatenate((out, out + v))
+    return out
+
+
 def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
     """Sums of ``x``, indexed by mask, over the states where component i has failed and works.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .output import printed_value
@@ -40,36 +41,55 @@ class PosteriorActionTable:
 class VoIReport:
     """Per-component inspection values under one metric.
 
-    ``voi[i]`` is the expected loss reduction from inspecting component i,
-    ``best`` the argmax with index-ascending tie-break. Regret columns are
-    populated by the system-level metric only; plan columns by the
-    component-level ones.
+    ``voi[i]`` is the expected loss reduction from inspecting component i;
+    ``voi_normalized``, ``ranking`` and ``best`` (the argmax, ties to the
+    lower index) derive from it. Regret columns are populated by the
+    system-level metric only; plan columns by the component-level ones.
     """
 
     metric: str
     prior_loss: float
     posterior_loss: tuple[float, ...]
     voi: tuple[float, ...]
-    voi_normalized: tuple[float, ...]
-    ranking: tuple[int, ...]
-    best: int
     prior_regret: float | None = None
     posterior_regret: tuple[float, ...] | None = None
     prior_plan: int | None = None
     action_table: PosteriorActionTable | None = None
 
+    @property
+    def voi_normalized(self) -> tuple[float, ...]:
+        return normalize(self.voi)
+
+    @property
+    def ranking(self) -> tuple[int, ...]:
+        return rank_order(self.voi)
+
+    @property
+    def best(self) -> int:
+        return self.ranking[0]
+
 
 @dataclass(frozen=True)
 class ImportanceReport:
-    """Classical importance measures built from the posterior intervals."""
+    """Classical importance measures built from the posterior intervals.
+
+    ``rankings`` (one per measure) and ``rrw_is_infinite`` derive from the
+    value columns.
+    """
 
     prior_failure: float
     bm: tuple[float, ...]
     crt: tuple[float, ...]
     raw: tuple[float, ...]
     rrw: tuple[float, ...]
-    rrw_is_infinite: tuple[bool, ...]
-    rankings: dict
+
+    @property
+    def rrw_is_infinite(self) -> tuple[bool, ...]:
+        return tuple(math.isinf(v) for v in self.rrw)
+
+    @property
+    def rankings(self) -> dict:
+        return {m: rank_order(self.values(m)) for m in ("bm", "crt", "raw", "rrw")}
 
     def values(self, measure: str) -> tuple[float, ...]:
         return getattr(self, measure)

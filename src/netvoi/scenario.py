@@ -433,36 +433,34 @@ def _parse_rates(raw, n, col):
 
 
 def _parse_costs(raw, n, col):
+    """(c_fail, c_repair), each None when invalid."""
     costs = raw.get("costs")
     if not isinstance(costs, dict):
         col.error("costs", "must be an object with c_fail and c_repair")
-        return 1.0, (0.0,) * n
+        return None, None
     c_fail = _get_number(costs, "c_fail", "costs", col, lo=0.0)
     if c_fail is not None and c_fail <= 0.0:
         col.error("costs.c_fail", "must be positive")
         c_fail = None
     repair = costs.get("c_repair")
+    c_repair = None
     if isinstance(repair, (int, float)) and not isinstance(repair, bool):
-        c_repair = (float(repair),) * n
         if repair < 0:
             col.error("costs.c_repair", "must be nonnegative")
-            c_repair = (0.0,) * n
+        else:
+            c_repair = (float(repair),) * n
     elif isinstance(repair, list):
+        bad = [v for v in repair if isinstance(v, bool)
+               or not isinstance(v, (int, float)) or v < 0]
         if len(repair) != n:
             col.error("costs.c_repair", f"list must have {n} entries")
-            c_repair = (0.0,) * n
+        elif bad:
+            col.error("costs.c_repair", f"entries must be nonnegative numbers: {bad}")
         else:
-            bad = [v for v in repair if isinstance(v, bool)
-                   or not isinstance(v, (int, float)) or v < 0]
-            if bad:
-                col.error("costs.c_repair", f"entries must be nonnegative numbers: {bad}")
-                c_repair = (0.0,) * n
-            else:
-                c_repair = tuple(float(v) for v in repair)
+            c_repair = tuple(float(v) for v in repair)
     else:
         col.error("costs.c_repair", "must be a number or a list of numbers")
-        c_repair = (0.0,) * n
-    return (1.0 if c_fail is None else c_fail), c_repair
+    return c_fail, c_repair
 
 
 def _parse_envelope(raw, col):
@@ -531,6 +529,11 @@ def parse_scenario(text: str) -> ScenarioDocument:
     eps_fa, eps_fs = _parse_rates(raw, len(ids), col)
     c_fail, c_repair = _parse_costs(raw, len(ids), col)
     envelope, actions = _parse_envelope(raw, col)
+    if envelope == "binary" and None not in (c_fail, c_repair):
+        peak = min(c_repair) / c_fail
+        if not 0.0 < peak < 1.0:
+            col.error("costs.c_repair", "the binary envelope needs min(c_repair)/c_fail "
+                      f"strictly inside (0, 1), not {peak}")
 
     if col.errors:
         raise ScenarioError(col.errors)

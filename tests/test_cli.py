@@ -264,3 +264,35 @@ def test_certain_outcome_is_worth_zero_in_every_command(tmp_path, capsys):
     code, _, err = run(capsys, "intervals", str(path))
     assert code == 1
     assert "certain outcome" in err
+
+
+def test_failure_mass_summing_past_1_is_a_certain_failure(tmp_path, capsys):
+    # the weights sum to 1 within the explicit-table tolerance, and the failure
+    # mass of this never-working system sums to 1.0000000000000002
+    doc = {
+        "schema_version": "1",
+        "components": [{"id": "a"}, {"id": "b"}, {"id": "c"}],
+        "structure": {"truth_table": "00000000"},
+        "dependence": {"kind": "explicit",
+                       "weights": [w / 13 for w in (1, 2, 0, 0, 3, 0, 3, 4)]},
+        "inspection": {"eps_fa": 0.0, "eps_fs": 0.0},
+        "costs": {"c_fail": 1.0, "c_repair": 0.1},
+        "envelope": "quadratic",
+    }
+    path = tmp_path / "always_down.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["rank", "--metric", "global"], ["plot"]):
+        code, _, err = run(capsys, *argv, str(path))
+        assert (code, err) == (0, ""), argv
+    assert run(capsys, "reliability", str(path)) == (0, "1.0\n", "")
+
+
+def test_binary_envelope_outside_0_1_exits_1_at_parse(tmp_path, capsys):
+    obj = json.loads(Path(scenario_path("series_parallel3.json")).read_text())
+    obj["envelope"] = "binary"
+    obj["costs"] = {"c_fail": 1.0, "c_repair": 0.0}
+    path = tmp_path / "binary.json"
+    path.write_text(json.dumps(obj))
+    for argv in (["rank", "--metric", "local"], ["rank", "--metric", "global"], ["plot"]):
+        code, _, err = run(capsys, *argv, str(path))
+        assert code == 1 and err.startswith("error: costs.c_repair: "), argv

@@ -88,6 +88,11 @@ def scenarios(draw):
                    "p": draw(probabilities), "rho": draw(st.floats(0.0, 0.95))}
                   for label in sorted(set(labels))]
         dependence = {"kind": kind, "groups": groups}
+    envelope = draw(st.sampled_from(["quadratic", "binary", None, None]))
+    c_fail = draw(st.floats(0.1, 10.0))
+    # the binary envelope needs min(c_repair)/c_fail strictly inside (0, 1)
+    repair = (st.floats(0.0, c_fail, exclude_min=True, exclude_max=True,
+                        allow_subnormal=False) if envelope == "binary" else st.floats(0.0, 2.0))
     doc = {
         "schema_version": "1",
         "components": components,
@@ -95,11 +100,10 @@ def scenarios(draw):
         "dependence": dependence,
         "inspection": {"eps_fa": draw(per_component(n, rates)),
                        "eps_fs": draw(per_component(n, rates))},
-        "costs": {"c_fail": draw(st.floats(0.1, 10.0)),
-                  "c_repair": draw(per_component(n, st.floats(0.0, 2.0)))},
+        "costs": {"c_fail": c_fail, "c_repair": draw(per_component(n, repair))},
     }
-    if draw(st.booleans()):
-        doc["envelope"] = draw(st.sampled_from(["quadratic", "binary"]))
+    if envelope:
+        doc["envelope"] = envelope
     else:
         action = st.fixed_dictionaries({"cost": st.floats(0.0, 5.0),
                                         "residual_risk": st.floats(0.0, 1.0)})

@@ -8,7 +8,7 @@ import pytest
 from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree,
                     Group, Independent, InfeasibleCorrelationError,
                     InspectionModel, LocalCostModel, Network, NotApplicableError,
-                    SizeCapError, apply_repairs, brute_force_plan_risks,
+                    apply_repairs, brute_force_plan_risks,
                     cumulative_approx_voi, optimal_plan, parallel,
                     plan_expected_loss, plan_failure_risks, plan_losses,
                     posterior_action_table, repair_cost,
@@ -73,11 +73,15 @@ def test_optimal_plan_unaffordable_repairs():
     assert loss == pytest.approx(system_failure_prob(net, dist))
 
 
-def test_optimal_plan_cap():
-    net = make_three_branch()
-    dist = Independent(THREE_BRANCH_PROBS)
-    with pytest.raises(SizeCapError):
-        optimal_plan(net, dist, LocalCostModel.uniform(6, 1.0, 0.1), cap=4)
+def test_network_cap_is_the_only_cap():
+    # a network built past the default cap is optimised without a second cap
+    net = Network(FormulaTree(parallel(*(series(3 * k, 3 * k + 1, 3 * k + 2)
+                                         for k in range(7)))), cap=21)
+    dist = Independent([0.05] * 21)
+    costs = LocalCostModel.uniform(21, 1.0, 0.01)
+    plan, loss = optimal_plan(net, dist, costs)
+    assert 0 <= plan < 1 << 21
+    assert loss == pytest.approx(plan_expected_loss(net, dist, plan, costs), rel=1e-12)
 
 
 def beliefs_of_every_kind(rng, n, certain=False):
@@ -319,6 +323,22 @@ def test_degenerate_inspection_is_worth_zero():
                 assert report.voi[0] == 0.0
                 assert report.posterior_loss[0] == prior_loss
                 assert report.voi[1] > 0.0
+
+
+def test_heuristic_tie_goes_to_the_lower_mask():
+    # repairing c1 is free, so the prior plan repairs it; after a silence c1
+    # works, keeping and dropping that repair tie exactly, and the lower mask
+    # (without c1) wins in the heuristic as in the local metric
+    net = Network(FormulaTree(series(0, 1)))
+    dist = Independent([0.3, 0.2])
+    costs = LocalCostModel(1.0, (0.0, 0.5))
+    local = voi_local(net, dist, PERFECT_INSPECTION, costs)
+    heuristic = voi_heuristic(net, dist, PERFECT_INSPECTION, costs)
+    assert heuristic.prior_plan == local.prior_plan == 0b01
+    for report in (local, heuristic):
+        assert report.action_table.silence_plans[0] == 0
+        assert report.action_table.silence_losses[0] == pytest.approx(0.2, abs=1e-15)
+        assert report.voi[0] == 0.0
 
 
 def test_series_pair_policy_independent_cases():

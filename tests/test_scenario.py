@@ -170,6 +170,21 @@ def test_global_actions_envelope_builds():
     assert rt == doc
 
 
+def test_binary_envelope_needs_a_cost_ratio_inside_0_1():
+    with open(scenario_path("series_parallel3.json"), encoding="utf-8") as handle:
+        obj = json.load(handle)
+    obj["envelope"] = "binary"
+    for c_repair in (0.0, 1.0, 2.5, [0.3, 0.0, 0.4], [1.5, 1.0, 2.0]):
+        obj["costs"] = {"c_fail": 1.0, "c_repair": c_repair}
+        errors = errors_of(obj)
+        assert len(errors) == 1 and errors[0].startswith("costs.c_repair: "), c_repair
+    obj["costs"] = {"c_fail": 1.0, "c_repair": [0.3, 0.05, 1.0]}
+    assert parse_scenario(json.dumps(obj)).build_envelope().peak == 0.05
+    # an invalid cost is reported once, not again as a bad ratio
+    obj["costs"] = {"c_fail": 0.0, "c_repair": 0.0}
+    assert errors_of(obj) == ["costs.c_fail: must be positive"]
+
+
 def test_bad_schema_version():
     obj = _base_doc()
     obj["schema_version"] = "2"
