@@ -173,10 +173,10 @@ class Explicit(JointDistribution):
         size = arr.size
         if size < 2 or size & (size - 1):
             raise ValueError("weight count must be a power of two, at least 2")
-        if np.any(arr < 0.0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((0.0 <= arr) & (arr < np.inf)):
+            raise ValueError("weights must be finite and nonnegative")
         total = float(arr.sum())
-        if abs(total - 1.0) > EXPLICIT_SUM_TOL:
+        if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         arr.flags.writeable = False
         self.n_components = size.bit_length() - 1
@@ -192,12 +192,6 @@ def _shared_cause_table(group) -> np.ndarray:
     rho. Given Z the members are independent: a mixture of two products.
     """
     k, p, rho = len(group.members), group.p, group.rho
-    if not k:
-        raise ValueError("a group needs at least one member")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"group failure probability {p} not in [0, 1]")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"group correlation {rho} not in [0, 1)")
     theta = math.sqrt(rho)
     a = theta + (1.0 - theta) * p  # failure given the shared cause
     b = (1.0 - theta) * p  # failure without it
@@ -219,21 +213,31 @@ class CommonCauseGroups(JointDistribution):
     """Product of independent shared-cause groups, one block each.
 
     Groups are given as :class:`Group` specs and must partition the
-    component indices.
+    component indices. A group of k members has a 2^k table, built on first
+    use, so that a network's component cap is checked before it.
     """
 
     def __init__(self, groups, n_components: int | None = None):
-        blocks = sorted(((g, _shared_cause_table(g)) for g in groups),
-                        key=lambda b: min(b[0].members))
-        covered = [m for g, _ in blocks for m in g.members]
+        groups = list(groups)
+        for g in groups:
+            if not g.members:
+                raise ValueError("a group needs at least one member")
+            if not 0.0 <= g.p <= 1.0:
+                raise ValueError(f"group failure probability {g.p} not in [0, 1]")
+            if not 0.0 <= g.rho < 1.0:
+                raise ValueError(f"group correlation {g.rho} not in [0, 1)")
+        covered = [m for g in groups for m in g.members]
         if len(set(covered)) != len(covered):
             raise ValueError("groups overlap")
         n = max(covered, default=-1) + 1 if n_components is None else int(n_components)
         if sorted(covered) != list(range(n)):
             raise ValueError(f"groups must partition components 0..{n - 1}")
-        self.groups = tuple(g for g, _ in blocks)
+        self.groups = tuple(sorted(groups, key=lambda g: min(g.members)))
         self.n_components = n
-        self._blocks = tuple((g.members, table) for g, table in blocks)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        return tuple((g.members, _shared_cause_table(g)) for g in self.groups)
 
     def marginal_failure(self, i: int) -> float:
         self._check_index(i)

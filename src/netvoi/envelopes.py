@@ -8,7 +8,7 @@ the envelope's endpoints, so it vanishes at 0 and 1.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass
 
 
@@ -20,8 +20,8 @@ class GlobalAction:
     residual_risk: float
 
     def __post_init__(self):
-        if self.cost < 0.0:
-            raise ValueError(f"action cost {self.cost} is negative")
+        if not 0.0 <= self.cost < math.inf:
+            raise ValueError(f"action cost {self.cost} is not a finite nonnegative number")
         if not 0.0 <= self.residual_risk <= 1.0:
             raise ValueError(f"residual risk {self.residual_risk} not in [0, 1]")
 
@@ -80,59 +80,24 @@ class BinaryActionLoss(LossEnvelope):
 
 
 class PiecewiseLinearLoss(LossEnvelope):
-    """Lower envelope of action lines, precomputed as a hull.
+    """Lower envelope of action lines: the minimum of ``intercept + slope * p``.
 
-    Lines come as (slope, intercept) pairs. The sweep keeps only lines on
-    the lower hull over [0, 1]; queries then binary-search the breakpoints.
+    Lines come as (slope, intercept) pairs. Documents list a handful of
+    actions, so each query takes the minimum over all of them.
     """
 
     def __init__(self, lines):
-        cleaned: dict[float, float] = {}
-        for slope, intercept in lines:
-            slope = float(slope)
-            intercept = float(intercept)
-            if slope not in cleaned or intercept < cleaned[slope]:
-                cleaned[slope] = intercept
-        if not cleaned:
+        self._lines = tuple((float(slope), float(intercept)) for slope, intercept in lines)
+        if not self._lines:
             raise ValueError("need at least one line")
-        # Steepest line first: along increasing p the active slope of a
-        # lower envelope can only decrease.
-        candidates = sorted(cleaned.items(), key=lambda t: -t[0])
-        hull: list[tuple[float, float]] = []
-        cuts: list[float] = []  # cuts[j]: where hull[j+1] takes over from hull[j]
-        for m, b in candidates:
-            while hull:
-                m0, b0 = hull[-1]
-                if b <= b0:
-                    # cheaper at p=0 with a flatter slope: the old line never wins
-                    hull.pop()
-                    if cuts:
-                        cuts.pop()
-                    continue
-                x = (b - b0) / (m0 - m)
-                if cuts and x <= cuts[-1]:
-                    hull.pop()
-                    cuts.pop()
-                    continue
-                cuts.append(x)
-                break
-            hull.append((m, b))
-        # Trim pieces that never apply inside [0, 1].
-        while cuts and cuts[0] <= 0.0:
-            hull.pop(0)
-            cuts.pop(0)
-        while cuts and cuts[-1] >= 1.0:
-            hull.pop()
-            cuts.pop()
-        self._slopes = tuple(m for m, _ in hull)
-        self._intercepts = tuple(b for _, b in hull)
-        self._cuts = tuple(cuts)
+        if not all(-math.inf < v < math.inf for line in self._lines for v in line):
+            raise ValueError("line slopes and intercepts must be finite")
 
     @classmethod
     def from_actions(cls, actions, c_fail: float):
         """Envelope induced by system-level actions under failure cost c_fail."""
-        if c_fail <= 0.0:
-            raise ValueError("failure cost must be positive")
+        if not 0.0 < c_fail < math.inf:
+            raise ValueError(f"failure cost {c_fail} must be positive and finite")
         acts = list(actions)
         if not acts:
             raise ValueError("need at least one action")
@@ -140,5 +105,4 @@ class PiecewiseLinearLoss(LossEnvelope):
 
     def value(self, p: float) -> float:
         _check_prob(p)
-        j = bisect_right(self._cuts, p)
-        return self._intercepts[j] + self._slopes[j] * p
+        return min(b + m * p for m, b in self._lines)

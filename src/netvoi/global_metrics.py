@@ -12,7 +12,7 @@ import math
 
 from .distributions import system_failure_prob
 from .envelopes import LossEnvelope
-from .inference import InspectionModel, _outcomes, posterior_interval
+from .inference import InspectionModel, _interval, _outcomes, posterior_interval
 from .reports import ImportanceReport, VoIReport
 
 RRW_SATURATION_TOL = 1e-12
@@ -33,8 +33,8 @@ def voi_global(net, dist, i, insp: InspectionModel, env: LossEnvelope):
 
 def _intervals(net, dist, insp: InspectionModel) -> list:
     """Posterior interval of each component; None where the outcome is certain."""
-    return [posterior_interval(net, dist, i, insp) if _outcomes(dist, i, insp) else None
-            for i in range(net.n_components)]
+    outcomes = [_outcomes(dist, i, insp) for i in range(net.n_components)]
+    return [_interval(net, dist, i, insp, o) if o else None for i, o in enumerate(outcomes)]
 
 
 def rank_global(net, dist, insp: InspectionModel, env: LossEnvelope) -> VoIReport:

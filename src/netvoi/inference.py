@@ -152,6 +152,11 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     if not outcomes:  # one of the two posteriors does not exist
         raise DegenerateObservationError(f"inspecting component {i} has a certain outcome "
                                          f"(alarm probability {alarm_probability(dist, i, insp)})")
+    return _interval(net, dist, i, insp, outcomes)
+
+
+def _interval(net, dist, i, insp, outcomes) -> PosteriorInterval:
+    """``posterior_interval`` from the ``_outcomes`` of component i, which are not ()."""
     h = outcomes[1][1]
     prob, mass = _split_masses(net, dist, i)
     lo, hi = (_posterior_mean(prob, mass, i, y, insp) for y, _ in outcomes)

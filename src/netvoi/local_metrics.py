@@ -42,10 +42,10 @@ class LocalCostModel:
 
     def __post_init__(self):
         object.__setattr__(self, "c_repair", tuple(float(c) for c in self.c_repair))
-        if self.c_fail <= 0.0:
-            raise ValueError("failure cost must be positive")
-        if any(c < 0.0 for c in self.c_repair):
-            raise ValueError("repair costs must be nonnegative")
+        if not 0.0 < self.c_fail < math.inf:
+            raise ValueError(f"failure cost {self.c_fail} must be positive and finite")
+        if not all(0.0 <= c < math.inf for c in self.c_repair):
+            raise ValueError("repair costs must be finite and nonnegative")
 
     @classmethod
     def uniform(cls, n: int, c_fail: float, c_repair: float) -> "LocalCostModel":

@@ -3,7 +3,8 @@
 A scenario bundles everything one analysis needs: the component list, a
 structure encoding, the dependence model, inspection accuracy, costs, and
 the loss envelope for system-level ranking. Parsing validates the whole
-document and reports every problem with its field path.
+document, reports every problem once with its field path, and builds the
+structure and the belief that the document then keeps.
 
 Structure formulas follow this grammar::
 
@@ -21,6 +22,7 @@ always conduct.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -28,16 +30,26 @@ from .distributions import (CommonCauseGroups, Explicit, Group, Independent,
                             JointDistribution)
 from .envelopes import (BinaryActionLoss, GlobalAction, LossEnvelope,
                         PiecewiseLinearLoss, QuadraticLoss)
-from .errors import NetvoiError, ScenarioError
+from .errors import ScenarioError
 from .inference import InspectionModel
 from .local_metrics import LocalCostModel
 from .model import (DEFAULT_COMPONENT_CAP, ComponentRef, FormulaTree, Network,
-                    ParallelNode, SeriesNode, STGraph, TruthTable, _collect_indices)
+                    ParallelNode, SeriesNode, STGraph, StructureFunction, TruthTable)
 
 SCHEMA_VERSION = "1"
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED_IDS = {"series", "parallel"}
+# Deepest nesting of composites in a formula: evaluating the tree takes two frames
+# a level, its repr more, so most of Python's 1000 frames are left to the caller.
+_MAX_FORMULA_DEPTH = 200
+
+# The rule of each kind of numeric field: what its error says, and its test.
+_PROBABILITY = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+_CORRELATION = ("in [0, 1)", lambda x: 0.0 <= x < 1.0)
+_RATE = ("in [0, 0.5)", lambda x: 0.0 <= x < 0.5)
+_POSITIVE = ("positive", lambda x: x > 0.0)
+_NONNEGATIVE = ("nonnegative", lambda x: x >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -63,13 +75,9 @@ class GraphSpec:
 
 
 @dataclass(frozen=True)
-class ActionSpec:
-    cost: float
-    residual_risk: float
-
-
-@dataclass(frozen=True)
 class ScenarioDocument:
+    """A validated scenario; :func:`parse_scenario` sets the structure and belief it built."""
+
     components: tuple[ComponentSpec, ...]
     structure_kind: str
     formula: str | None
@@ -83,9 +91,11 @@ class ScenarioDocument:
     c_fail: float
     c_repair: tuple[float, ...]
     envelope: str | None
-    global_actions: tuple[ActionSpec, ...] | None
+    global_actions: tuple[GlobalAction, ...] | None
     schema_version: str = SCHEMA_VERSION
     warnings: tuple[str, ...] = field(default=(), compare=False)
+    structure: StructureFunction = field(init=False, compare=False, repr=False)
+    belief: JointDistribution = field(init=False, compare=False, repr=False)
 
     @property
     def n_components(self) -> int:
@@ -100,30 +110,10 @@ class ScenarioDocument:
         return tuple(c.name for c in self.components)
 
     def build_network(self, cap: int = DEFAULT_COMPONENT_CAP) -> Network:
-        ids = self.component_ids
-        if self.structure_kind == "formula":
-            root = _parse_formula(self.formula, ids)
-            structure = FormulaTree(root)
-        elif self.structure_kind == "st_graph":
-            structure = STGraph(
-                component_nodes=ids,
-                edges=self.graph.edges,
-                source=self.graph.source,
-                sink=self.graph.sink,
-                directed=self.graph.directed,
-            )
-        else:
-            structure = TruthTable(self.truth_table)
-        return Network(structure, names=self.component_names, cap=cap)
+        return Network(self.structure, names=self.component_names, cap=cap)
 
     def build_distribution(self) -> JointDistribution:
-        if self.dependence_kind == "independent":
-            return Independent([c.failure_probability for c in self.components])
-        if self.dependence_kind == "explicit":
-            return Explicit(self.explicit_weights)
-        index = {c: i for i, c in enumerate(self.component_ids)}
-        groups = [Group([index[m] for m in g.members], g.p, g.rho) for g in self.groups]
-        return CommonCauseGroups(groups, n_components=self.n_components)
+        return self.belief
 
     def build_inspection(self) -> InspectionModel:
         return InspectionModel(self.eps_fa, self.eps_fs)
@@ -136,8 +126,7 @@ class ScenarioDocument:
             return QuadraticLoss()
         if self.envelope == "binary":
             return BinaryActionLoss(min(self.c_repair), self.c_fail)
-        actions = [GlobalAction(a.cost, a.residual_risk) for a in self.global_actions]
-        return PiecewiseLinearLoss.from_actions(actions, self.c_fail)
+        return PiecewiseLinearLoss.from_actions(self.global_actions, self.c_fail)
 
     def to_json_obj(self) -> dict:
         components = []
@@ -204,32 +193,45 @@ class _Collector:
         self.warnings.append(f"{path}: {message}")
 
 
-def _get_number(obj, key, path, col, *, lo=None, hi=None, required=True):
-    if key not in obj:
-        if required:
-            col.error(f"{path}.{key}", "missing")
-        return None
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        col.error(f"{path}.{key}", f"expected a number, got {value!r}")
-        return None
-    value = float(value)
-    if lo is not None and value < lo:
-        col.error(f"{path}.{key}", f"{value} is below {lo}")
-        return None
-    if hi is not None and value >= hi:
-        col.error(f"{path}.{key}", f"{value} is not below {hi}")
-        return None
-    return value
+def _number(value, path, col, rule):
+    """``value`` as a finite float that obeys ``rule``; else None, with one error at ``path``.
+
+    Documents are read with every number as a float, so NaN and the
+    infinities are rejected here, whether written as JSON literals or as
+    literals past the float range, such as 1e400 or a 400-digit integer.
+    """
+    if value is None:
+        message = "missing"
+    elif not isinstance(value, float):
+        message = f"expected a number, got {value!r}"
+    elif not math.isfinite(value):
+        message = f"expected a finite number, got {value}"
+    elif not rule[1](value):
+        message = f"must be {rule[0]}"
+    else:
+        return value
+    col.error(path, message)
+    return None
 
 
-def _parse_components(raw, col):
+def _numbers(value, n, path, col, rule):
+    """A number, or a list of ``n`` as a tuple, read by ``_number``; None if any is invalid."""
+    if not isinstance(value, list):
+        return _number(value, path, col, rule)
+    if len(value) != n:
+        col.error(path, f"list must have {n} entries")
+        return None
+    out = tuple(_number(v, f"{path}[{k}]", col, rule) for k, v in enumerate(value))
+    return None if None in out else out
+
+
+def _parse_components(raw, dep_kind, col):
     items = raw.get("components")
     if not isinstance(items, list) or not items:
         col.error("components", "must be a non-empty list")
         return ()
     specs = []
-    seen = set()
+    ids, names = set(), set()
     for k, item in enumerate(items):
         path = f"components[{k}]"
         if not isinstance(item, dict):
@@ -242,136 +244,148 @@ def _parse_components(raw, col):
         if cid in _RESERVED_IDS:
             col.error(f"{path}.id", f"{cid!r} is a reserved word")
             continue
-        if cid in seen:
+        if cid in ids:
             col.error(f"{path}.id", f"duplicate id {cid!r}")
             continue
-        seen.add(cid)
+        ids.add(cid)
         name = item.get("name", cid)
         if not isinstance(name, str) or not name:
             col.error(f"{path}.name", "must be a non-empty string")
-            name = cid
+        elif name in names:
+            col.error(f"{path}.name", f"duplicate name {name!r}")
+        else:
+            names.add(name)
         p = None
-        if "failure_probability" in item:
-            p = _get_number(item, "failure_probability", path, col, lo=0.0)
-            if p is not None and p > 1.0:
-                col.error(f"{path}.failure_probability", f"{p} exceeds 1")
-                p = None
+        if "failure_probability" not in item:
+            if dep_kind == "independent":
+                col.error(f"{path}.failure_probability", "required for independent dependence")
+        elif dep_kind in ("explicit", "groups"):
+            col.error(f"{path}.failure_probability", "only allowed with independent dependence")
+        else:
+            p = _number(item["failure_probability"], f"{path}.failure_probability", col,
+                        _PROBABILITY)
         specs.append(ComponentSpec(id=cid, name=name, failure_probability=p))
     return tuple(specs)
 
 
 def _parse_structure(raw, ids, col):
-    structure = raw.get("structure")
-    if not isinstance(structure, dict):
+    """Fields of the structure section and the structure built from them; None if invalid."""
+    section = raw.get("structure")
+    if not isinstance(section, dict):
         col.error("structure", "must be an object")
-        return None, None, None, None
-    variants = [k for k in ("formula", "st_graph", "truth_table") if k in structure]
+        return None
+    variants = [k for k in ("formula", "st_graph", "truth_table") if k in section]
     if len(variants) != 1:
         col.error("structure", f"exactly one of formula/st_graph/truth_table required, got {variants}")
-        return None, None, None, None
+        return None
     kind = variants[0]
-    if kind == "formula":
-        text = structure["formula"]
-        if not isinstance(text, str):
-            col.error("structure.formula", "must be a string")
-            return None, None, None, None
-        try:
-            root = _parse_formula(text, ids)
-        except ValueError as exc:
-            col.error("structure.formula", str(exc))
-            return None, None, None, None
-        return "formula", _format_formula(root, ids), None, None
-    if kind == "st_graph":
-        payload = structure["st_graph"]
-        if not isinstance(payload, dict):
-            col.error("structure.st_graph", "must be an object")
-            return None, None, None, None
-        edges_raw = payload.get("edges")
-        edges = []
-        if not isinstance(edges_raw, list) or not edges_raw:
-            col.error("structure.st_graph.edges", "must be a non-empty list")
-        else:
-            for k, edge in enumerate(edges_raw):
-                if (not isinstance(edge, list) or len(edge) != 2
-                        or not all(isinstance(x, str) for x in edge)):
-                    col.error(f"structure.st_graph.edges[{k}]",
-                              "must be a pair of node labels")
-                    continue
-                edges.append((edge[0], edge[1]))
-        source = payload.get("source", "o")
-        sink = payload.get("sink", "s")
-        directed = payload.get("directed", False)
-        if not isinstance(source, str) or not isinstance(sink, str):
-            col.error("structure.st_graph", "source and sink must be strings")
-            return None, None, None, None
-        if not isinstance(directed, bool):
-            col.error("structure.st_graph.directed", "must be a boolean")
-            directed = False
-        spec = GraphSpec(edges=tuple(edges), source=source, sink=sink, directed=directed)
-        try:
-            STGraph(ids, spec.edges, source=spec.source, sink=spec.sink,
-                    directed=spec.directed)
-        except ValueError as exc:
-            col.error("structure.st_graph", str(exc))
-            return None, None, None, None
-        return "st_graph", None, spec, None
-    text = structure["truth_table"]
-    if not isinstance(text, str) or set(text) - {"0", "1"}:
-        col.error("structure.truth_table", "must be a string of 0s and 1s")
-        return None, None, None, None
-    if len(text) != 1 << len(ids):
-        col.error("structure.truth_table",
-                  f"length {len(text)} does not match 2^{len(ids)} states")
-        return None, None, None, None
+    payload = section[kind]
+    fields = {"structure_kind": kind, "formula": None, "graph": None, "truth_table": None}
     try:
-        TruthTable(text)
-    except NetvoiError as exc:
-        col.error("structure.truth_table", str(exc))
-        return None, None, None, None
-    return "truth_table", None, None, text
+        if kind == "formula":
+            if not isinstance(payload, str):
+                raise ValueError("must be a string")
+            fields["formula"], root = _parse_formula(payload, ids)
+            fields["structure"] = FormulaTree(root)
+        elif kind == "st_graph":
+            graph = fields["graph"] = _parse_graph(payload, col)
+            if graph is None:
+                return None
+            fields["structure"] = STGraph(ids, graph.edges, source=graph.source,
+                                          sink=graph.sink, directed=graph.directed)
+        else:
+            if not isinstance(payload, str) or set(payload) - {"0", "1"}:
+                raise ValueError("must be a string of 0s and 1s")
+            if len(payload) != 1 << len(ids):
+                raise ValueError(f"length {len(payload)} does not match 2^{len(ids)} states")
+            fields["truth_table"] = payload
+            fields["structure"] = TruthTable(payload)
+    except ValueError as exc:
+        col.error(f"structure.{kind}", str(exc))
+        return None
+    return fields
+
+
+def _parse_graph(payload, col):
+    """The ST-graph payload as a :class:`GraphSpec`; None if any part is invalid."""
+    if not isinstance(payload, dict):
+        col.error("structure.st_graph", "must be an object")
+        return None
+    errors = len(col.errors)
+    edges_raw = payload.get("edges")
+    edges = []
+    if not isinstance(edges_raw, list) or not edges_raw:
+        col.error("structure.st_graph.edges", "must be a non-empty list")
+    else:
+        for k, edge in enumerate(edges_raw):
+            if (not isinstance(edge, list) or len(edge) != 2
+                    or not all(isinstance(x, str) for x in edge)):
+                col.error(f"structure.st_graph.edges[{k}]", "must be a pair of node labels")
+                continue
+            edges.append((edge[0], edge[1]))
+    source = payload.get("source", "o")
+    sink = payload.get("sink", "s")
+    directed = payload.get("directed", False)
+    if not isinstance(source, str) or not isinstance(sink, str):
+        col.error("structure.st_graph", "source and sink must be strings")
+    if not isinstance(directed, bool):
+        col.error("structure.st_graph.directed", "must be a boolean")
+    if len(col.errors) > errors:
+        return None
+    return GraphSpec(edges=tuple(edges), source=source, sink=sink, directed=directed)
 
 
 def _parse_dependence(raw, components, col):
+    """Fields of the dependence section and the belief built from them; None if invalid."""
     dep = raw.get("dependence")
     if not isinstance(dep, dict):
         col.error("dependence", "must be an object")
-        return None, None, None
+        return None
     kind = dep.get("kind")
     if kind not in ("independent", "explicit", "groups"):
         col.error("dependence.kind", f"unknown kind {kind!r}")
-        return None, None, None
-    ids = [c.id for c in components]
+        return None
+    fields = {"dependence_kind": kind, "explicit_weights": None, "groups": None}
+    n = len(components)
     if kind == "independent":
-        for k, c in enumerate(components):
-            if c.failure_probability is None:
-                col.error(f"components[{k}].failure_probability",
-                          "required for independent dependence")
-        return kind, None, None
-    for k, c in enumerate(components):
-        if c.failure_probability is not None:
-            col.error(f"components[{k}].failure_probability",
-                      "only allowed with independent dependence")
+        probs = [c.failure_probability for c in components]
+        if None in probs:
+            return None
+        fields["belief"] = Independent(probs)
+        return fields
+    path = f"dependence.{'weights' if kind == 'explicit' else 'groups'}"
+    errors = len(col.errors)
     if kind == "explicit":
         weights = dep.get("weights")
-        if (not isinstance(weights, list)
-                or len(weights) != 1 << len(ids)
-                or not all(isinstance(w, (int, float)) and not isinstance(w, bool)
-                           for w in weights)):
-            col.error("dependence.weights",
-                      f"must be a list of 2^{len(ids)} numbers")
-            return None, None, None
-        try:
-            Explicit(weights)
-        except ValueError as exc:
-            col.error("dependence.weights", str(exc))
-            return None, None, None
-        return kind, tuple(float(w) for w in weights), None
-    groups_raw = dep.get("groups")
+        # ``Explicit`` checks the values as one array, cheaper than 2^N ``_number`` calls
+        if (not isinstance(weights, list) or len(weights) != 1 << n
+                or not all(isinstance(w, float) for w in weights)):
+            col.error(path, f"must be a list of 2^{n} numbers")
+            return None
+        fields["explicit_weights"] = tuple(weights)
+    else:
+        fields["groups"] = _parse_groups(dep.get("groups"), [c.id for c in components], col)
+    if len(col.errors) > errors:
+        return None
+    try:
+        if kind == "explicit":
+            fields["belief"] = Explicit(fields["explicit_weights"])
+        else:
+            index = {c.id: i for i, c in enumerate(components)}
+            fields["belief"] = CommonCauseGroups(
+                [Group([index[m] for m in g.members], g.p, g.rho) for g in fields["groups"]],
+                n_components=n)
+    except ValueError as exc:
+        col.error(path, str(exc))
+        return None
+    return fields
+
+
+def _parse_groups(groups_raw, ids, col):
     if not isinstance(groups_raw, list) or not groups_raw:
         col.error("dependence.groups", "must be a non-empty list")
-        return None, None, None
+        return None
     specs = []
-    covered: list[str] = []
     for k, g in enumerate(groups_raw):
         path = f"dependence.groups[{k}]"
         if not isinstance(g, dict):
@@ -386,50 +400,26 @@ def _parse_dependence(raw, components, col):
         if unknown:
             col.error(f"{path}.members", f"unknown component ids {unknown}")
             continue
-        p = _get_number(g, "p", path, col, lo=0.0)
-        if p is not None and p > 1.0:
-            col.error(f"{path}.p", f"{p} exceeds 1")
-            p = None
-        rho = _get_number(g, "rho", path, col, lo=0.0, hi=1.0)
-        if p is None or rho is None:
-            continue
-        covered.extend(members)
-        specs.append(GroupSpec(members=tuple(members), p=p, rho=rho))
-    if sorted(covered) != sorted(ids):
-        col.error("dependence.groups", "groups must partition the component list")
-        return None, None, None
-    return kind, None, tuple(specs)
+        specs.append(GroupSpec(members=tuple(members),
+                               p=_number(g.get("p"), f"{path}.p", col, _PROBABILITY),
+                               rho=_number(g.get("rho"), f"{path}.rho", col, _CORRELATION)))
+    return tuple(specs)
 
 
 def _parse_rates(raw, n, col):
     insp = raw.get("inspection")
     if not isinstance(insp, dict):
         col.error("inspection", "must be an object with eps_fa and eps_fs")
-        return 0.0, 0.0
-    out = []
+        return None, None
+    rates = []
     for key in ("eps_fa", "eps_fs"):
-        value = insp.get(key)
-        if isinstance(value, list):
-            if len(value) != n:
-                col.error(f"inspection.{key}", f"list must have {n} entries")
-                out.append(0.0)
-                continue
-            bad = [v for v in value if isinstance(v, bool)
-                   or not isinstance(v, (int, float)) or not 0.0 <= v < 0.5]
-            if bad:
-                col.error(f"inspection.{key}", f"entries must be numbers in [0, 0.5): {bad}")
-                out.append(0.0)
-                continue
-            rates = tuple(float(v) for v in value)
-            if len(set(rates)) > 1:
-                col.warn(f"inspection.{key}",
-                         "non-uniform inspection accuracy: series/parallel "
-                         "closed-form rules no longer apply")
-            out.append(rates)
-        else:
-            v = _get_number(insp, key, "inspection", col, lo=0.0, hi=0.5)
-            out.append(0.0 if v is None else v)
-    return out[0], out[1]
+        value = _numbers(insp.get(key), n, f"inspection.{key}", col, _RATE)
+        if isinstance(value, tuple) and len(set(value)) > 1:
+            col.warn(f"inspection.{key}",
+                     "non-uniform inspection accuracy: series/parallel "
+                     "closed-form rules no longer apply")
+        rates.append(value)
+    return rates
 
 
 def _parse_costs(raw, n, col):
@@ -438,28 +428,10 @@ def _parse_costs(raw, n, col):
     if not isinstance(costs, dict):
         col.error("costs", "must be an object with c_fail and c_repair")
         return None, None
-    c_fail = _get_number(costs, "c_fail", "costs", col, lo=0.0)
-    if c_fail is not None and c_fail <= 0.0:
-        col.error("costs.c_fail", "must be positive")
-        c_fail = None
-    repair = costs.get("c_repair")
-    c_repair = None
-    if isinstance(repair, (int, float)) and not isinstance(repair, bool):
-        if repair < 0:
-            col.error("costs.c_repair", "must be nonnegative")
-        else:
-            c_repair = (float(repair),) * n
-    elif isinstance(repair, list):
-        bad = [v for v in repair if isinstance(v, bool)
-               or not isinstance(v, (int, float)) or v < 0]
-        if len(repair) != n:
-            col.error("costs.c_repair", f"list must have {n} entries")
-        elif bad:
-            col.error("costs.c_repair", f"entries must be nonnegative numbers: {bad}")
-        else:
-            c_repair = tuple(float(v) for v in repair)
-    else:
-        col.error("costs.c_repair", "must be a number or a list of numbers")
+    c_fail = _number(costs.get("c_fail"), "costs.c_fail", col, _POSITIVE)
+    c_repair = _numbers(costs.get("c_repair"), n, "costs.c_repair", col, _NONNEGATIVE)
+    if isinstance(c_repair, float):  # one cost for every component
+        c_repair = (c_repair,) * n
     return c_fail, c_repair
 
 
@@ -479,23 +451,17 @@ def _parse_envelope(raw, col):
     if not isinstance(actions_raw, list) or not actions_raw:
         col.error("global_actions", "must be a non-empty list")
         return None, None
-    specs = []
+    actions = []
     for k, a in enumerate(actions_raw):
         path = f"global_actions[{k}]"
         if not isinstance(a, dict):
             col.error(path, "must be an object")
             continue
-        cost = _get_number(a, "cost", path, col, lo=0.0)
-        risk = _get_number(a, "residual_risk", path, col, lo=0.0)
-        if risk is not None and risk > 1.0:
-            col.error(f"{path}.residual_risk", f"{risk} exceeds 1")
-            risk = None
-        if cost is None or risk is None:
-            continue
-        specs.append(ActionSpec(cost=cost, residual_risk=risk))
-    if not specs:
-        return None, None
-    return None, tuple(specs)
+        cost = _number(a.get("cost"), f"{path}.cost", col, _NONNEGATIVE)
+        risk = _number(a.get("residual_risk"), f"{path}.residual_risk", col, _PROBABILITY)
+        if None not in (cost, risk):
+            actions.append(GlobalAction(cost, risk))
+    return None, tuple(actions)
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -505,7 +471,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     each prefixed with the field path it concerns.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -518,14 +484,15 @@ def parse_scenario(text: str) -> ScenarioDocument:
     if version != SCHEMA_VERSION:
         col.error("schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
 
-    components = _parse_components(raw, col)
+    dep = raw.get("dependence")
+    components = _parse_components(raw, dep.get("kind") if isinstance(dep, dict) else None, col)
     if not components:
         # Everything downstream needs a usable component list.
         raise ScenarioError(col.errors or ["components: invalid"])
     ids = tuple(c.id for c in components)
 
-    kind, formula, graph, table = _parse_structure(raw, ids, col)
-    dep_kind, weights, groups = _parse_dependence(raw, components, col)
+    structure = _parse_structure(raw, ids, col)
+    dependence = _parse_dependence(raw, components, col)
     eps_fa, eps_fs = _parse_rates(raw, len(ids), col)
     c_fail, c_repair = _parse_costs(raw, len(ids), col)
     envelope, actions = _parse_envelope(raw, col)
@@ -537,15 +504,11 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
     if col.errors:
         raise ScenarioError(col.errors)
-    return ScenarioDocument(
+    built = {"structure": structure.pop("structure"), "belief": dependence.pop("belief")}
+    doc = ScenarioDocument(
         components=components,
-        structure_kind=kind,
-        formula=formula,
-        graph=graph,
-        truth_table=table,
-        dependence_kind=dep_kind,
-        explicit_weights=weights,
-        groups=groups,
+        **structure,
+        **dependence,
         eps_fa=eps_fa,
         eps_fs=eps_fs,
         c_fail=c_fail,
@@ -554,6 +517,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         global_actions=actions,
         warnings=tuple(col.warnings),
     )
+    vars(doc).update(built)  # fields left out of __init__
+    return doc
 
 
 def parse_scenario_file(path) -> ScenarioDocument:
@@ -580,10 +545,15 @@ def _tokenize_formula(text: str):
 
 
 def _parse_formula(text: str, ids):
-    """Parse a series/parallel expression over the given component ids."""
+    """Parse a series/parallel expression over the given component ids.
+
+    Returns the formula written in normal form, with one space after each
+    comma and none elsewhere, and its tree.
+    """
     index = {cid: i for i, cid in enumerate(ids)}
     tokens = _tokenize_formula(text)
     pos = 0
+    seen = set()
 
     def peek():
         return tokens[pos][0] if pos < len(tokens) else None
@@ -598,14 +568,17 @@ def _parse_formula(text: str, ids):
         pos += 1
         return token, where
 
-    def expr():
+    def expr(depth):
         token, where = take()
         if token in ("series", "parallel"):
+            if depth == _MAX_FORMULA_DEPTH:
+                raise ValueError(f"nested deeper than {_MAX_FORMULA_DEPTH} levels "
+                                 f"at position {where}")
             take("(")
-            parts = [expr()]
+            parts = [expr(depth + 1)]
             while peek() == ",":
                 take(",")
-                parts.append(expr())
+                parts.append(expr(depth + 1))
             take(")")
             node_type = SeriesNode if token == "series" else ParallelNode
             return node_type(tuple(parts))
@@ -613,24 +586,15 @@ def _parse_formula(text: str, ids):
             raise ValueError(f"unexpected {token!r} at position {where}")
         if token not in index:
             raise ValueError(f"unknown component id {token!r} at position {where}")
+        if token in seen:
+            raise ValueError(f"component {token!r} referenced more than once, at position {where}")
+        seen.add(token)
         return ComponentRef(index[token])
 
-    root = expr()
+    root = expr(0)
     if pos != len(tokens):
         raise ValueError(f"trailing input after formula: {tokens[pos][0]!r}")
-    used: list[int] = []
-    _collect_indices(root, used)
-    missing = [ids[i] for i in range(len(ids)) if i not in set(used)]
-    duplicates = sorted({ids[i] for i in used if used.count(i) > 1})
-    if duplicates:
-        raise ValueError(f"components referenced more than once: {duplicates}")
+    missing = [cid for cid in ids if cid not in seen]
     if missing:
         raise ValueError(f"components never referenced: {missing}")
-    return root
-
-
-def _format_formula(node, ids) -> str:
-    if isinstance(node, ComponentRef):
-        return ids[node.index]
-    tag = "series" if isinstance(node, SeriesNode) else "parallel"
-    return f"{tag}({', '.join(_format_formula(p, ids) for p in node.parts)})"
+    return "".join(", " if token == "," else token for token, _ in tokens), root

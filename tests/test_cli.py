@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from netvoi import distributions
 from netvoi.cli import run_command
 from netvoi.output import format_number
-from netvoi.scenario import parse_scenario_file
+from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
 
 from conftest import scenario_path
 
@@ -296,3 +297,73 @@ def test_binary_envelope_outside_0_1_exits_1_at_parse(tmp_path, capsys):
     for argv in (["rank", "--metric", "local"], ["rank", "--metric", "global"], ["plot"]):
         code, _, err = run(capsys, *argv, str(path))
         assert code == 1 and err.startswith("error: costs.c_repair: "), argv
+
+
+def series_of_three(tmp_path, formula, **names):
+    doc = {
+        "schema_version": "1",
+        "components": [{"id": f"c{k}", "name": names.get(f"c{k}", f"c{k}"),
+                        "failure_probability": k / 10} for k in (1, 2, 3)],
+        "structure": {"formula": formula},
+        "dependence": {"kind": "independent"},
+        "inspection": {"eps_fa": 0.0, "eps_fs": 0.0},
+        "costs": {"c_fail": 1.0, "c_repair": 0.1},
+        "envelope": "quadratic",
+    }
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def called_from_depth(frames, fn):
+    """``fn()`` called with ``frames`` more frames on the stack."""
+    return fn() if frames == 0 else called_from_depth(frames - 1, fn)
+
+
+@pytest.mark.parametrize("depth", [100, _MAX_FORMULA_DEPTH])
+def test_deeply_nested_formula_evaluates(tmp_path, capsys, depth):
+    path = series_of_three(tmp_path, "series(" * depth + "c1, c2, c3" + ")" * depth)
+    assert run(capsys, "reliability", path) == (0, "0.496\n", "")
+    nested = run(capsys, "rank", "--metric", "local", path)
+    # the deepest formula leaves a caller most of the default recursion limit
+    assert called_from_depth(300, lambda: run(capsys, "rank", "--metric", "local", path)) == nested
+    flat = run(capsys, "rank", "--metric", "local", series_of_three(tmp_path, "series(c1, c2, c3)"))
+    assert nested == flat and nested[0] == 0
+
+
+@pytest.mark.parametrize("depth", [_MAX_FORMULA_DEPTH + 1, 1000])
+def test_too_deeply_nested_formula_exits_1(tmp_path, capsys, depth):
+    path = series_of_three(tmp_path, "series(" * depth + "c1, c2, c3" + ")" * depth)
+    code, out, err = run(capsys, "reliability", path)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: structure.formula: nested deeper than {_MAX_FORMULA_DEPTH}")
+
+
+def test_duplicate_component_names_exit_1(tmp_path, capsys):
+    path = series_of_three(tmp_path, "series(c1, c2, c3)", c3="c1")
+    assert run(capsys, "reliability", path) == (
+        1, "", "error: components[2].name: duplicate name 'c1'\n")
+
+
+def test_group_past_the_cap_exits_2_without_its_table(tmp_path, capsys, monkeypatch):
+    # one 30-member group is a 2^30 table: the cap stops the command before it
+    monkeypatch.setattr(distributions, "_shared_cause_table", _no_table)
+    ids = [f"c{k}" for k in range(30)]
+    doc = {
+        "schema_version": "1",
+        "components": [{"id": c} for c in ids],
+        "structure": {"formula": f"series({', '.join(ids)})"},
+        "dependence": {"kind": "groups", "groups": [{"members": ids, "p": 0.1, "rho": 0.5}]},
+        "inspection": {"eps_fa": 0.0, "eps_fs": 0.0},
+        "costs": {"c_fail": 1.0, "c_repair": 0.1},
+        "envelope": "quadratic",
+    }
+    path = tmp_path / "wide_group.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["reliability"], ["rank", "--metric", "local"], ["rank", "--metric", "global"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "") and "cap" in err, argv
+
+
+def _no_table(group):
+    raise AssertionError(f"built the table of a {len(group.members)}-member group")

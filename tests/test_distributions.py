@@ -38,6 +38,9 @@ def test_explicit_lookup_and_validation():
         Explicit([1.2, -0.2])
     with pytest.raises(ValueError):
         Explicit([0.5, 0.25, 0.25])  # not a power of two
+    for weights in ([math.nan] * 4, [math.inf, 0.0, 0.0, 0.0], [math.nan, 1.0]):
+        with pytest.raises(ValueError):
+            Explicit(weights)
 
 
 def test_explicit_marginal_from_crossed_pair():

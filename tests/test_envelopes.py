@@ -1,5 +1,7 @@
 """Loss envelopes: values, regret, and the lower-hull construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,15 @@ def test_global_action_validation():
         GlobalAction(cost=-1.0, residual_risk=0.5)
     with pytest.raises(ValueError):
         GlobalAction(cost=1.0, residual_risk=1.5)
+    for cost, risk in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            GlobalAction(cost=cost, residual_risk=risk)
+    for c_fail in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            PiecewiseLinearLoss.from_actions([GlobalAction(0.2, 0.5)], c_fail)
+    for line in ((math.nan, 0.0), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            PiecewiseLinearLoss([(0.5, 0.1), line])
 
 
 def test_single_action_envelope_has_zero_regret():

@@ -3,7 +3,8 @@
 Documents have at most five components and cover every structure kind
 (formula, ST graph, truth table), every belief kind (independent,
 explicit, groups) and every envelope kind, with certain components and
-per-component rates among them.
+per-component rates among them. Each one, with one field made invalid,
+must be rejected with exactly one error at that field's path.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from netvoi import parse_scenario
+from netvoi import ScenarioError, parse_scenario
 from netvoi.cli import run_command
 from netvoi.output import format_number
 
@@ -146,3 +147,73 @@ def test_generated_scenarios_round_trip_and_print_alike(tmp_path, obj, cap):
                     assert (cell, float(cell)) == (format_number(value), value), argv
                 else:
                     assert cell == str(value), argv
+
+
+# Invalid in every numeric field: each must be a finite number, and none may be negative.
+BAD_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e400", "-0.5", '"0.1"', "true", "null"]
+
+
+def numeric_fields(doc):
+    """Keys leading to each numeric field of a generated document."""
+    n = len(doc["components"])
+    keys = [("components", k, "failure_probability")
+            for k, comp in enumerate(doc["components"]) if "failure_probability" in comp]
+    keys += [("dependence", "weights", k) for k in range(len(doc["dependence"].get("weights", [])))]
+    for k in range(len(doc["dependence"].get("groups", []))):
+        keys += [("dependence", "groups", k, "p"), ("dependence", "groups", k, "rho")]
+    for section, key in (("inspection", "eps_fa"), ("inspection", "eps_fs"), ("costs", "c_repair")):
+        keys += ([(section, key, k) for k in range(n)]
+                 if isinstance(doc[section][key], list) else [(section, key)])
+    keys.append(("costs", "c_fail"))
+    for k in range(len(doc.get("global_actions", []))):
+        keys += [("global_actions", k, "cost"), ("global_actions", k, "residual_risk")]
+    return keys
+
+
+def field_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+@st.composite
+def corrupted_scenarios(draw):
+    """JSON text of a generated document with one field made invalid, and that field's path."""
+    doc = draw(scenarios())
+    n = len(doc["components"])
+    fault = draw(st.sampled_from(["number", "length", "name"] if n > 1 else ["number", "length"]))
+    if fault == "name":  # a name another component already has
+        k = draw(st.integers(1, n - 1))
+        first = doc["components"][0]
+        doc["components"][k]["name"] = first.get("name", first["id"])
+        return json.dumps(doc), f"components[{k}].name"
+    if fault == "length":  # one entry too many
+        keys = draw(st.sampled_from([("inspection", "eps_fa"), ("inspection", "eps_fs"),
+                                     ("costs", "c_repair")]
+                                    + [("dependence", "weights")] * ("weights" in doc["dependence"])))
+        size = (1 << n) + 1 if keys[-1] == "weights" else n + 1
+        doc[keys[0]][keys[1]] = [0.0] * size
+        return json.dumps(doc), field_path(keys)
+    keys = draw(st.sampled_from(numeric_fields(doc)))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@bad@"
+    text = json.dumps(doc).replace('"@bad@"', draw(st.sampled_from(BAD_NUMBERS)))
+    # explicit weights are checked as one table, and reported at the list
+    return text, field_path(keys[:2] if keys[1] == "weights" else keys)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(case=corrupted_scenarios())
+def test_one_invalid_field_is_one_error_at_its_path(tmp_path, case):
+    text, path = case
+    try:
+        parse_scenario(text)
+    except ScenarioError as exc:
+        errors = exc.errors
+    else:
+        raise AssertionError(f"{path} was not rejected")
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: "), errors
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert run(["reliability", str(doc)]) == (1, "", f"error: {errors[0]}\n")

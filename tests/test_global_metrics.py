@@ -9,6 +9,7 @@ from netvoi import (PERFECT_INSPECTION, BinaryActionLoss, FormulaTree, Independe
                     InspectionModel, Network, QuadraticLoss, closed_form_rule,
                     importance_measures, parallel, posterior_interval, rank_global,
                     series, system_failure_prob, voi_global)
+from netvoi import inference
 
 from conftest import (make_crossed_pair, make_three_branch, random_distribution,
                       random_network, THREE_BRANCH_PROBS)
@@ -148,3 +149,14 @@ def test_rank_handles_deterministic_component():
     assert report.voi[0] == 0.0
     assert report.voi[1] > 0.0
     assert report.best == 1
+
+
+def test_each_alarm_probability_is_computed_once(monkeypatch, three_branch):
+    net, dist = three_branch
+    calls = []
+    computed = inference.alarm_probability
+    monkeypatch.setattr(inference, "alarm_probability",
+                        lambda d, i, insp: calls.append(i) or computed(d, i, insp))
+    rank_global(net, dist, PERFECT_INSPECTION, QuadraticLoss())
+    importance_measures(net, dist, PERFECT_INSPECTION)
+    assert calls == list(range(6)) * 2

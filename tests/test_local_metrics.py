@@ -1,6 +1,7 @@
 """Plan optimization, local/heuristic inspection values, and pair policies."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -170,6 +171,14 @@ def test_product_belief_matches_its_explicit_table():
             explicit = Explicit(dist.pmf_vector())
             assert np.allclose(plan_failure_risks(net, dist),
                                plan_failure_risks(net, explicit), rtol=0.0, atol=1e-14)
+
+
+def test_cost_model_validation():
+    assert LocalCostModel(1.0, (0.0, 0.5)).c_repair == (0.0, 0.5)
+    for c_fail, c_repair in ((0.0, (0.1,)), (math.nan, (0.1,)), (math.inf, (0.1,)),
+                             (1.0, (-0.1,)), (1.0, (math.nan,)), (1.0, (0.1, math.inf))):
+        with pytest.raises(ValueError):
+            LocalCostModel(c_fail, c_repair)
 
 
 def test_repair_cost_vector_matches_repair_cost():

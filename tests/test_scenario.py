@@ -1,11 +1,15 @@
 """Scenario parsing, validation diagnostics, and round-trip stability."""
 
+import dataclasses
+import inspect
 import json
 
 import pytest
 
 from netvoi import (CommonCauseGroups, Explicit, Independent, ScenarioError,
                     parse_scenario, parse_scenario_file, system_failure_prob)
+from netvoi import ScenarioDocument, distributions
+from netvoi.cli import run_command
 
 from conftest import scenario_path
 
@@ -206,3 +210,138 @@ def test_multiple_errors_reported_together():
     obj["envelope"] = "banana"
     errors = errors_of(obj)
     assert len(errors) >= 3
+
+
+def _groups_doc():
+    obj = _base_doc()
+    for c in obj["components"]:
+        del c["failure_probability"]
+    obj["dependence"] = {"kind": "groups", "groups": [
+        {"members": ["a"], "p": 0.1, "rho": 0.0}, {"members": ["b"], "p": 0.2, "rho": 0.3}]}
+    return obj
+
+
+def _explicit_doc():
+    obj = _groups_doc()
+    obj["dependence"] = {"kind": "explicit", "weights": [0.1, 0.2, 0.3, 0.4]}
+    return obj
+
+
+def _actions_doc():
+    obj = _base_doc()
+    del obj["envelope"]
+    obj["global_actions"] = [{"cost": 0.0, "residual_risk": 1.0},
+                             {"cost": 0.3, "residual_risk": 0.0}]
+    return obj
+
+
+def _lists_doc():
+    obj = _base_doc()
+    obj["inspection"] = {"eps_fa": [0.0, 0.1], "eps_fs": [0.1, 0.0]}
+    obj["costs"]["c_repair"] = [0.1, 0.2]
+    return obj
+
+
+# a document and the keys leading to one of its numeric fields
+NUMERIC_FIELDS = [
+    (_base_doc, ("components", 1, "failure_probability")),
+    (_explicit_doc, ("dependence", "weights", 2)),
+    (_groups_doc, ("dependence", "groups", 1, "p")),
+    (_groups_doc, ("dependence", "groups", 1, "rho")),
+    (_base_doc, ("inspection", "eps_fa")),
+    (_base_doc, ("inspection", "eps_fs")),
+    (_lists_doc, ("inspection", "eps_fa", 1)),
+    (_lists_doc, ("inspection", "eps_fs", 0)),
+    (_base_doc, ("costs", "c_fail")),
+    (_base_doc, ("costs", "c_repair")),
+    (_lists_doc, ("costs", "c_repair", 1)),
+    (_actions_doc, ("global_actions", 1, "cost")),
+    (_actions_doc, ("global_actions", 0, "residual_risk")),
+]
+
+
+def field_path(keys):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def with_literal(obj, keys, literal):
+    """JSON text of ``obj`` with ``literal`` written at the field that ``keys`` lead to."""
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = "@literal@"
+    return json.dumps(obj).replace('"@literal@"', literal)
+
+
+@pytest.mark.parametrize("make, keys", NUMERIC_FIELDS)
+def test_non_finite_number_is_one_error_at_its_path(make, keys, tmp_path, capsys):
+    assert parse_scenario(with_literal(make(), keys, "0.3"))  # the field is valid as 0.3
+    for literal, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+                           ("1e400", "inf"), ("-1e400", "-inf"), ("1" + "0" * 5000, "inf")):
+        text = with_literal(make(), keys, literal)
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        message = f"{field_path(keys)}: expected a finite number, got {shown}"
+        if keys[1] == "weights":  # the table is checked as a whole, by Explicit
+            message = "dependence.weights: weights must be finite and nonnegative"
+        assert err.value.errors == [message], literal
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+        assert run_command(["reliability", str(doc)]) == 1, literal
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_invalid_value_is_reported_once():
+    obj = _base_doc()
+    obj["components"][0]["failure_probability"] = 1.5
+    assert errors_of(obj) == ["components[0].failure_probability: must be in [0, 1]"]
+    obj = _groups_doc()
+    obj["dependence"]["groups"][0]["rho"] = 1.0
+    assert errors_of(obj) == ["dependence.groups[0].rho: must be in [0, 1)"]
+    obj["dependence"]["groups"][0]["members"] = "a"
+    assert errors_of(obj) == ["dependence.groups[0].members: "
+                              "must be a non-empty list of component ids"]
+    obj = _explicit_doc()
+    obj["components"][0]["failure_probability"] = 1.5
+    assert errors_of(obj) == ["components[0].failure_probability: "
+                              "only allowed with independent dependence"]
+    obj = _explicit_doc()
+    obj["dependence"]["weights"][3] = -0.4
+    assert errors_of(obj) == ["dependence.weights: weights must be finite and nonnegative"]
+    obj["dependence"]["weights"][3] = "0.4"
+    assert errors_of(obj) == ["dependence.weights: must be a list of 2^2 numbers"]
+    # b sits only on the malformed edge: the graph is not built without it
+    obj = _base_doc()
+    obj["structure"] = {"st_graph": {"edges": [["o", "a"], ["a", "s"], ["b"]]}}
+    assert errors_of(obj) == ["structure.st_graph.edges[2]: must be a pair of node labels"]
+
+
+def test_duplicate_component_names_rejected():
+    obj = _base_doc()
+    obj["components"][1]["name"] = "a"
+    assert errors_of(obj) == ["components[1].name: duplicate name 'a'"]
+    obj["components"][0]["name"] = "pump"
+    assert parse_scenario(json.dumps(obj)).build_network().names == ("pump", "a")
+
+
+def test_repeated_group_member_is_one_error_without_a_table(monkeypatch):
+    # 40 repeats of one member would be a 2^40 table: the overlap is found first
+    monkeypatch.setattr(distributions, "_shared_cause_table", _no_table)
+    obj = _groups_doc()
+    obj["dependence"]["groups"][0]["members"] = ["a"] * 40
+    assert errors_of(obj) == ["dependence.groups: groups overlap"]
+
+
+def _no_table(group):
+    raise AssertionError(f"built the table of a {len(group.members)}-member group")
+
+
+def test_built_structure_and_belief_are_not_constructor_fields():
+    doc = parse_scenario_file(scenario_path("three_branch.json"))
+    params = inspect.signature(ScenarioDocument).parameters
+    assert "structure" not in params and "belief" not in params
+    assert "structure=" not in repr(doc) and "belief=" not in repr(doc)
+    # a copy with other spec fields never carries the network of the original
+    copy = dataclasses.replace(doc, formula="parallel(x)")
+    assert not hasattr(copy, "structure") and not hasattr(copy, "belief")
+    assert copy != doc and dataclasses.replace(doc) == doc
