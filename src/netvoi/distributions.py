@@ -2,11 +2,11 @@
 
 Every distribution is immutable and exposes one factorised view,
 ``blocks()``: (member bits, weight table) pairs of mutually independent
-blocks whose product is the pmf. A posterior after one inspection is one
-such table with the likelihood multiplied in along one bit, not a new
-distribution object. Masks follow the convention of :mod:`netvoi.model`:
-bit i set means component i works, so "failure" of component i is a
-cleared bit.
+blocks whose product is the pmf. A posterior after one inspection keeps
+the prior's blocks but one, whose table has the likelihood multiplied in
+along one bit, so it never forms the 2^N pmf. Masks follow the
+convention of :mod:`netvoi.model`: bit i set means component i works, so
+"failure" of component i is a cleared bit.
 """
 
 from __future__ import annotations
@@ -25,17 +25,20 @@ SAMPLE_BITS = 12
 
 
 class JointDistribution:
-    """Probability mass over the 2^N component-state masks.
+    """Probability mass over the 2^N component-state masks: the product of ``blocks``.
 
-    Subclasses set ``n_components`` and ``_blocks``; the pmf is the product
-    of the block tables, bit j of a block's table index being the state of
-    its j-th member.
+    Bit j of a block's table index is the state of its j-th member, and the
+    members of all blocks are the components 0 .. N-1.
     """
 
     n_components: int
     _blocks: tuple
     _vector: np.ndarray | None = None
     _chunks: tuple | None = None
+
+    def __init__(self, blocks):
+        self._blocks = tuple(blocks)
+        self.n_components = sum(len(members) for members, _ in self._blocks)
 
     def blocks(self) -> tuple:
         """Independent blocks as (member bits, read-only weight table) pairs."""
@@ -69,7 +72,7 @@ class JointDistribution:
             if s not in (0, 1):
                 raise ValueError(f"evidence on component {i} must be state 0 or 1, not {s!r}")
             blocks = _reweight_blocks(blocks, i, float(s == 0), float(s == 1))
-        return Explicit(_product_table(blocks, range(self.n_components)))
+        return JointDistribution(blocks)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
@@ -141,7 +144,7 @@ def _reweight(table: np.ndarray, bit: int, w_failed: float, w_working: float) ->
     total = float(w.sum())
     if total <= 0.0:
         raise ConditioningError("observation has probability zero")
-    return (w / total).reshape(-1)
+    return _frozen((w / total).reshape(-1))
 
 
 def _reweight_blocks(blocks, i: int, w_failed: float, w_working: float) -> tuple:
@@ -161,8 +164,7 @@ class Independent(JointDistribution):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"failure probability {p} of component {i} not in [0, 1]")
         self.failure_probs = probs
-        self.n_components = len(probs)
-        self._blocks = tuple(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(probs))
+        super().__init__(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(probs))
 
 
 class Explicit(JointDistribution):
@@ -179,9 +181,8 @@ class Explicit(JointDistribution):
         if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
         arr.flags.writeable = False
-        self.n_components = size.bit_length() - 1
+        super().__init__(((tuple(range(size.bit_length() - 1)), arr),))
         self._vector = arr
-        self._blocks = ((tuple(range(self.n_components)), arr),)
 
 
 def _shared_cause_table(group) -> np.ndarray:

@@ -52,33 +52,6 @@ class QuadraticLoss(LossEnvelope):
         return p * (1.0 - p)
 
 
-class BinaryActionLoss(LossEnvelope):
-    """Choice between accepting the failure risk and one repair action.
-
-    Doing nothing costs ``c_fail * p``; repairing costs ``c_repair`` flat.
-    The regret peaks at p = c_repair / c_fail, which must fall inside (0, 1).
-    """
-
-    def __init__(self, c_repair: float, c_fail: float):
-        if c_fail <= 0.0:
-            raise ValueError("failure cost must be positive")
-        peak = c_repair / c_fail
-        if not 0.0 < peak < 1.0:
-            raise ValueError(
-                f"repair/failure cost ratio {peak} must lie strictly inside (0, 1)"
-            )
-        self.c_repair = float(c_repair)
-        self.c_fail = float(c_fail)
-
-    @property
-    def peak(self) -> float:
-        return self.c_repair / self.c_fail
-
-    def value(self, p: float) -> float:
-        _check_prob(p)
-        return min(self.c_fail * p, self.c_repair)
-
-
 class PiecewiseLinearLoss(LossEnvelope):
     """Lower envelope of action lines: the minimum of ``intercept + slope * p``.
 
@@ -106,3 +79,27 @@ class PiecewiseLinearLoss(LossEnvelope):
     def value(self, p: float) -> float:
         _check_prob(p)
         return min(b + m * p for m, b in self._lines)
+
+
+class BinaryActionLoss(PiecewiseLinearLoss):
+    """Choice between accepting the failure risk and one repair action.
+
+    Doing nothing costs ``c_fail * p``; repairing costs ``c_repair`` flat.
+    The regret peaks at p = c_repair / c_fail, which must fall inside (0, 1).
+    """
+
+    def __init__(self, c_repair: float, c_fail: float):
+        if c_fail <= 0.0:
+            raise ValueError("failure cost must be positive")
+        peak = c_repair / c_fail
+        if not 0.0 < peak < 1.0:
+            raise ValueError(
+                f"repair/failure cost ratio {peak} must lie strictly inside (0, 1)"
+            )
+        self.c_repair = float(c_repair)
+        self.c_fail = float(c_fail)
+        super().__init__([(self.c_fail, 0.0), (0.0, self.c_repair)])
+
+    @property
+    def peak(self) -> float:
+        return self.c_repair / self.c_fail

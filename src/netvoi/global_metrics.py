@@ -12,7 +12,7 @@ import math
 
 from .distributions import system_failure_prob
 from .envelopes import LossEnvelope
-from .inference import InspectionModel, _interval, _outcomes, posterior_interval
+from .inference import InspectionModel, _intervals, posterior_interval
 from .reports import ImportanceReport, VoIReport
 
 RRW_SATURATION_TOL = 1e-12
@@ -29,12 +29,6 @@ def _mix(interval, env: LossEnvelope):
 def voi_global(net, dist, i, insp: InspectionModel, env: LossEnvelope):
     """Posterior expected loss, value of the inspection, and posterior regret."""
     return _mix(posterior_interval(net, dist, i, insp), env)
-
-
-def _intervals(net, dist, insp: InspectionModel) -> list:
-    """Posterior interval of each component; None where the outcome is certain."""
-    outcomes = [_outcomes(dist, i, insp) for i in range(net.n_components)]
-    return [_interval(net, dist, i, insp, o) if o else None for i, o in enumerate(outcomes)]
 
 
 def rank_global(net, dist, insp: InspectionModel, env: LossEnvelope) -> VoIReport:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import Explicit, JointDistribution, _reweight
+from .distributions import JointDistribution, _reweight_blocks
 from .errors import (ConditioningError, DegenerateObservationError,
                      IncomparableIntervalsError)
 from .model import _halves
@@ -94,14 +94,19 @@ def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
 
 def posterior_given_observation(dist: JointDistribution, i: int, y: int,
                                 insp: InspectionModel) -> JointDistribution:
-    """Belief over component states after observing outcome y on component i."""
-    return Explicit(_reweight(dist.pmf_vector(), i, *_likelihood(i, y, insp)))
+    """Belief over component states after observing outcome y on component i.
+
+    The prior's blocks, with the likelihood multiplied into the one that
+    holds component i.
+    """
+    dist._check_index(i)
+    return JointDistribution(_reweight_blocks(dist.blocks(), i, *_likelihood(i, y, insp)))
 
 
-def _split_masses(net, dist: JointDistribution, i: int) -> tuple:
-    """Prior probability and system failure mass, each split by the state of component i."""
+def _failure_masses(net, dist: JointDistribution) -> tuple:
+    """Prior probability and system failure mass of every mask: ``pmf`` and ``pmf·fail``."""
     pmf = dist.pmf_vector()
-    return _halves(pmf, i), _halves(pmf * ~net.truth_table(), i)
+    return pmf, pmf * ~net.truth_table()
 
 
 def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel) -> float:
@@ -118,7 +123,8 @@ def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel) -> float:
 
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
-    return _posterior_mean(*_split_masses(net, dist, i), i, y, insp)
+    pmf, mass = _failure_masses(net, dist)
+    return _posterior_mean(_halves(pmf, i), _halves(mass, i), i, y, insp)
 
 
 @dataclass(frozen=True)
@@ -134,10 +140,6 @@ class PosteriorInterval:
     prior: float
     alarm_prob: float
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def contains(self, other: "PosteriorInterval") -> bool:
         return self.lo <= other.lo and self.hi >= other.hi
 
@@ -152,14 +154,21 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     if not outcomes:  # one of the two posteriors does not exist
         raise DegenerateObservationError(f"inspecting component {i} has a certain outcome "
                                          f"(alarm probability {alarm_probability(dist, i, insp)})")
-    return _interval(net, dist, i, insp, outcomes)
+    return _interval(*_failure_masses(net, dist), i, insp, outcomes)
 
 
-def _interval(net, dist, i, insp, outcomes) -> PosteriorInterval:
-    """``posterior_interval`` from the ``_outcomes`` of component i, which are not ()."""
+def _intervals(net, dist, insp: InspectionModel) -> list:
+    """Posterior interval of each component; None where the outcome is certain."""
+    pmf, mass = _failure_masses(net, dist)
+    outcomes = [_outcomes(dist, i, insp) for i in range(net.n_components)]
+    return [_interval(pmf, mass, i, insp, o) if o else None for i, o in enumerate(outcomes)]
+
+
+def _interval(pmf, mass, i, insp, outcomes) -> PosteriorInterval:
+    """Interval of component i, whose ``_outcomes`` are not (), from ``_failure_masses``."""
     h = outcomes[1][1]
-    prob, mass = _split_masses(net, dist, i)
-    lo, hi = (_posterior_mean(prob, mass, i, y, insp) for y, _ in outcomes)
+    prob, fail = _halves(pmf, i), _halves(mass, i)
+    lo, hi = (_posterior_mean(prob, fail, i, y, insp) for y, _ in outcomes)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
 

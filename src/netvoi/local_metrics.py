@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution, _reweight_blocks
+from .distributions import Independent, JointDistribution
 from .errors import InfeasibleCorrelationError, NotApplicableError
-from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _outcomes,
-                        _posterior_mean)
+from .inference import (ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean,
+                        posterior_given_observation)
 from .model import _bit_sums, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport
 
@@ -69,11 +69,6 @@ def repair_cost(plan: int, costs: LocalCostModel) -> float:
     return total
 
 
-def _repair_cost_vector(costs: LocalCostModel) -> np.ndarray:
-    """Repair bill of every plan mask, summed in component order like ``repair_cost``."""
-    return _bit_sums(costs.c_repair)
-
-
 def _check_setup(net, dist, costs):
     if net.n_components != dist.n_components:
         raise ValueError("network and distribution disagree on the component count")
@@ -106,14 +101,9 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     """
     if dist.n_components != net.n_components:
         raise ValueError("network and distribution disagree on the component count")
-    return _plan_risks(net, dist.blocks())
-
-
-def _plan_risks(net, blocks) -> np.ndarray:
-    """Plan failure risks of the belief whose pmf is the product of ``blocks``."""
     risk = (~net.truth_table()).astype(np.float64)
     first, chunk = 0, np.ones(1)  # pending chunk: weights over bits first, first + 1, ...
-    for members, table in sorted(blocks, key=lambda block: min(block[0])):
+    for members, table in sorted(dist.blocks(), key=lambda block: min(block[0])):
         k = len(members)
         if k > CHUNK_BITS or members != tuple(range(members[0], members[0] + k)):
             risk = _apply_block(risk, members, table)
@@ -194,7 +184,7 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
 def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarray:
     """Expected loss of every plan mask under the current belief."""
     _check_setup(net, dist, costs)
-    return costs.c_fail * plan_failure_risks(net, dist) + _repair_cost_vector(costs)
+    return costs.c_fail * plan_failure_risks(net, dist) + _bit_sums(costs.c_repair)
 
 
 def _cheapest(losses, c_fail: float, plans=None) -> tuple[int, float]:
@@ -233,20 +223,18 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
               costs: LocalCostModel) -> VoIReport:
     """Inspection values under full posterior plan re-optimization.
 
-    Each posterior is the prior's blocks with the likelihood multiplied
-    into the one block that holds the inspected component.
+    Each outcome prices every plan under ``posterior_given_observation``.
     """
     prior_plan, prior_loss = optimal_plan(net, dist, costs)
-    blocks = dist.blocks()
-    repair = _repair_cost_vector(costs)
+    repair = _bit_sums(costs.c_repair)
     rows = []
     for i in range(net.n_components):
         # a certain outcome carries no news: both rows stay at the prior plan and loss
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
         for y, p_y in _outcomes(dist, i, insp):
-            post = _reweight_blocks(blocks, i, *_likelihood(i, y, insp))
-            losses = costs.c_fail * _plan_risks(net, post) + repair
+            post = posterior_given_observation(dist, i, y, insp)
+            losses = costs.c_fail * plan_failure_risks(net, post) + repair
             row[y] = _cheapest(losses, costs.c_fail)
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan adds exactly 0

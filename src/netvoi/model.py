@@ -68,14 +68,6 @@ def parallel(*parts) -> ParallelNode:
     return ParallelNode(tuple(_as_node(p) for p in parts))
 
 
-def _collect_indices(node, out):
-    if isinstance(node, ComponentRef):
-        out.append(node.index)
-    else:
-        for part in node.parts:
-            _collect_indices(part, out)
-
-
 def _bits(masks: np.ndarray, i: int) -> np.ndarray:
     """State of component i in each of ``masks``: True where it works."""
     return ((masks >> i) & 1).astype(bool)
@@ -100,15 +92,6 @@ def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
     """
     v = x.reshape(-1, 2, 1 << i)
     return float(v[:, 0].sum()), float(v[:, 1].sum())
-
-
-def _node_states(node, masks: np.ndarray) -> np.ndarray:
-    if isinstance(node, ComponentRef):
-        return _bits(masks, node.index)
-    states = [_node_states(p, masks) for p in node.parts]
-    if isinstance(node, SeriesNode):
-        return np.logical_and.reduce(states)
-    return np.logical_or.reduce(states)
 
 
 class StructureFunction:
@@ -142,13 +125,21 @@ class FormulaTree(StructureFunction):
     """Nested series/parallel composition over component references.
 
     Every component index must appear exactly once, which makes the
-    function monotone with every component relevant by construction.
+    function monotone with every component relevant by construction. The
+    nodes are kept in post-order, every part before its composite, so no
+    pass over the tree recurses however deep it nests.
     """
 
     def __init__(self, root):
         root = _as_node(root)
-        indices: list[int] = []
-        _collect_indices(root, indices)
+        nodes, stack = [], [root]
+        while stack:  # root first, each node's parts last to first: post-order reversed
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, ComponentRef):
+                stack.extend(node.parts)
+        self._nodes = tuple(reversed(nodes))
+        indices = [node.index for node in self._nodes if isinstance(node, ComponentRef)]
         counts = Counter(indices)
         duplicates = sorted(i for i, c in counts.items() if c > 1)
         if duplicates:
@@ -165,7 +156,17 @@ class FormulaTree(StructureFunction):
         self.n_components = n
 
     def _states(self, masks: np.ndarray) -> np.ndarray:
-        return _node_states(self.root, masks)
+        values = []  # states of the nodes whose composite is still ahead
+        for node in self._nodes:
+            if isinstance(node, ComponentRef):
+                values.append(_bits(masks, node.index))
+                continue
+            cut = len(values) - len(node.parts)
+            parts = values[cut:]
+            del values[cut:]
+            values.append((np.logical_and if isinstance(node, SeriesNode)
+                           else np.logical_or).reduce(parts))
+        return values[0]
 
 
 class STGraph(StructureFunction):

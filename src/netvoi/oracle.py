@@ -29,7 +29,6 @@ BRUTE_FORCE_CAP = 12
 class SimulationConfig:
     n_samples: int
     seed: int = 0
-    sigma: float = 3.0
 
     def __post_init__(self):
         if self.n_samples < 1:

@@ -102,10 +102,6 @@ class ScenarioDocument:
         return len(self.components)
 
     @property
-    def component_ids(self) -> tuple[str, ...]:
-        return tuple(c.id for c in self.components)
-
-    @property
     def component_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.components)
 

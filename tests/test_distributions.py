@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
-                    Group, Independent, Network, parallel, series,
-                    system_failure_prob)
+                    Group, Independent, JointDistribution, Network, parallel,
+                    series, system_failure_prob)
 from netvoi.distributions import SAMPLE_BITS, _reweight, _reweight_blocks, _shared_cause_table
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
@@ -131,6 +131,13 @@ def test_condition_independent_hard_evidence():
         Independent([0.0, 0.4]).condition({0: 0})
 
 
+def test_condition_past_the_pmf_size_keeps_the_blocks():
+    # 2^64 masks admit no pmf vector: each piece of evidence reweights one table
+    post = Independent([0.1] * 64).condition({0: 0, 5: 1})
+    assert isinstance(post, JointDistribution) and post.n_components == 64
+    assert [post.marginal_failure(j) for j in range(64)] == [1.0] + [0.1] * 4 + [0.0] + [0.1] * 58
+
+
 def test_condition_series_survivor_formula():
     # conditioning a series system on one component working rescales the
     # remaining failure probability to 1 - (1 - p_sys) / (1 - p_i)
@@ -145,7 +152,6 @@ def test_condition_series_survivor_formula():
 def test_condition_shared_cause_group_raises_partner_failure():
     dist = CommonCauseGroups([Group([0, 1, 2], 0.2, 0.4)])
     post = dist.condition({0: 0})
-    assert isinstance(post, Explicit)
     # reference: enumerate the mixture table by hand and condition it
     full = dist.pmf_vector()
     masks = np.arange(8)

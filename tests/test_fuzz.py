@@ -12,6 +12,7 @@ import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -207,6 +208,80 @@ def corrupted_scenarios(draw):
 @given(case=corrupted_scenarios())
 def test_one_invalid_field_is_one_error_at_its_path(tmp_path, case):
     text, path = case
+    try:
+        parse_scenario(text)
+    except ScenarioError as exc:
+        errors = exc.errors
+    else:
+        raise AssertionError(f"{path} was not rejected")
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: "), errors
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert run(["reliability", str(doc)]) == (1, "", f"error: {errors[0]}\n")
+
+
+# Faults of each structure kind; each makes one part of the payload invalid.
+STRUCTURE_FAULTS = {
+    "st_graph": ["label", "arity", "loop", "same", "component", "directed"],
+    "truth_table": ["character", "short", "long", "non-monotone"],
+    "formula": ["unknown", "repeated", "trailing", "unclosed", "unopened"],
+}
+
+
+@st.composite
+def corrupted_structures(draw, kind, fault):
+    """JSON text of a generated document whose ``kind`` structure has ``fault``, and its path."""
+    doc = draw(scenarios())
+    ids = [comp["id"] for comp in doc["components"]]
+    doc["structure"] = draw(structures(ids).filter(lambda structure: kind in structure))
+    payload = doc["structure"][kind]
+    path = f"structure.{kind}"
+    if kind == "st_graph":
+        edges = payload["edges"]
+        k = draw(st.integers(0, len(edges) - 1))
+        if fault == "label":  # not a string
+            edges[k][draw(st.integers(0, 1))] = draw(st.sampled_from([1, None, ["o"]]))
+            path += f".edges[{k}]"
+        elif fault == "arity":
+            edges[k] = draw(st.sampled_from([edges[k][:1], edges[k] + ["o"]]))
+            path += f".edges[{k}]"
+        elif fault == "loop":
+            edges.append([edges[k][0]] * 2)
+        elif fault == "same":  # source and sink are one node
+            payload.update(draw(st.sampled_from([{"source": "s"}, {"sink": "o"}])))
+        elif fault == "component":  # a terminal that is also a component
+            payload[draw(st.sampled_from(["source", "sink"]))] = draw(st.sampled_from(ids))
+        else:
+            payload["directed"] = draw(st.sampled_from([0, 1, "true", None, []]))
+            path += ".directed"
+    elif kind == "truth_table":
+        k = draw(st.integers(0, len(payload) - 1))
+        doc["structure"][kind] = {
+            "character": payload[:k] + draw(st.sampled_from("2x -")) + payload[k + 1:],
+            "short": payload[:-1],
+            "long": payload + "1",
+            # up with every component failed, down with none
+            "non-monotone": "1" + payload[1:-1] + "0",
+        }[fault]
+    else:
+        cid = draw(st.sampled_from(ids))
+        doc["structure"][kind] = {
+            "unknown": payload.replace(cid, "c9", 1),
+            "repeated": f"series({payload}, {cid})",
+            "trailing": payload + draw(st.sampled_from([")", ",", " c9", f" {cid}"])),
+            "unclosed": payload[:-1],
+            "unopened": "(" + payload,
+        }[fault]
+    return json.dumps(doc), path
+
+
+@pytest.mark.parametrize("kind, fault", [(kind, fault) for kind, faults in STRUCTURE_FAULTS.items()
+                                         for fault in faults])
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_one_invalid_structure_part_is_one_error_at_its_path(tmp_path, kind, fault, data):
+    text, path = data.draw(corrupted_structures(kind, fault))
     try:
         parse_scenario(text)
     except ScenarioError as exc:

@@ -5,7 +5,8 @@ import pytest
 
 from netvoi import (ALARM, PERFECT_INSPECTION, SILENCE, DegenerateObservationError,
                     Dominance, FormulaTree, IncomparableIntervalsError, Independent,
-                    InspectionModel, Network, PosteriorInterval, alarm_probability,
+                    InspectionModel, JointDistribution, Network, PosteriorInterval,
+                    alarm_probability,
                     interval_dominates, parallel, posterior_given_observation,
                     posterior_interval, posterior_system_failure, series,
                     system_failure_prob)
@@ -43,6 +44,18 @@ def test_noisy_alarm_bayes_arithmetic():
     noisy = InspectionModel(0.01, 0.01)
     post = posterior_given_observation(Independent([0.1]), 0, ALARM, noisy)
     assert post.marginal_failure(0) == pytest.approx(0.099 / 0.108, abs=1e-12)
+
+
+def test_posterior_past_the_pmf_size_is_a_block_belief():
+    # 2^64 masks admit no pmf vector: the alarm reweights one two-entry table
+    dist = Independent([0.1] * 64)
+    post = posterior_given_observation(dist, 3, ALARM, InspectionModel(0.05, 0.1))
+    assert isinstance(post, JointDistribution) and post.n_components == 64
+    assert post.marginal_failure(3) == pytest.approx(0.1 * 0.9 / (0.1 * 0.9 + 0.9 * 0.05),
+                                                     abs=1e-15)
+    assert all(post.marginal_failure(j) == 0.1 for j in range(64) if j != 3)
+    with pytest.raises(IndexError):
+        posterior_given_observation(dist, 64, ALARM, PERFECT_INSPECTION)
 
 
 def test_nearly_uninformative_observation_keeps_prior():

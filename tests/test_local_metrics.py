@@ -15,8 +15,8 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     posterior_action_table, repair_cost,
                     series, series_pair_policy, system_failure_prob,
                     voi_heuristic, voi_local)
-from netvoi.distributions import _reweight_blocks
-from netvoi.local_metrics import _plan_risks, _repair_cost_vector
+from netvoi.distributions import JointDistribution, _reweight_blocks
+from netvoi.model import _bit_sums
 from netvoi.scenario import parse_scenario_file
 
 from conftest import (make_three_branch, random_distribution, random_network,
@@ -121,8 +121,8 @@ def assert_engine_matches_brute_force(rng, net, dist, costs, atol=1e-14):
         post = dist.pmf_vector() * np.where((masks >> i) & 1, w_working, w_failed)
         if post.sum() <= 0.0:
             continue
-        losses = (costs.c_fail * _plan_risks(net, _reweight_blocks(
-            dist.blocks(), i, w_failed, w_working)) + _repair_cost_vector(costs))
+        losses = plan_losses(net, JointDistribution(_reweight_blocks(
+            dist.blocks(), i, w_failed, w_working)), costs)
         assert np.allclose(losses, brute_force_plan_risks(
             net, Explicit(post / post.sum()), costs), rtol=0.0, atol=atol), i
 
@@ -186,7 +186,7 @@ def test_repair_cost_vector_matches_repair_cost():
     for n in range(1, 11):
         costs = LocalCostModel(1.0, rng.uniform(0.0, 3.0, size=n))
         expected = np.array([repair_cost(plan, costs) for plan in range(1 << n)])
-        assert np.array_equal(_repair_cost_vector(costs), expected)
+        assert np.array_equal(_bit_sums(costs.c_repair), expected)
 
 
 def test_local_metrics_leave_no_reference_cycles():

@@ -202,3 +202,14 @@ def test_evaluate_is_the_one_mask_case_of_the_truth_table():
             table = structure.truth_table()
             assert not table.flags.writeable
             assert [structure.evaluate(m) for m in range(1 << n)] == table.astype(int).tolist()
+
+
+def test_formula_nested_far_past_the_recursion_limit():
+    # a library-built tree is not held to the document depth cap; building
+    # and evaluating it must not recurse once per level
+    node = 0
+    for depth in range(3000):
+        node = series(node) if depth % 2 else parallel(node)
+    tree = FormulaTree(node)
+    assert tree.truth_table().tolist() == [False, True]
+    assert tree.evaluate(1) == 1
