@@ -16,9 +16,9 @@ import numpy as np
 
 from .distributions import Independent, JointDistribution
 from .errors import InfeasibleCorrelationError, NotApplicableError
-from .inference import (ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean,
-                        posterior_given_observation)
-from .model import _bit_sums, _halves, check_state
+from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _outcomes,
+                        _posterior_mean)
+from .model import _bit_sums, _bits, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport
 
 FRECHET_TOL = 1e-12
@@ -91,30 +91,84 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     """Post-repair system failure probability for every plan mask.
 
     Plan risk is linear in the pmf, and a product of independent blocks
-    makes it a product of per-block operators on the failure indicator.
-    Blocks on adjacent bits fuse into chunks of up to ``CHUNK_BITS`` bits,
-    each applied as one dense 2^w x 2^w matrix: 2^N * 2^w multiply-adds per
-    chunk, so Theta(N 2^N) for independent components. A wider or scattered
-    block runs the restriction-lattice sweep along its own bits, vectorised
-    over all other bits: Theta(2^N * 1.5^k) for k bits, so Theta(3^N) for an
-    explicit table, instead of the Theta(4^N) plan-by-state enumeration.
+    makes it a product of per-block operators on the failure indicator
+    (``_steps``). Blocks on adjacent bits fuse into chunks of up to
+    ``CHUNK_BITS`` bits, each applied as one dense 2^w x 2^w matrix: 2^N * 2^w
+    multiply-adds per chunk, so Theta(N 2^N) for independent components. A
+    wider or scattered block runs the restriction-lattice sweep along its own
+    bits, vectorised over all other bits: Theta(2^N * 1.5^k) for k bits, so
+    Theta(3^N) for an explicit table, instead of the Theta(4^N) plan-by-state
+    enumeration. Posteriors after one inspection need no run of their own:
+    ``voi_local`` reweights this vector's two halves split by the inspected
+    component (``_split_risks``).
     """
     if dist.n_components != net.n_components:
         raise ValueError("network and distribution disagree on the component count")
-    risk = (~net.truth_table()).astype(np.float64)
-    first, chunk = 0, np.ones(1)  # pending chunk: weights over bits first, first + 1, ...
+    return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
+
+
+def _fuses(members) -> bool:
+    """Whether a block is dense: at most ``CHUNK_BITS`` adjacent bits in ascending order."""
+    return len(members) <= CHUNK_BITS and members == tuple(range(members[0],
+                                                                 members[0] + len(members)))
+
+
+def _steps(dist: JointDistribution) -> list:
+    """The engine's operators for ``dist``, in the order they apply, as (bits, weights).
+
+    Dense blocks on adjacent bits fuse into chunks of up to ``CHUNK_BITS``
+    bits; every other block is a step of its own.
+    """
+    steps, bits, chunk = [], (), None  # pending chunk: weights over ``bits``
     for members, table in sorted(dist.blocks(), key=lambda block: min(block[0])):
-        k = len(members)
-        if k > CHUNK_BITS or members != tuple(range(members[0], members[0] + k)):
-            risk = _apply_block(risk, members, table)
-            continue
-        w = chunk.size.bit_length() - 1
-        if members[0] != first + w or w + k > CHUNK_BITS:
-            risk = _apply_chunk(risk, first, chunk)
-            first, chunk = members[0], np.ones(1)
-        # a product of independent blocks is itself a block
-        chunk = np.multiply.outer(table, chunk).reshape(-1)
-    return _apply_chunk(risk, first, chunk)
+        if not _fuses(members):
+            steps.append((members, table))
+        elif bits and members[0] == bits[-1] + 1 and len(bits) + len(members) <= CHUNK_BITS:
+            # a product of independent blocks is itself a block
+            bits, chunk = bits + members, np.multiply.outer(table, chunk).reshape(-1)
+        else:
+            if bits:
+                steps.append((bits, chunk))
+            bits, chunk = members, table
+    return steps + [(bits, chunk)] if bits else steps
+
+
+def _risks(risk: np.ndarray, steps) -> np.ndarray:
+    """Apply each step to ``risk``: a chunk as one matmul, any other block by the lattice sweep."""
+    for members, table in steps:
+        risk = (_apply_chunk(risk, members[0], table) if _fuses(members)
+                else _apply_block(risk, members, table))
+    return risk
+
+
+def _split_risks(fail: np.ndarray, steps):
+    """Each component i, its plan risks (R_i0, R_i1) and masses (m0, m1) with i failed and working.
+
+    R_i0 + R_i1 is the prior's plan risk vector. The steps that do not hold
+    i run once for all members of i's step, which is split by i's state: a
+    chunk applies its two restricted tables; a lattice block runs one
+    (k-1)-bit sweep of its other members, batched over their weights with i
+    failed and with i working, on i's two slices of the risks stacked as
+    rows. R_i1 is swept, not taken as R - R_i0, which cancels at small risks.
+    """
+    for s, (members, table) in enumerate(steps):
+        shared = _risks(fail, steps[:s] + steps[s + 1:])
+        for bit, i in enumerate(members):
+            if _fuses(members):
+                working = _bits(np.arange(table.size), bit)
+                split = (_apply_chunk(shared, members[0], np.where(working, 0.0, table)),
+                         _apply_chunk(shared, members[0], np.where(working, table, 0.0)))
+            else:
+                # i's bit leads, so the rows of f are i's failed slice, then its working one
+                cube, back = _bits_last(shared, members[:bit] + members[bit + 1:], lead=(i,))
+                f = cube.reshape(-1, table.size >> 1)
+                out = np.empty((2,) + f.shape)
+                _sweep(table.reshape(-1, 2, 1 << bit).swapaxes(0, 1).reshape(2, -1), f,
+                       len(members) - 1, 0, out)
+                # with i working, repairing it changes nothing: both plan halves alike
+                working = out[1, f.shape[0] // 2:]
+                split = back(out[0]), back(np.concatenate((working, working)))
+            yield i, split, _halves(table, bit)
 
 
 @functools.cache
@@ -129,54 +183,64 @@ def _or_table(r: int) -> np.ndarray:
 def _operator(p: np.ndarray, r: int) -> np.ndarray:
     """Dense plan-risk operator of weights ``p`` for the sub-plans of its low ``r`` bits.
 
-    Returns M transposed, of shape (p.size, 2^r), where ``M[a, t]`` is the
-    sum of p[s] over the states s with s | a = t: right-multiplying the
-    failure indicator over t gives the failure mass of every sub-plan a.
+    Returns M transposed, of shape p.shape + (2^r,); for each table along
+    the leading axes of p, ``M[a, t]`` is the sum of p[s] over the states s
+    with s | a = t: right-multiplying the failure indicator over t gives the
+    failure mass of every sub-plan a.
     """
-    return (p.reshape(-1, 1 << r) @ _or_table(r)).reshape(p.size, 1 << r)
+    return (p.reshape(-1, 1 << r) @ _or_table(r)).reshape(*p.shape, 1 << r)
 
 
 def _apply_chunk(risk: np.ndarray, first: int, table: np.ndarray) -> np.ndarray:
     """Apply the weights ``table`` over bits first, first + 1, ... as one matmul."""
-    if table.size == 1:
-        return risk
     m_t = _operator(table, table.size.bit_length() - 1)
     if first == 0:
         return (risk.reshape(-1, table.size) @ m_t).reshape(-1)
     return (m_t.T @ risk.reshape(-1, table.size, 1 << first)).reshape(-1)
 
 
+def _bits_last(risk: np.ndarray, members, lead=()) -> tuple:
+    """``risk`` as a 2 x ... x 2 cube with the bits ``lead`` first and ``members`` last.
+
+    Member 0 is the lowest bit of the trailing axes. Returns the cube and
+    the function that takes an array of the cube's shape back to mask order.
+    """
+    n = risk.size.bit_length() - 1
+    src = [n - 1 - m for m in (*lead, *members)]
+    dst = [*range(len(lead)), *range(n - 1, n - 1 - len(members), -1)]
+    cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
+    return cube, lambda x: np.moveaxis(x.reshape(cube.shape), dst, src).reshape(-1)
+
+
 def _apply_block(risk: np.ndarray, members, table: np.ndarray) -> np.ndarray:
     """Apply a wide or scattered block by the lattice sweep along its bits."""
-    n = risk.size.bit_length() - 1
-    k = len(members)
-    # Bring the block's bits last, member 0 lowest, as the columns of f.
-    src = [n - 1 - m for m in members]
-    dst = list(range(n - 1, n - 1 - k, -1))
-    cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
-    f = cube.reshape(-1, 1 << k)
-    out = np.empty_like(f)
-    _sweep(table, f, k, 0, out)
-    return np.moveaxis(out.reshape(cube.shape), dst, src).reshape(-1)
+    cube, back = _bits_last(risk, members)
+    f = cube.reshape(-1, table.size)
+    out = np.empty((1,) + f.shape)
+    _sweep(table[None], f, len(members), 0, out)
+    return back(out[0])
 
 
 def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> None:
-    """Lattice sweep of one block: ``out[:, A] = sum_s p[s] * f[:, s | A]`` for all A.
+    """Lattice sweep of one block, batched over weight tables.
 
-    Sweeps the block's bits from the highest down, branching on whether the
-    plan repairs them. Repairing a bit sums it out of the weights ``p`` and
-    keeps only the working half of the columns of ``f``; leaving it keeps
-    both for the final contraction, so every plan costs 2^(bits left alone).
-    The last ``CHUNK_BITS`` bits are one dense operator (``_operator``) over
-    all their sub-plans, with as many rows as ``f`` has columns.
+    ``out[b, :, A] = sum_s p[b, s] * f[:, s | A]`` for every table b and
+    plan A. Sweeps the block's bits from the highest down, branching on
+    whether the plan repairs them. Repairing a bit sums it out of the
+    weights ``p`` and keeps only the working half of the columns of ``f``;
+    leaving it keeps both for the final contraction, so every plan costs
+    2^(bits left alone). The last ``CHUNK_BITS`` bits are one dense operator
+    (``_operator``) over all their sub-plans, with as many rows as ``f`` has
+    columns.
     """
     if r <= CHUNK_BITS:
-        out[:, plan:plan + (1 << r)] = f @ _operator(p, r)
+        out[:, :, plan:plan + (1 << r)] = f @ _operator(p, r)
         return
     _sweep(p, f, r - 1, plan, out)
     half = 1 << (r - 1)
-    k = p.size >> r
-    _sweep(p.reshape(k, 2, half).sum(axis=1).reshape(k * half),
+    k = p.shape[1] >> r
+    pairs = p.reshape(-1, k, 2, half)
+    _sweep((pairs[:, :, 0] + pairs[:, :, 1]).reshape(-1, k * half),
            f.reshape(-1, k, 2, half)[:, :, 1, :].reshape(-1, k * half),
            r - 1, plan | half, out)
 
@@ -223,23 +287,33 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
               costs: LocalCostModel) -> VoIReport:
     """Inspection values under full posterior plan re-optimization.
 
-    Each outcome prices every plan under ``posterior_given_observation``.
+    Outcome y on component i reweights the prior's plan risks restricted to
+    i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
+    the posterior's plan risks are (w_f R_i0 + w_w R_i1) / Z, where Z is
+    w_f m0 + w_w m1 for the masses m0 and m1 of i failed and working. Both
+    outcomes are priced from one split of the engine step that holds i
+    (``_split_risks``); for a k-bit lattice block that is one batched
+    (k-1)-bit sweep, not a k-bit sweep of each ``posterior_given_observation``.
     """
-    prior_plan, prior_loss = optimal_plan(net, dist, costs)
+    _check_setup(net, dist, costs)
+    steps = _steps(dist)
+    fail = (~net.truth_table()).astype(np.float64)
     repair = _bit_sums(costs.c_repair)
-    rows = []
-    for i in range(net.n_components):
+    prior_plan, prior_loss = _cheapest(costs.c_fail * _risks(fail, steps) + repair, costs.c_fail)
+    rows = [None] * net.n_components
+    for i, (r_failed, r_working), (m_failed, m_working) in _split_risks(fail, steps):
         # a certain outcome carries no news: both rows stay at the prior plan and loss
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
         for y, p_y in _outcomes(dist, i, insp):
-            post = posterior_given_observation(dist, i, y, insp)
-            losses = costs.c_fail * plan_failure_risks(net, post) + repair
+            w_failed, w_working = _likelihood(i, y, insp)
+            z = w_failed * m_failed + w_working * m_working
+            losses = costs.c_fail * ((w_failed * r_failed + w_working * r_working) / z) + repair
             row[y] = _cheapest(losses, costs.c_fail)
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan adds exactly 0
             value += p_y * (float(losses[prior_plan]) - row[y][1])
-        rows.append((row[SILENCE], row[ALARM], value))
+        rows[i] = (row[SILENCE], row[ALARM], value)
     return _report("local", prior_plan, prior_loss, rows)
 
 
@@ -277,7 +351,9 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
             loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], i, y, insp)
                     + repair_cost(plan, costs) for plan in plans}
-            row[y] = _cheapest(list(loss.values()), costs.c_fail, plans)
+            # an outcome that contradicts the prior action leaves no choice
+            row[y] = (_cheapest(list(loss.values()), costs.c_fail, plans) if len(plans) > 1
+                      else (prior_plan, loss[prior_plan]))
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
             value += p_y * (loss[prior_plan] - row[y][1])

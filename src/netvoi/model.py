@@ -137,6 +137,8 @@ class FormulaTree(StructureFunction):
             node = stack.pop()
             nodes.append(node)
             if not isinstance(node, ComponentRef):
+                if not node.parts:
+                    raise ValueError(f"composite {node!r} has no parts")
                 stack.extend(node.parts)
         self._nodes = tuple(reversed(nodes))
         indices = [node.index for node in self._nodes if isinstance(node, ComponentRef)]

@@ -15,7 +15,10 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     posterior_action_table, repair_cost,
                     series, series_pair_policy, system_failure_prob,
                     voi_heuristic, voi_local)
-from netvoi.distributions import JointDistribution, _reweight_blocks
+import netvoi.local_metrics as local_metrics
+from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
+from netvoi.inference import ALARM, SILENCE, _likelihood, _outcomes, posterior_given_observation
+from netvoi.local_metrics import _cheapest, _split_risks, _steps
 from netvoi.model import _bit_sums
 from netvoi.scenario import parse_scenario_file
 
@@ -171,6 +174,118 @@ def test_product_belief_matches_its_explicit_table():
             explicit = Explicit(dist.pmf_vector())
             assert np.allclose(plan_failure_risks(net, dist),
                                plan_failure_risks(net, explicit), rtol=0.0, atol=1e-14)
+
+
+def local_by_posteriors(net, dist, insp, costs):
+    """Prior plan and (silence row, alarm row, value) of each component, by
+    re-optimising on each ``posterior_given_observation``: the reference route."""
+    prior_plan, prior_loss = optimal_plan(net, dist, costs)
+    rows = []
+    for i in range(net.n_components):
+        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        value = 0.0
+        for y, p_y in _outcomes(dist, i, insp):
+            losses = plan_losses(net, posterior_given_observation(dist, i, y, insp), costs)
+            row[y] = _cheapest(losses, costs.c_fail)
+            value += p_y * (float(losses[prior_plan]) - row[y][1])
+        rows.append((row[SILENCE], row[ALARM], value))
+    return prior_plan, rows
+
+
+def assert_local_matches_posteriors(net, dist, insp, costs):
+    report = voi_local(net, dist, insp, costs)
+    prior_plan, rows = local_by_posteriors(net, dist, insp, costs)
+    assert report.prior_plan == prior_plan
+    table = report.action_table
+    for i, (silence, alarm, value) in enumerate(rows):
+        assert (table.silence_plans[i], table.alarm_plans[i]) == (silence[0], alarm[0]), i
+        assert table.silence_losses[i] == pytest.approx(silence[1], rel=1e-12)
+        assert table.alarm_losses[i] == pytest.approx(alarm[1], rel=1e-12)
+        assert report.voi[i] == pytest.approx(value, rel=1e-9, abs=1e-15)
+
+
+def split_beliefs(kind, rng):
+    """Beliefs whose inspected block is a chunk, a scattered group, a full table or a wide block."""
+    if kind == "independent":  # fused chunks
+        return [Independent(rng.uniform(0.05, 0.95, size=6))]
+    if kind == "groups":  # a scattered three-member group takes the lattice
+        return [CommonCauseGroups([Group((0, 2, 5), 0.2, 0.4), Group((1, 3), 0.3, 0.2),
+                                   Group((4,), 0.1)])]
+    if kind == "explicit":  # one block as wide as the network
+        return [Explicit(w / w.sum())
+                for w in (rng.uniform(0.01, 1.0, size=1 << n) for n in (5, 6, 7))]
+    wide = rng.uniform(0.01, 1.0, size=32)  # a 5-bit block, members out of bit order
+    return [JointDistribution([((6, 0, 3, 2, 5), _frozen(wide / wide.sum())),
+                               ((1,), _frozen([0.3, 0.7])), ((4,), _frozen([0.15, 0.85]))])]
+
+
+@pytest.mark.parametrize("insp", [PERFECT_INSPECTION, InspectionModel(0.05, 0.1)],
+                         ids=["perfect", "noisy"])
+@pytest.mark.parametrize("kind", ["independent", "groups", "explicit", "mixed"])
+def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
+    rng = np.random.default_rng(43)
+    for dist in split_beliefs(kind, rng):
+        n = dist.n_components
+        net = random_network(rng, n)
+        prior = plan_failure_risks(net, dist)
+        masks = np.arange(1 << n)
+        unit = LocalCostModel.uniform(n, 1.0, 0.0)  # brute-force losses are the risks
+        seen = []
+        for i, risks, masses in _split_risks((~net.truth_table()).astype(float), _steps(dist)):
+            seen.append(i)
+            np.testing.assert_allclose(risks[0] + risks[1], prior, rtol=1e-12, atol=0.0)
+            for y in (SILENCE, ALARM):
+                w = _likelihood(i, y, insp)
+                z = w[0] * masses[0] + w[1] * masses[1]
+                np.testing.assert_allclose(
+                    (w[0] * risks[0] + w[1] * risks[1]) / z,
+                    plan_failure_risks(net, posterior_given_observation(dist, i, y, insp)),
+                    rtol=1e-12, atol=0.0)
+            for state in (0, 1):
+                restricted = dist.pmf_vector() * (((masks >> i) & 1) == state)
+                np.testing.assert_allclose(risks[state], masses[state] * brute_force_plan_risks(
+                    net, Explicit(restricted / restricted.sum()), unit), rtol=1e-12, atol=0.0)
+        assert sorted(seen) == list(range(n))
+        assert_local_matches_posteriors(net, dist, insp, LocalCostModel(
+            1.0, rng.uniform(0.01, 0.3, size=n)))
+
+
+def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half():
+    # under false alarms the alarm has positive probability, but the risks
+    # restricted to the component failed are all zero: the alarm row comes
+    # from the working half alone, with no ConditioningError
+    insp = InspectionModel(0.1, 0.05)
+    net = Network(FormulaTree(series(0, parallel(1, 2), 3, parallel(4, 5))))
+    probs = [0.0, 0.3, 0.2, 0.1, 0.4, 0.25]
+    costs = LocalCostModel(1.0, (0.05, 0.1, 0.02, 0.08, 0.03, 0.06))
+    # the component in a fused chunk, and in a 6-bit lattice block
+    for dist in (Independent(probs), Explicit(Independent(probs).pmf_vector())):
+        assert _outcomes(dist, 0, insp)[1] == (ALARM, pytest.approx(0.1, rel=1e-12))
+        splits = _split_risks((~net.truth_table()).astype(float), _steps(dist))
+        _, risks, masses = next(s for s in splits if s[0] == 0)
+        assert masses[0] == 0.0 and not risks[0].any()
+        assert_local_matches_posteriors(net, dist, insp, costs)
+
+
+def test_local_metric_sweeps_each_component_once(monkeypatch):
+    # one (N-1)-bit split sweep per component plus the prior's N-bit sweep,
+    # not two N-bit posterior sweeps per component
+    leaves = []
+    sweep = local_metrics._sweep
+
+    def counted(p, f, r, plan, out):
+        if r <= local_metrics.CHUNK_BITS:
+            leaves.append(r)
+        sweep(p, f, r, plan, out)
+
+    monkeypatch.setattr(local_metrics, "_sweep", counted)
+    rng = np.random.default_rng(47)
+    n = 7
+    w = rng.uniform(0.01, 1.0, size=1 << n)
+    voi_local(random_network(rng, n), Explicit(w / w.sum()), InspectionModel(0.05, 0.1),
+              LocalCostModel.uniform(n, 1.0, 0.05))
+    leaves_of = lambda bits: 1 << (bits - local_metrics.CHUNK_BITS)  # noqa: E731
+    assert len(leaves) == leaves_of(n) + n * leaves_of(n - 1)
 
 
 def test_cost_model_validation():

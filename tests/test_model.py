@@ -7,6 +7,7 @@ import pytest
 
 from netvoi import (FormulaTree, InvalidStateError, Network, NonMonotoneError,
                     STGraph, SizeCapError, TruthTable, parallel, series)
+from netvoi.model import ComponentRef, ParallelNode, SeriesNode
 
 from conftest import make_three_branch, random_network
 
@@ -51,6 +52,16 @@ def test_formula_each_component_exactly_once():
         FormulaTree(series(0, parallel(1, 0)))
     with pytest.raises(ValueError):
         FormulaTree(series(0, 2))  # gap at index 1
+
+
+def test_formula_composite_without_parts_rejected():
+    # series() and parallel() refuse no parts; nodes built directly are
+    # checked by the tree, which names the empty node
+    for empty in (SeriesNode(()), ParallelNode(())):
+        message = rf"composite {type(empty).__name__}\(parts=\(\)\) has no parts"
+        for root in (ParallelNode((ComponentRef(0), empty)), SeriesNode((empty,)), empty):
+            with pytest.raises(ValueError, match=message):
+                FormulaTree(root)
 
 
 def test_truth_table_matches_formula_on_all_states():
