@@ -18,7 +18,7 @@ import sys
 from .distributions import system_failure_prob
 from .errors import NetvoiError, ScenarioError, SizeCapError
 from .global_metrics import importance_measures, rank_global
-from .inference import InspectionModel, posterior_interval
+from .inference import InspectionModel, _intervals, _reported
 from .local_metrics import _voi_heuristic, posterior_action_table, voi_heuristic, voi_local
 from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
@@ -135,10 +135,8 @@ def _table(args, header, rows, head=(), tail=()) -> str:
 
 def _cmd_intervals(args) -> int:
     doc, net, dist, insp = _load(args)
-    rows = []
-    for i, name in enumerate(net.names):
-        iv = posterior_interval(net, dist, i, insp)
-        rows.append((name, iv.lo, iv.hi, iv.prior, iv.alarm_prob))
+    intervals = [_reported(iv, dist, i, insp) for i, iv in enumerate(_intervals(net, dist, insp))]
+    rows = [(name, iv.lo, iv.hi, iv.prior, iv.alarm_prob) for name, iv in zip(net.names, intervals)]
     _emit(_table(args, ("component", "silence_posterior", "alarm_posterior", "prior",
                         "alarm_probability"), rows), args)
     return EXIT_OK

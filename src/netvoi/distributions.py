@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import ConditioningError
-from .model import _bit_sums, _halves, check_state
+from .model import _bit_sums, _check_sizes, _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
 # Bits of one sampling chunk, drawn with one uniform: its cdf and masks take 64 KB.
@@ -76,8 +76,10 @@ class JointDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
-        if self._chunks is None:
-            self._chunks = _sampling_chunks(self._blocks)
+        if self._chunks is None:  # (cdf, mask of each state) of each ``SAMPLE_BITS`` product
+            self._chunks = tuple((np.append(np.cumsum(table)[:-1], 1.0),
+                                  _bit_sums([1 << b for b in bits]))
+                                 for bits, table in _fuse(self._blocks, SAMPLE_BITS))
         u = rng.random((size, len(self._chunks)))
         draws = (masks[np.searchsorted(cdf, u[:, c], side="right")]
                  for c, (cdf, masks) in enumerate(self._chunks))
@@ -106,25 +108,20 @@ def _product_table(blocks, bits) -> np.ndarray:
     return v.reshape(-1)
 
 
-def _sampling_chunks(blocks) -> tuple:
-    """(cdf, mask of each state) of every sampling chunk.
+def _fuse(blocks, width: int) -> list:
+    """Products of ``blocks`` up to ``width`` bits, as (ascending bits, ``_product_table``).
 
-    Blocks, by lowest member, join the open chunk unless that takes it past
-    ``SAMPLE_BITS`` bits, so a wider block is a chunk alone. A chunk's states
-    index its members in ascending bit order.
+    Blocks, by lowest member, join the open product unless that takes it
+    past ``width`` bits, so a wider block is a product alone. The plan-risk
+    engine fuses its steps this way, and ``sample`` its chunks.
     """
     runs = [[]]
     for block in sorted(blocks, key=lambda b: min(b[0])):
-        if runs[-1] and len(sum((m for m, _ in runs[-1]), block[0])) > SAMPLE_BITS:
+        if runs[-1] and len(sum((m for m, _ in runs[-1]), block[0])) > width:
             runs.append([])
         runs[-1].append(block)
-    chunks = []
-    for run in runs:
-        bits = sorted(sum((members for members, _ in run), ()))
-        cdf = np.cumsum(_product_table(run, bits))
-        cdf[-1] = 1.0
-        chunks.append((cdf, _bit_sums([1 << b for b in bits])))
-    return tuple(chunks)
+    bits = [tuple(sorted(sum((members for members, _ in run), ()))) for run in runs]
+    return [(b, _product_table(run, b)) for b, run in zip(bits, runs)]
 
 
 def _frozen(values) -> np.ndarray:
@@ -247,8 +244,7 @@ class CommonCauseGroups(JointDistribution):
 
 def system_failure_prob(net, dist: JointDistribution) -> float:
     """Exact probability that the system is down, by full enumeration."""
-    if net.n_components != dist.n_components:
-        raise ValueError("network and distribution disagree on the component count")
+    _check_sizes(net, dist)
     table = net.truth_table()
     # an explicit table sums to 1 only within EXPLICIT_SUM_TOL
     return min(float(dist.pmf_vector()[~table].sum()), 1.0)

@@ -14,7 +14,7 @@ from enum import Enum
 from .distributions import JointDistribution, _reweight_blocks
 from .errors import (ConditioningError, DegenerateObservationError,
                      IncomparableIntervalsError)
-from .model import _halves
+from .model import _check_sizes, _halves
 
 ALARM = 0
 SILENCE = 1
@@ -47,12 +47,20 @@ class InspectionModel:
     def __post_init__(self):
         fa, fa_scalar = _normalize_rates(self.eps_fa, "false-alarm rate")
         fs, fs_scalar = _normalize_rates(self.eps_fs, "false-silence rate")
+        if not (fa_scalar or fs_scalar) and len(fa) != len(fs):
+            raise ValueError(f"{len(fa)} false-alarm rates but {len(fs)} false-silence rates")
         object.__setattr__(self, "eps_fa", fa[0] if fa_scalar else fa)
         object.__setattr__(self, "eps_fs", fs[0] if fs_scalar else fs)
 
     @property
     def uniform(self) -> bool:
         return isinstance(self.eps_fa, float) and isinstance(self.eps_fs, float)
+
+    @property
+    def n_components(self) -> int | None:
+        """Components the per-component rates cover; None when both rates are uniform."""
+        rates = [r for r in (self.eps_fa, self.eps_fs) if isinstance(r, tuple)]
+        return len(rates[0]) if rates else None
 
     def fa(self, i: int) -> float:
         return self.eps_fa if isinstance(self.eps_fa, float) else self.eps_fa[i]
@@ -109,11 +117,12 @@ def _failure_masses(net, dist: JointDistribution) -> tuple:
     return pmf, pmf * ~net.truth_table()
 
 
-def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel) -> float:
+def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel):
     """Posterior mean, after outcome y on component i, of a quantity with prior masses ``mass``.
 
     ``prob`` and ``mass`` are split by the state of component i (``_halves``):
     the likelihood only reweights the two halves, so no posterior is formed.
+    The halves of ``mass`` may be arrays, such as ``voi_local``'s plan risks.
     """
     w_failed, w_working = _likelihood(i, y, insp)
     total = w_failed * prob[0] + w_working * prob[1]
@@ -123,6 +132,7 @@ def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel) -> float:
 
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
+    _check_sizes(net, dist, insp)
     pmf, mass = _failure_masses(net, dist)
     return _posterior_mean(_halves(pmf, i), _halves(mass, i), i, y, insp)
 
@@ -150,27 +160,35 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     The prior is their mixture by the alarm probability, so it costs no
     pass of its own.
     """
-    outcomes = _outcomes(dist, i, insp)
-    if not outcomes:  # one of the two posteriors does not exist
-        raise DegenerateObservationError(f"inspecting component {i} has a certain outcome "
-                                         f"(alarm probability {alarm_probability(dist, i, insp)})")
-    return _interval(*_failure_masses(net, dist), i, insp, outcomes)
+    _check_sizes(net, dist, insp)
+    return _reported(_interval(*_failure_masses(net, dist), dist, i, insp), dist, i, insp)
 
 
 def _intervals(net, dist, insp: InspectionModel) -> list:
-    """Posterior interval of each component; None where the outcome is certain."""
+    """Posterior interval of each component from one ``_failure_masses``; None where certain."""
+    _check_sizes(net, dist, insp)
     pmf, mass = _failure_masses(net, dist)
-    outcomes = [_outcomes(dist, i, insp) for i in range(net.n_components)]
-    return [_interval(pmf, mass, i, insp, o) if o else None for i, o in enumerate(outcomes)]
+    return [_interval(pmf, mass, dist, i, insp) for i in range(net.n_components)]
 
 
-def _interval(pmf, mass, i, insp, outcomes) -> PosteriorInterval:
-    """Interval of component i, whose ``_outcomes`` are not (), from ``_failure_masses``."""
+def _interval(pmf, mass, dist, i, insp) -> PosteriorInterval | None:
+    """Interval of component i from ``_failure_masses``; None when its outcome is certain."""
+    outcomes = _outcomes(dist, i, insp)
+    if not outcomes:
+        return None
     h = outcomes[1][1]
     prob, fail = _halves(pmf, i), _halves(mass, i)
     lo, hi = (_posterior_mean(prob, fail, i, y, insp) for y, _ in outcomes)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
+
+
+def _reported(interval, dist, i, insp) -> PosteriorInterval:
+    """``interval`` of component i, unless a certain outcome left it None: then raise."""
+    if interval is None:  # one of the two posteriors does not exist
+        raise DegenerateObservationError(f"inspecting component {i} has a certain outcome "
+                                         f"(alarm probability {alarm_probability(dist, i, insp)})")
+    return interval
 
 
 class Dominance(Enum):
@@ -180,10 +198,9 @@ class Dominance(Enum):
     NOT_NESTED = "not-nested"
 
 
-def interval_dominates(a: PosteriorInterval, b: PosteriorInterval,
-                       prior_tol: float = PRIOR_MATCH_TOL) -> Dominance:
+def interval_dominates(a: PosteriorInterval, b: PosteriorInterval) -> Dominance:
     """Which interval contains the other; equal endpoints count both ways."""
-    if abs(a.prior - b.prior) > prior_tol:
+    if abs(a.prior - b.prior) > PRIOR_MATCH_TOL:
         raise IncomparableIntervalsError(
             f"priors differ ({a.prior} vs {b.prior}); intervals are not comparable"
         )

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution
+from .distributions import Independent, JointDistribution, _fuse
 from .errors import InfeasibleCorrelationError, NotApplicableError
-from .inference import (ALARM, SILENCE, InspectionModel, _likelihood, _outcomes,
-                        _posterior_mean)
-from .model import _bit_sums, _bits, _halves, check_state
+from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean
+from .model import _bit_sums, _bits, _check_sizes, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport
 
 FRECHET_TOL = 1e-12
@@ -28,8 +27,8 @@ TIE_TOL = 1e-12
 # lowest-mask rule actually bites.
 PLAN_TIE_RTOL = 1e-9
 # Bits one dense plan-risk operator covers: a 2^W x 2^W matrix, one matmul.
-# Adjacent small blocks fuse into chunks of this width; wider or scattered
-# blocks recurse on the restriction lattice down to operators of this width.
+# Small blocks fuse into steps of this width; a step on adjacent bits is one
+# matmul, any other recurses on the restriction lattice down to this width.
 CHUNK_BITS = 4
 
 
@@ -69,17 +68,10 @@ def repair_cost(plan: int, costs: LocalCostModel) -> float:
     return total
 
 
-def _check_setup(net, dist, costs):
-    if net.n_components != dist.n_components:
-        raise ValueError("network and distribution disagree on the component count")
-    if costs.n_components != net.n_components:
-        raise ValueError("cost model and network disagree on the component count")
-
-
 def plan_expected_loss(net, dist: JointDistribution, plan: int,
                        costs: LocalCostModel) -> float:
     """Residual failure risk after the plan plus its repair bill, by plan-by-state enumeration."""
-    _check_setup(net, dist, costs)
+    _check_sizes(net, dist, costs)
     check_state(plan, net.n_components)
     table = net.truth_table()
     masks = np.arange(table.size, dtype=np.int64)
@@ -92,49 +84,32 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
 
     Plan risk is linear in the pmf, and a product of independent blocks
     makes it a product of per-block operators on the failure indicator
-    (``_steps``). Blocks on adjacent bits fuse into chunks of up to
-    ``CHUNK_BITS`` bits, each applied as one dense 2^w x 2^w matrix: 2^N * 2^w
-    multiply-adds per chunk, so Theta(N 2^N) for independent components. A
-    wider or scattered block runs the restriction-lattice sweep along its own
-    bits, vectorised over all other bits: Theta(2^N * 1.5^k) for k bits, so
-    Theta(3^N) for an explicit table, instead of the Theta(4^N) plan-by-state
-    enumeration. Posteriors after one inspection need no run of their own:
-    ``voi_local`` reweights this vector's two halves split by the inspected
-    component (``_split_risks``).
+    (``_steps``). Blocks fuse into steps of up to ``CHUNK_BITS`` bits; a step
+    on adjacent bits applies as one dense 2^w x 2^w matrix: 2^N * 2^w
+    multiply-adds per step, so Theta(N 2^N) for independent components. A
+    wider block, or a step on scattered bits, runs the restriction-lattice
+    sweep along its own bits, vectorised over all other bits: Theta(2^N * 1.5^k)
+    for k bits, so Theta(3^N) for an explicit table, instead of the Theta(4^N)
+    plan-by-state enumeration. Posteriors after one inspection need no run of
+    their own: ``voi_local`` reweights this vector's two halves split by the
+    inspected component (``_split_risks``).
     """
-    if dist.n_components != net.n_components:
-        raise ValueError("network and distribution disagree on the component count")
+    _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
 
 
 def _fuses(members) -> bool:
-    """Whether a block is dense: at most ``CHUNK_BITS`` adjacent bits in ascending order."""
-    return len(members) <= CHUNK_BITS and members == tuple(range(members[0],
-                                                                 members[0] + len(members)))
+    """Whether a step is dense: at most ``CHUNK_BITS`` adjacent bits, ascending."""
+    return len(members) <= CHUNK_BITS and members[-1] - members[0] == len(members) - 1
 
 
 def _steps(dist: JointDistribution) -> list:
-    """The engine's operators for ``dist``, in the order they apply, as (bits, weights).
-
-    Dense blocks on adjacent bits fuse into chunks of up to ``CHUNK_BITS``
-    bits; every other block is a step of its own.
-    """
-    steps, bits, chunk = [], (), None  # pending chunk: weights over ``bits``
-    for members, table in sorted(dist.blocks(), key=lambda block: min(block[0])):
-        if not _fuses(members):
-            steps.append((members, table))
-        elif bits and members[0] == bits[-1] + 1 and len(bits) + len(members) <= CHUNK_BITS:
-            # a product of independent blocks is itself a block
-            bits, chunk = bits + members, np.multiply.outer(table, chunk).reshape(-1)
-        else:
-            if bits:
-                steps.append((bits, chunk))
-            bits, chunk = members, table
-    return steps + [(bits, chunk)] if bits else steps
+    """The engine's operators for ``dist`` as (bits, weights): its ``CHUNK_BITS`` products."""
+    return _fuse(dist.blocks(), CHUNK_BITS)
 
 
 def _risks(risk: np.ndarray, steps) -> np.ndarray:
-    """Apply each step to ``risk``: a chunk as one matmul, any other block by the lattice sweep."""
+    """Apply each step to ``risk``: a dense one as one matmul, any other by the lattice sweep."""
     for members, table in steps:
         risk = (_apply_chunk(risk, members[0], table) if _fuses(members)
                 else _apply_block(risk, members, table))
@@ -247,7 +222,7 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
 
 def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarray:
     """Expected loss of every plan mask under the current belief."""
-    _check_setup(net, dist, costs)
+    _check_sizes(net, dist, costs)
     return costs.c_fail * plan_failure_risks(net, dist) + _bit_sums(costs.c_repair)
 
 
@@ -295,7 +270,7 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     (``_split_risks``); for a k-bit lattice block that is one batched
     (k-1)-bit sweep, not a k-bit sweep of each ``posterior_given_observation``.
     """
-    _check_setup(net, dist, costs)
+    _check_sizes(net, dist, insp, costs)
     steps = _steps(dist)
     fail = (~net.truth_table()).astype(np.float64)
     repair = _bit_sums(costs.c_repair)
@@ -306,9 +281,8 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
         for y, p_y in _outcomes(dist, i, insp):
-            w_failed, w_working = _likelihood(i, y, insp)
-            z = w_failed * m_failed + w_working * m_working
-            losses = costs.c_fail * ((w_failed * r_failed + w_working * r_working) / z) + repair
+            risks = _posterior_mean((m_failed, m_working), (r_failed, r_working), i, y, insp)
+            losses = costs.c_fail * risks + repair
             row[y] = _cheapest(losses, costs.c_fail)
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan adds exactly 0
@@ -332,6 +306,7 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
 
 def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
     """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
+    _check_sizes(net, dist, insp, costs)
     pmf = dist.pmf_vector()
     fail = ~net.truth_table()
     masks = np.arange(fail.size, dtype=np.int64)
@@ -409,8 +384,7 @@ def cumulative_approx_voi(dist: JointDistribution, costs: LocalCostModel) -> tup
     """
     if not isinstance(dist, Independent):
         raise NotApplicableError("the additive-risk shortcut needs independent components")
-    if costs.n_components != dist.n_components:
-        raise ValueError("cost model and distribution disagree on the component count")
+    _check_sizes(dist, costs)
     out = []
     for p, c_r in zip(dist.failure_probs, costs.c_repair):
         out.append(min(p * costs.c_fail, c_r) - p * c_r)

@@ -26,6 +26,15 @@ def check_state(state: int, n_components: int) -> None:
         )
 
 
+def _check_sizes(*models) -> None:
+    """Raise a ValueError unless the models agree on ``n_components``; None fits any count."""
+    sized = [(type(m).__name__, m.n_components) for m in models if m.n_components is not None]
+    name, n = sized[0]
+    for other, count in sized[1:]:
+        if count != n:
+            raise ValueError(f"{name} has {n} components but {other} has {count}")
+
+
 @dataclass(frozen=True)
 class ComponentRef:
     """Formula leaf referring to one component by index."""
@@ -134,11 +143,14 @@ class FormulaTree(StructureFunction):
         root = _as_node(root)
         nodes, stack = [], [root]
         while stack:  # root first, each node's parts last to first: post-order reversed
-            node = stack.pop()
+            node = _as_node(stack.pop())
             nodes.append(node)
-            if not isinstance(node, ComponentRef):
-                if not node.parts:
-                    raise ValueError(f"composite {node!r} has no parts")
+            if isinstance(node, ComponentRef):
+                if node.index < 0:
+                    raise ValueError(f"component index {node.index} is negative")
+            elif not node.parts:
+                raise ValueError(f"composite {node!r} has no parts")
+            else:
                 stack.extend(node.parts)
         self._nodes = tuple(reversed(nodes))
         indices = [node.index for node in self._nodes if isinstance(node, ComponentRef)]
@@ -150,7 +162,7 @@ class FormulaTree(StructureFunction):
             raise ValueError("formula references no components")
         n = max(indices) + 1
         missing = sorted(set(range(n)) - set(indices))
-        if missing or min(indices) < 0:
+        if missing:
             raise ValueError(
                 f"component indices must cover 0..{n - 1} exactly; missing {missing}"
             )

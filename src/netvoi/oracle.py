@@ -20,6 +20,7 @@ import numpy as np
 from .distributions import JointDistribution
 from .errors import SizeCapError
 from .local_metrics import LocalCostModel, plan_expected_loss
+from .model import _check_sizes
 
 N_BATCHES = 32
 BRUTE_FORCE_CAP = 12
@@ -61,8 +62,7 @@ def _batched_mean(values_per_batch, sizes):
 def mc_system_failure(net, dist: JointDistribution,
                       cfg: SimulationConfig) -> tuple[float, float]:
     """Monte Carlo estimate of the system failure probability, with stderr."""
-    if net.n_components != dist.n_components:
-        raise ValueError("network and distribution disagree on the component count")
+    _check_sizes(net, dist)
     table = net.truth_table()
     sizes = _batch_sizes(cfg.n_samples)
     batches = []
@@ -77,14 +77,12 @@ def brute_force_plan_risks(net, dist: JointDistribution,
     """Expected loss of every plan by plain plan-by-state enumeration.
 
     Reference for the plan-risk engine in netvoi.local_metrics: one
-    ``plan_expected_loss`` per plan, capped at 12 components because the
-    enumeration is Theta(4^N).
+    ``plan_expected_loss`` per plan, which checks the sizes, capped at 12
+    components because the enumeration is Theta(4^N).
     """
     n = net.n_components
     if n > BRUTE_FORCE_CAP:
         raise SizeCapError(
             f"brute-force plan enumeration is capped at {BRUTE_FORCE_CAP} components"
         )
-    if dist.n_components != n or costs.n_components != n:
-        raise ValueError("component counts disagree")
     return np.array([plan_expected_loss(net, dist, plan, costs) for plan in range(1 << n)])

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from netvoi import distributions
+from netvoi import distributions, inference
 from netvoi.cli import run_command
 from netvoi.output import format_number
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
@@ -113,6 +113,18 @@ def test_intervals_output(capsys):
     assert float(rows["c1"][2]) == pytest.approx(0.200, abs=0.0005)
     assert float(rows["c2"][1]) == pytest.approx(0.0052, abs=0.0005)
     assert float(rows["c2"][2]) == pytest.approx(0.0338, abs=0.0005)
+
+
+@pytest.mark.parametrize("name", ["layered16.json", "substation.json", "crossed_pair.json"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_intervals_form_the_failure_mass_once(capsys, monkeypatch, name, fmt):
+    calls = []
+    masses = inference._failure_masses
+    monkeypatch.setattr(inference, "_failure_masses",
+                        lambda net, dist: calls.append(net) or masses(net, dist))
+    code, out, err = run(capsys, "intervals", scenario_path(name), "--format", fmt)
+    assert (code, err) == (0, "") and out
+    assert len(calls) == 1
 
 
 def test_eps_override_changes_ranking(capsys):
@@ -262,9 +274,9 @@ def test_certain_outcome_is_worth_zero_in_every_command(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", str(path), "--output", str(tmp_path / "chart.svg"))
     assert code == 0
     # an interval prints both posteriors, and one of them does not exist
-    code, _, err = run(capsys, "intervals", str(path))
-    assert code == 1
-    assert "certain outcome" in err
+    code, out, err = run(capsys, "intervals", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: inspecting component 0 has a certain outcome (alarm probability 0.0)\n"
 
 
 def test_failure_mass_summing_past_1_is_a_certain_failure(tmp_path, capsys):

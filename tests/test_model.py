@@ -5,8 +5,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from netvoi import (FormulaTree, InvalidStateError, Network, NonMonotoneError,
-                    STGraph, SizeCapError, TruthTable, parallel, series)
+from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
+                    InvalidStateError, LocalCostModel, Network, NonMonotoneError,
+                    QuadraticLoss, SimulationConfig, SizeCapError, STGraph, TruthTable,
+                    brute_force_plan_risks, importance_measures, mc_system_failure, parallel,
+                    plan_failure_risks, posterior_interval, posterior_system_failure,
+                    rank_global, series, system_failure_prob, voi_global, voi_heuristic,
+                    voi_local)
 from netvoi.model import ComponentRef, ParallelNode, SeriesNode
 
 from conftest import make_three_branch, random_network
@@ -62,6 +67,27 @@ def test_formula_composite_without_parts_rejected():
         for root in (ParallelNode((ComponentRef(0), empty)), SeriesNode((empty,)), empty):
             with pytest.raises(ValueError, match=message):
                 FormulaTree(root)
+
+
+@pytest.mark.parametrize("root, built", [
+    (SeriesNode((0, 1)), series(0, 1)),
+    (ParallelNode((SeriesNode((0, 1)), 2)), parallel(series(0, 1), 2)),
+])
+def test_formula_parts_built_directly_read_as_series_and_parallel_do(root, built):
+    # a raw index among a node's parts is a component reference, as in series()
+    assert np.array_equal(FormulaTree(root).truth_table(), FormulaTree(built).truth_table())
+
+
+@pytest.mark.parametrize("root, error, message", [
+    (ComponentRef(-1), ValueError, r"component index -1 is negative"),
+    (SeriesNode((ComponentRef(0), ComponentRef(-2))), ValueError,
+     r"component index -2 is negative"),
+    (SeriesNode((0, 1.5)), TypeError, r"cannot use 1\.5 in a structure formula"),
+    (ParallelNode((0, True)), TypeError, r"cannot use True in a structure formula"),
+])
+def test_formula_rejects_a_bad_part_by_name(root, error, message):
+    with pytest.raises(error, match=message):
+        FormulaTree(root)
 
 
 def test_truth_table_matches_formula_on_all_states():
@@ -224,3 +250,72 @@ def test_formula_nested_far_past_the_recursion_limit():
     tree = FormulaTree(node)
     assert tree.truth_table().tolist() == [False, True]
     assert tree.evaluate(1) == 1
+
+
+# One size check guards every entry point: a network, a belief, a cost model
+# and per-component inspection rates must agree on the component count.
+
+_SIZED = {
+    "posterior_interval": lambda net, dist, insp, costs: posterior_interval(net, dist, 0, insp),
+    "posterior_system_failure":
+        lambda net, dist, insp, costs: posterior_system_failure(net, dist, 0, ALARM, insp),
+    "voi_global": lambda net, dist, insp, costs: voi_global(net, dist, 0, insp, QuadraticLoss()),
+    "rank_global": lambda net, dist, insp, costs: rank_global(net, dist, insp, QuadraticLoss()),
+    "importance_measures": lambda net, dist, insp, costs: importance_measures(net, dist, insp),
+    "voi_local": lambda net, dist, insp, costs: voi_local(net, dist, insp, costs),
+    "voi_heuristic": lambda net, dist, insp, costs: voi_heuristic(net, dist, insp, costs),
+    "plan_failure_risks": lambda net, dist, insp, costs: plan_failure_risks(net, dist),
+    "system_failure_prob": lambda net, dist, insp, costs: system_failure_prob(net, dist),
+    "mc_system_failure":
+        lambda net, dist, insp, costs: mc_system_failure(net, dist, SimulationConfig(10)),
+    "brute_force_plan_risks": lambda net, dist, insp, costs: brute_force_plan_risks(net, dist,
+                                                                                    costs),
+}
+_NET3 = Network(FormulaTree(parallel(series(0, 1), 2)))
+_DIST3 = Independent([0.1, 0.2, 0.3])
+_COSTS3 = LocalCostModel.uniform(3, 1.0, 0.1)
+_NOISY = InspectionModel(0.05, 0.1)
+
+
+_WRONG_BELIEFS = [(Independent([0.1, 0.2, 0.3, 0.4]), "Independent has 4"),
+                  (Explicit([0.5, 0.5]), "Explicit has 1")]
+_WRONG_COSTS = LocalCostModel.uniform(2, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("name, dist, costs, message", [
+    (name, dist, _COSTS3, message) for name in _SIZED for dist, message in _WRONG_BELIEFS
+] + [
+    (name, _DIST3, _WRONG_COSTS, "LocalCostModel has 2")
+    for name in ("voi_local", "voi_heuristic", "brute_force_plan_risks")
+])
+def test_a_belief_or_cost_model_of_the_wrong_size_raises_one_error(name, dist, costs, message):
+    with pytest.raises(ValueError, match=f"^Network has 3 components but {message}$"):
+        _SIZED[name](_NET3, dist, _NOISY, costs)
+
+
+_RATED = ("posterior_interval", "posterior_system_failure", "voi_global", "rank_global",
+          "importance_measures", "voi_local", "voi_heuristic")
+
+
+@pytest.mark.parametrize("name", _RATED)
+@pytest.mark.parametrize("eps_fa, eps_fs, count", [
+    ((0.1, 0.2, 0.3, 0.4), 0.0, 4),
+    ((0.1, 0.2), 0.0, 2),
+    (0.0, (0.1, 0.2), 2),
+    ((0.1, 0.2, 0.3, 0.4), (0.0, 0.1, 0.2, 0.3), 4),
+])
+def test_inspection_rates_must_number_the_components(name, eps_fa, eps_fs, count):
+    insp = InspectionModel(eps_fa, eps_fs)
+    assert insp.n_components == count
+    with pytest.raises(ValueError, match=f"^Network has 3 components but InspectionModel "
+                                         f"has {count}$"):
+        _SIZED[name](_NET3, _DIST3, insp, _COSTS3)
+
+
+def test_inspection_rate_lists_must_agree_and_a_full_list_fits():
+    with pytest.raises(ValueError, match="^2 false-alarm rates but 3 false-silence rates$"):
+        InspectionModel((0.1, 0.2), (0.0, 0.1, 0.2))
+    insp = InspectionModel(0.05, (0.0, 0.1, 0.2))
+    assert insp.n_components == 3 and InspectionModel(0.05, 0.1).n_components is None
+    for name in _RATED:
+        _SIZED[name](_NET3, _DIST3, insp, _COSTS3)
