@@ -112,8 +112,9 @@ def _fuse(blocks, width: int) -> list:
     """Products of ``blocks`` up to ``width`` bits, as (ascending bits, ``_product_table``).
 
     Blocks, by lowest member, join the open product unless that takes it
-    past ``width`` bits, so a wider block is a product alone. The plan-risk
-    engine fuses its steps this way, and ``sample`` its chunks.
+    past ``width`` bits, so a wider block is a product alone. A lone block
+    whose members ascend is its own product, and keeps its table. The
+    plan-risk engine fuses its steps this way, and ``sample`` its chunks.
     """
     runs = [[]]
     for block in sorted(blocks, key=lambda b: min(b[0])):
@@ -121,7 +122,8 @@ def _fuse(blocks, width: int) -> list:
             runs.append([])
         runs[-1].append(block)
     bits = [tuple(sorted(sum((members for members, _ in run), ()))) for run in runs]
-    return [(b, _product_table(run, b)) for b, run in zip(bits, runs)]
+    return [(b, run[0][1] if run[0][0] == b else _product_table(run, b))
+            for b, run in zip(bits, runs)]
 
 
 def _frozen(values) -> np.ndarray:

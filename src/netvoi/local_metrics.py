@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import Independent, JointDistribution, _fuse
 from .errors import InfeasibleCorrelationError, NotApplicableError
 from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean
-from .model import _bit_sums, _bits, _check_sizes, _halves, check_state
+from .model import _bit_sums, _check_sizes, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport
 
 FRECHET_TOL = 1e-12
@@ -30,6 +30,9 @@ PLAN_TIE_RTOL = 1e-9
 # Small blocks fuse into steps of this width; a step on adjacent bits is one
 # matmul, any other recurses on the restriction lattice down to this width.
 CHUNK_BITS = 4
+# Times a (-1, 2, 2^b) view of a table: row 0 keeps the states in which the
+# component on bit b has failed, row 1 those in which it works.
+_ONE_HALF = np.eye(2).reshape(2, 1, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,8 @@ def _split_risks(fail: np.ndarray, steps):
         shared = _risks(fail, steps[:s] + steps[s + 1:])
         for bit, i in enumerate(members):
             if _fuses(members):
-                working = _bits(np.arange(table.size), bit)
-                split = (_apply_chunk(shared, members[0], np.where(working, 0.0, table)),
-                         _apply_chunk(shared, members[0], np.where(working, table, 0.0)))
+                halves = (table.reshape(-1, 2, 1 << bit) * _ONE_HALF).reshape(2, -1)
+                split = tuple(_apply_chunk(shared, members[0], half) for half in halves)
             else:
                 # i's bit leads, so the rows of f are i's failed slice, then its working one
                 cube, back = _bits_last(shared, members[:bit] + members[bit + 1:], lead=(i,))

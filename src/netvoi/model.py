@@ -4,10 +4,15 @@ Component states pack into integer masks: bit i carries the state of
 component i, with 1 meaning the component works and 0 that it failed.
 Masks enumerate states in ascending order 0 .. 2^N - 1, so mask 0 is the
 fully failed system and the all-ones mask is the fully working one.
+
+Structures evaluate all masks at once on packed bit columns (``_columns``):
+component i's column is a uint64 array in which bit b of word w holds its
+state in mask 64·w + b, so one ``&`` or ``|`` evaluates 64 masks.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -77,9 +82,27 @@ def parallel(*parts) -> ParallelNode:
     return ParallelNode(tuple(_as_node(p) for p in parts))
 
 
-def _bits(masks: np.ndarray, i: int) -> np.ndarray:
-    """State of component i in each of ``masks``: True where it works."""
-    return ((masks >> i) & 1).astype(bool)
+# Row i is component i's column word for i < 6: bit b is bit i of mask b.
+_WORD_BITS = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                       0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000],
+                      dtype=np.uint64)
+_ALL = ~np.uint64(0)
+
+
+def _columns(n: int) -> np.ndarray:
+    """Packed states of n components over all 2^n masks, as an (n, words) uint64 array.
+
+    Bit b of word w in row i is component i's state in mask 64·w + b. Bits
+    0-5 are constant word patterns; bit i >= 6 is runs of 2^(i-6) zero words
+    then 2^(i-6) all-ones words. Below n = 6 the one word is only partly used.
+    """
+    cols = np.empty((n, max(1, (1 << n) >> 6)), dtype=np.uint64)
+    cols[:6] = _WORD_BITS[:n, None]
+    for i in range(6, n):
+        runs = cols[i].reshape(-1, 2, 1 << (i - 6))
+        runs[:, 0] = 0
+        runs[:, 1] = _ALL
+    return cols
 
 
 def _bit_sums(values) -> np.ndarray:
@@ -106,25 +129,32 @@ def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
 class StructureFunction:
     """Monotone map from component-state masks to the binary system state.
 
-    Subclasses set ``n_components`` and define ``_states``, the system state
-    of each mask in an array; ``evaluate`` is its one-mask case and
-    ``truth_table`` its all-masks case, built once.
+    Subclasses set ``n_components`` and define ``_states``, which maps packed
+    component columns, an (N, words) uint64 array, to the packed system
+    state, one uint64 per word. ``truth_table`` passes the columns of all
+    2^N masks (``_columns``: bit b of word w is mask 64·w + b) and unpacks
+    the result once; ``evaluate`` passes one word per component, whose bit 0
+    is the component's state.
     """
 
     n_components: int
     _table: np.ndarray | None = None
 
-    def _states(self, masks: np.ndarray) -> np.ndarray:
+    def _states(self, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate(self, state: int) -> int:
         check_state(state, self.n_components)
-        return int(self._states(np.array([state], dtype=np.int64))[0])
+        cols = np.array([(state >> i) & 1 for i in range(self.n_components)], dtype=np.uint64)
+        return int(self._states(cols[:, None])[0] & 1)
 
     def truth_table(self) -> np.ndarray:
         """System state for every mask, as a read-only bool vector of length 2^N."""
         if self._table is None:
-            table = self._states(np.arange(1 << self.n_components, dtype=np.int64))
+            words = self._states(_columns(self.n_components))
+            # bit b of a word is byte b // 8 of its little-endian form, bit b % 8
+            table = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                                  bitorder="little")[:1 << self.n_components].view(bool)
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -169,17 +199,17 @@ class FormulaTree(StructureFunction):
         self.root = root
         self.n_components = n
 
-    def _states(self, masks: np.ndarray) -> np.ndarray:
+    def _states(self, cols: np.ndarray) -> np.ndarray:
         values = []  # states of the nodes whose composite is still ahead
         for node in self._nodes:
             if isinstance(node, ComponentRef):
-                values.append(_bits(masks, node.index))
+                values.append(cols[node.index])
                 continue
             cut = len(values) - len(node.parts)
             parts = values[cut:]
             del values[cut:]
-            values.append((np.logical_and if isinstance(node, SeriesNode)
-                           else np.logical_or).reduce(parts))
+            values.append((np.bitwise_and if isinstance(node, SeriesNode)
+                           else np.bitwise_or).reduce(parts))
         return values[0]
 
 
@@ -225,35 +255,50 @@ class STGraph(StructureFunction):
         self.sink = sink
         self.directed = bool(directed)
 
-        self._comp_of = {label: i for i, label in enumerate(comp_labels)}
-        arcs = list(edge_list)
-        if not self.directed:
-            arcs += [(v, u) for u, v in edge_list]
-        self._arcs = tuple(arcs)
+    @functools.cached_property
+    def _arcs(self) -> tuple:
+        """Number of node rows of the reach fixpoint, and its arcs breadth-first from the source.
 
-    def _states(self, masks: np.ndarray) -> np.ndarray:
-        passable = {}
-        reach = {}
-        nodes = {u for arc in self._arcs for u in arc}
-        for label in nodes:
-            i = self._comp_of.get(label)
-            if i is None:
-                passable[label] = np.ones(masks.size, dtype=bool)
-            else:
-                passable[label] = _bits(masks, i)
-            reach[label] = np.zeros(masks.size, dtype=bool)
-        reach[self.source][:] = True
-        # Propagate reachability over all masks at once until a fixpoint;
-        # each full sweep extends every frontier by at least one arc.
-        changed = True
-        while changed:
-            changed = False
-            for u, v in self._arcs:
-                add = reach[u] & passable[v] & ~reach[v]
-                if add.any():
-                    reach[v] |= add
-                    changed = True
-        return reach[self.sink]
+        Row 0 is the source and row 1 the sink. An arc is (tail row, head
+        row, head's component or None for a node that always conducts).
+        Arcs into the source or out of the sink never change whether the
+        sink is reached, nor do arcs out of nodes the source cannot reach,
+        so none is kept.
+        """
+        out = {}
+        for u, v in self.edges:
+            out.setdefault(u, {})[v] = None
+            if not self.directed:
+                out.setdefault(v, {})[u] = None
+        comp_of = {label: i for i, label in enumerate(self.component_nodes)}
+        rows, queue, arcs = {self.source: 0, self.sink: 1}, [self.source], []
+        for u in queue:  # grows while it is read; the sink is never queued
+            for v in out.get(u, ()):
+                if v != self.source:
+                    if v not in rows:
+                        rows[v] = len(rows)
+                        queue.append(v)
+                    arcs.append((rows[u], rows[v], comp_of.get(v)))
+        return len(rows), tuple(arcs)
+
+    def _states(self, cols: np.ndarray) -> np.ndarray:
+        # Propagate reachability over all masks at once until a sweep adds
+        # nothing; each sweep extends every frontier by at least one arc.
+        n_rows, arcs = self._arcs
+        reach = np.zeros((n_rows, cols.shape[1]), dtype=np.uint64)
+        reach[0] = _ALL
+        rows, columns = list(reach), list(cols)
+        before, step = np.empty_like(reach), np.empty_like(rows[0])
+        while True:
+            np.copyto(before, reach)
+            for u, v, i in arcs:
+                if i is None:  # a junction or the sink conducts
+                    np.bitwise_or(rows[v], rows[u], out=rows[v])
+                else:
+                    np.bitwise_and(rows[u], columns[i], out=step)
+                    np.bitwise_or(rows[v], step, out=rows[v])
+            if np.array_equal(before, reach):
+                return rows[1]
 
 
 class TruthTable(StructureFunction):
@@ -275,8 +320,9 @@ class TruthTable(StructureFunction):
         self.n_components = n
         self._table = arr
 
-    def _states(self, masks: np.ndarray) -> np.ndarray:
-        return self._table[masks]
+    def evaluate(self, state: int) -> int:
+        check_state(state, self.n_components)
+        return int(self._table[state])
 
 
 class Network:

@@ -1,5 +1,6 @@
 """Structure functions: evaluation, encodings, and monotonicity."""
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -14,7 +15,7 @@ from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     voi_local)
 from netvoi.model import ComponentRef, ParallelNode, SeriesNode
 
-from conftest import make_three_branch, random_network
+from conftest import make_three_branch, random_formula, random_network
 
 
 def test_two_component_series_evaluation():
@@ -239,6 +240,61 @@ def test_evaluate_is_the_one_mask_case_of_the_truth_table():
             table = structure.truth_table()
             assert not table.flags.writeable
             assert [structure.evaluate(m) for m in range(1 << n)] == table.astype(int).tolist()
+
+
+def formula_works(node, mask):
+    """Whether a formula node works in ``mask``, read straight off the tree."""
+    if isinstance(node, ComponentRef):
+        return bool((mask >> node.index) & 1)
+    states = (formula_works(part, mask) for part in node.parts)
+    return all(states) if isinstance(node, SeriesNode) else any(states)
+
+
+def test_packed_tables_match_one_mask_at_a_time():
+    # N = 1..9 spans a part-used word, exactly one word (N = 6) and several
+    rng = np.random.default_rng(31)
+    for n in range(1, 10):
+        for k in range(6):
+            directed = bool(k % 2)
+            base = random_st_graph(rng, max(n - 1, 1), directed)
+            comps = list(base.component_nodes)
+            # an arc back into the source, and a component on an island with a
+            # junction, which the source cannot reach
+            edges = [*base.edges, (comps[int(rng.integers(len(comps)))], "o")]
+            if n > 1:
+                comps.append("u")
+                edges.append(("u", "island"))
+            graph = STGraph(comps, edges, directed=directed)
+            tree = FormulaTree(random_formula(rng, n))
+            for structure, works in ((graph, lambda m: bfs_works(graph, m)),
+                                     (tree, lambda m: formula_works(tree.root, m))):
+                table = structure.truth_table()
+                assert table.dtype == bool and table.shape == (1 << n,)
+                assert not table.flags.writeable
+                expected = [works(m) for m in range(1 << n)]
+                assert table.tolist() == expected, (n, edges, directed, tree.root)
+                assert [structure.evaluate(m) for m in range(1 << n)] == list(map(int, expected))
+
+
+def test_truth_table_peak_memory_below_16_bytes_per_state():
+    # packed columns hold 64 states a word: no 2^N array of masks is formed
+    n = 20
+    rails = [[f"{r}{k}" for k in range(n // 2)] for r in "ab"]
+    edges = [("o", "a0"), ("o", "b0"), (rails[0][-1], "s"), (rails[1][-1], "s")]
+    edges += [(rail[k], rail[k + 1]) for rail in rails for k in range(n // 2 - 1)]
+    edges += list(zip(*rails))
+    ladder = STGraph(rails[0] + rails[1], edges)
+    four_way = FormulaTree(parallel(*(series(*map(int, part))
+                                      for part in np.array_split(np.arange(n), 4))))
+    for structure in (ladder, four_way):
+        tracemalloc.start()
+        try:
+            table = structure.truth_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.size == 1 << n
+        assert peak < 16 << n, type(structure).__name__
 
 
 def test_formula_nested_far_past_the_recursion_limit():
