@@ -20,7 +20,8 @@ from .errors import ConditioningError
 from .model import _bit_sums, _check_sizes, _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
-# Bits of one sampling chunk, drawn with one uniform: its cdf and masks take 64 KB.
+# Bits of one sampling chunk, drawn with one uniform: its cdf, guide and masks
+# take 96 KB. A smaller chunk's guide still has 2^SAMPLE_BITS buckets.
 SAMPLE_BITS = 12
 
 
@@ -76,13 +77,12 @@ class JointDistribution:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
-        if self._chunks is None:  # (cdf, mask of each state) of each ``SAMPLE_BITS`` product
-            self._chunks = tuple((np.append(np.cumsum(table)[:-1], 1.0),
-                                  _bit_sums([1 << b for b in bits]))
+        if self._chunks is None:  # (cdf, guide, mask of each state) of each ``SAMPLE_BITS`` product
+            self._chunks = tuple((*_search_table(table), _bit_sums([1 << b for b in bits]))
                                  for bits, table in _fuse(self._blocks, SAMPLE_BITS))
         u = rng.random((size, len(self._chunks)))
-        draws = (masks[np.searchsorted(cdf, u[:, c], side="right")]
-                 for c, (cdf, masks) in enumerate(self._chunks))
+        draws = (masks[_indexed_search(cdf, guide, u[:, c])]
+                 for c, (cdf, guide, masks) in enumerate(self._chunks))
         return functools.reduce(np.bitwise_or, draws)
 
     def _check_index(self, i: int) -> None:
@@ -124,6 +124,33 @@ def _fuse(blocks, width: int) -> list:
     bits = [tuple(sorted(sum((members for members, _ in run), ()))) for run in runs]
     return [(b, run[0][1] if run[0][0] == b else _product_table(run, b))
             for b, run in zip(bits, runs)]
+
+
+def _search_table(table) -> tuple:
+    """(cdf, guide) of a weight table, for ``_indexed_search``.
+
+    The cdf is the running sum with its last entry set to 1.0, so every
+    uniform in [0, 1) lands on a state. ``guide[g]`` is the first state
+    whose cdf exceeds g / G, for G = max(states, 2^SAMPLE_BITS) buckets: a
+    power of two, so g / G is exact.
+    """
+    cdf = np.append(np.cumsum(table)[:-1], 1.0)
+    buckets = max(cdf.size, 1 << SAMPLE_BITS)
+    return cdf, np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
+
+
+def _indexed_search(cdf, guide, u) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")``, found by Chen and Asau's indexed search.
+
+    A uniform u in bucket g = floor(u G) lies at or above g / G, so its
+    state is at or after ``guide[g]``; it is ``guide[g]`` itself unless
+    that state's cdf is at most u, and only those few uniforms are
+    searched. u G is exact, as G is a power of two.
+    """
+    idx = guide[(u * guide.size).astype(np.intp)]
+    miss = np.flatnonzero(cdf[idx] <= u)
+    idx[miss] = np.searchsorted(cdf, u[miss], side="right")
+    return idx
 
 
 def _frozen(values) -> np.ndarray:

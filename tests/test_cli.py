@@ -40,6 +40,15 @@ def test_reliability_monte_carlo_mode(capsys):
     assert abs(est - 0.19872) <= 3 * se
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_seed_outside_the_key_range_exits_1(capsys, seed):
+    code, out, err = run(capsys, "reliability", scenario_path("three_branch.json"),
+                         "--mc-samples", "100", "--seed", seed)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: seed {seed} is outside [0, 2**128)\n"
+
+
 def test_rank_local_top_row(capsys):
     code, out, _ = run(capsys, "rank", "--metric", "local",
                        scenario_path("three_branch.json"))

@@ -10,7 +10,8 @@ import pytest
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
                     Group, Independent, JointDistribution, Network, parallel,
                     series, system_failure_prob)
-from netvoi.distributions import SAMPLE_BITS, _reweight, _reweight_blocks, _shared_cause_table
+from netvoi.distributions import (SAMPLE_BITS, _indexed_search, _reweight, _reweight_blocks,
+                                  _search_table, _shared_cause_table)
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
                       make_groups_across_sampling_chunks, random_distribution)
@@ -236,7 +237,38 @@ def test_shared_cause_table_is_the_latent_model(k, p, rho):
     np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("n", [3, 14])
+def _spread_table(n, seed):
+    w = np.random.default_rng(seed).uniform(0.0, 1.0, size=1 << n) ** 3
+    return w / w.sum()
+
+
+def _point_mass(n, at):
+    table = np.zeros(1 << n)
+    table[at] = 1.0
+    return table
+
+
+@pytest.mark.parametrize("table", [
+    np.array([0.0, 0.0, 0.0, 0.25, 0.5, 0.25, 0.0, 0.0]),  # zero weights first and last
+    np.array([0.125, 0.0, 0.0, 0.0, 0.375, 0.0, 0.5, 0.0]),  # and in the middle
+    _point_mass(1, 0), _point_mass(3, 5), _point_mass(6, 63),
+    np.array([0.25, 0.75 + 1e-13, 0.0, 0.0]),  # the cumsum passes 1.0 at state 1
+    np.array([0.1] * 10 + [1e-13] + [0.0] * 5),  # and at state 10
+    _spread_table(6, 1), _spread_table(12, 2), _spread_table(13, 3), _spread_table(14, 4),
+], ids=lambda t: f"{t.size}-states")
+def test_indexed_search_is_the_binary_search(table):
+    cdf, guide = _search_table(table)
+    buckets = guide.size
+    assert buckets == max(table.size, 1 << SAMPLE_BITS)
+    edges = np.arange(buckets) / buckets
+    inner = cdf[cdf < 1.0]
+    u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), inner, np.nextafter(inner, 0.0),
+                        np.nextafter(inner, 1.0), np.random.default_rng(0).random(20_000)])
+    u = u[u < 1.0]
+    assert np.array_equal(_indexed_search(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
+
+
+@pytest.mark.parametrize("n", [3, 13, 14])
 def test_explicit_draws_are_a_plain_inverse_cdf(n):
     rng = np.random.default_rng(n)
     w = rng.uniform(0.0, 1.0, size=1 << n) ** 3

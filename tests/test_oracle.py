@@ -7,10 +7,12 @@ from netvoi import (Explicit, FormulaTree, Independent, LocalCostModel, Network,
                     SimulationConfig, SizeCapError, brute_force_plan_risks,
                     mc_system_failure, parallel, plan_losses, series,
                     system_failure_prob)
+from netvoi.oracle import N_BATCHES, _substream
+from netvoi.scenario import parse_scenario_file
 
 from conftest import (THREE_BRANCH_PROBS, make_crossed_pair,
                       make_groups_across_sampling_chunks, make_substation,
-                      make_three_branch)
+                      make_three_branch, scenario_path)
 
 
 def test_single_component_estimate():
@@ -70,6 +72,40 @@ def test_fixed_seed_reproducibility():
     assert mc_system_failure(net, dist, cfg) == mc_system_failure(net, dist, cfg)
     other = SimulationConfig(50_000, seed=12)
     assert mc_system_failure(net, dist, cfg) != mc_system_failure(net, dist, other)
+
+
+def _scenario(name, explicit=False):
+    doc = parse_scenario_file(scenario_path(f"{name}.json"))
+    dist = doc.build_distribution()
+    return doc.build_network(), Explicit(dist.pmf_vector()) if explicit else dist
+
+
+@pytest.mark.parametrize("name, explicit, expected", [
+    ("layered16", False, (0.0006050000000000001, 2.4943161193453017e-05)),
+    ("substation", False, (0.004352, 5.781393960718492e-05)),
+    ("substation", True, (0.004352, 5.781393960718492e-05)),
+    ("three_branch", False, (0.199087, 0.000284900831643166)),
+])
+def test_full_size_estimates_are_pinned(name, explicit, expected):
+    # a million draws at seed 7, as the binary-search sampler gave them
+    net, dist = _scenario(name, explicit)
+    assert mc_system_failure(net, dist, SimulationConfig(1_000_000, seed=7)) == expected
+
+
+def _same_state(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63, 2**64 - 1, 2**128 - 1])
+def test_substream_is_the_jumped_generator(seed):
+    for j in range(N_BATCHES):
+        jumped = np.random.Generator(np.random.Philox(key=seed).jumped(j))
+        stream = _substream(seed, j)
+        assert _same_state(stream.bit_generator.state, jumped.bit_generator.state), j
+        # the first 1000 random((777, 2)) draws, in one call
+        assert np.array_equal(stream.random((1000, 777, 2)), jumped.random((1000, 777, 2))), j
 
 
 def test_error_shrinks_with_sample_size():
