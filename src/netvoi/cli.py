@@ -135,7 +135,8 @@ def _table(args, header, rows, head=(), tail=()) -> str:
 
 def _cmd_intervals(args) -> int:
     doc, net, dist, insp = _load(args)
-    intervals = [_reported(iv, dist, i, insp) for i, iv in enumerate(_intervals(net, dist, insp))]
+    _, intervals = _intervals(net, dist, insp)
+    intervals = [_reported(iv, dist, i, insp) for i, iv in enumerate(intervals)]
     rows = [(name, iv.lo, iv.hi, iv.prior, iv.alarm_prob) for name, iv in zip(net.names, intervals)]
     _emit(_table(args, ("component", "silence_posterior", "alarm_posterior", "prior",
                         "alarm_probability"), rows), args)

@@ -4,9 +4,11 @@ Every distribution is immutable and exposes one factorised view,
 ``blocks()``: (member bits, weight table) pairs of mutually independent
 blocks whose product is the pmf. A posterior after one inspection keeps
 the prior's blocks but one, whose table has the likelihood multiplied in
-along one bit, so it never forms the 2^N pmf. Masks follow the
-convention of :mod:`netvoi.model`: bit i set means component i works, so
-"failure" of component i is a cleared bit.
+along one bit, so it never forms the 2^N pmf. ``_product_table`` builds
+every product of tables, the pmf included, and ``_failure_masses`` every
+failure mass: the pmf times the system's failure after a repair plan.
+Masks follow the convention of :mod:`netvoi.model`: bit i set means
+component i works, so "failure" of component i is a cleared bit.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class JointDistribution:
     """Probability mass over the 2^N component-state masks: the product of ``blocks``.
 
     Bit j of a block's table index is the state of its j-th member, and the
-    members of all blocks are the components 0 .. N-1.
+    members of all blocks are the components 0 .. N-1. Blocks are kept in
+    order of their lowest member, the order in which every product takes them.
     """
 
     n_components: int
@@ -38,7 +41,7 @@ class JointDistribution:
     _chunks: tuple | None = None
 
     def __init__(self, blocks):
-        self._blocks = tuple(blocks)
+        self._blocks = tuple(sorted(blocks, key=lambda b: min(b[0])))
         self.n_components = sum(len(members) for members, _ in self._blocks)
 
     def blocks(self) -> tuple:
@@ -51,9 +54,9 @@ class JointDistribution:
                          for members, table in self._blocks)
 
     def pmf_vector(self) -> np.ndarray:
-        """Read-only vector of probabilities indexed by mask."""
+        """Read-only vector of probabilities indexed by mask: the one product of all blocks."""
         if self._vector is None:
-            self._vector = _frozen(_product_table(self._blocks, range(self.n_components)))
+            self._vector = _frozen(_fuse(self._blocks, self.n_components)[0][1])
         return self._vector
 
     def marginal_failure(self, i: int) -> float:
@@ -93,31 +96,28 @@ class JointDistribution:
 def _product_table(blocks, bits) -> np.ndarray:
     """Product of the block tables over ``bits``; index bit j is the state of bits[j].
 
-    Each table multiplies in place, in block order, into a 2 x ... x 2 cube
-    whose axis for bits[j] is k - 1 - j: no index arrays, no 2^k temporaries.
+    The tables multiply in block order as successive outer products, each
+    in front of the last, and one transpose puts the axes in bit order: no
+    move at all when the members ascend through the blocks.
     """
-    k = len(bits)
-    v = np.ones((2,) * k)
+    v, axes = np.ones(()), []
     for members, table in blocks:
-        axes = [k - 1 - bits.index(m) for m in reversed(members)]  # one per table axis
-        order = sorted(range(len(axes)), key=axes.__getitem__)
-        shape = [1] * k
-        for a in axes:
-            shape[a] = 2
-        v *= table.reshape((2,) * len(members)).transpose(order).reshape(shape)
-    return v.reshape(-1)
+        v = np.multiply.outer(table.reshape((2,) * len(members)), v)
+        axes[:0] = reversed(members)  # a table's first axis is its last member
+    return v.transpose([axes.index(b) for b in reversed(bits)]).reshape(-1)
 
 
 def _fuse(blocks, width: int) -> list:
     """Products of ``blocks`` up to ``width`` bits, as (ascending bits, ``_product_table``).
 
-    Blocks, by lowest member, join the open product unless that takes it
-    past ``width`` bits, so a wider block is a product alone. A lone block
+    Blocks, in order, join the open product unless that takes it past
+    ``width`` bits, so a wider block is a product alone. A lone block
     whose members ascend is its own product, and keeps its table. The
-    plan-risk engine fuses its steps this way, and ``sample`` its chunks.
+    plan-risk engine fuses its steps this way, ``sample`` its chunks and
+    ``pmf_vector`` all blocks, at full width.
     """
     runs = [[]]
-    for block in sorted(blocks, key=lambda b: min(b[0])):
+    for block in blocks:
         if runs[-1] and len(sum((m for m, _ in runs[-1]), block[0])) > width:
             runs.append([])
         runs[-1].append(block)
@@ -206,9 +206,7 @@ class Explicit(JointDistribution):
         total = float(arr.sum())
         if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
             raise ValueError(f"weights sum to {total}, not 1")
-        arr.flags.writeable = False
-        super().__init__(((tuple(range(size.bit_length() - 1)), arr),))
-        self._vector = arr
+        super().__init__(((tuple(range(size.bit_length() - 1)), _frozen(arr)),))
 
 
 def _shared_cause_table(group) -> np.ndarray:
@@ -271,9 +269,24 @@ class CommonCauseGroups(JointDistribution):
         return next(g.p for g in self.groups if i in g.members)
 
 
+def _failure_masses(net, dist: JointDistribution, plans=(0,)) -> tuple:
+    """The pmf, and the failure mass pmf(s)·fail(s | plan) over all masks s for each plan.
+
+    Masses are formed one at a time as the iterator is read, from one
+    failure indicator and, unless every plan is empty, one mask vector.
+    """
+    _check_sizes(net, dist)
+    pmf, fail = dist.pmf_vector(), ~net.truth_table()
+    masks = np.arange(fail.size, dtype=np.int64) if any(plans) else None
+    return pmf, (pmf * (fail[masks | plan] if plan else fail) for plan in plans)
+
+
+def _failure_prob(mass) -> float:
+    """Total of a failure mass; an explicit table sums to 1 only within EXPLICIT_SUM_TOL."""
+    return min(float(mass.sum()), 1.0)
+
+
 def system_failure_prob(net, dist: JointDistribution) -> float:
     """Exact probability that the system is down, by full enumeration."""
-    _check_sizes(net, dist)
-    table = net.truth_table()
-    # an explicit table sums to 1 only within EXPLICIT_SUM_TOL
-    return min(float(dist.pmf_vector()[~table].sum()), 1.0)
+    _, (mass,) = _failure_masses(net, dist)
+    return _failure_prob(mass)

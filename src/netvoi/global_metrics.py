@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .distributions import system_failure_prob
 from .envelopes import LossEnvelope
 from .inference import InspectionModel, _intervals, posterior_interval
 from .reports import ImportanceReport, VoIReport
@@ -32,12 +31,11 @@ def voi_global(net, dist, i, insp: InspectionModel, env: LossEnvelope):
 
 
 def rank_global(net, dist, insp: InspectionModel, env: LossEnvelope) -> VoIReport:
-    prior = system_failure_prob(net, dist)
+    prior, intervals = _intervals(net, dist, insp)
     prior_loss = env.value(prior)
     prior_regret = env.regret(prior)
     # a certain outcome carries no news: the posterior loss is the prior's
-    rows = [_mix(iv, env) if iv else (prior_loss, 0.0, prior_regret)
-            for iv in _intervals(net, dist, insp)]
+    rows = [_mix(iv, env) if iv else (prior_loss, 0.0, prior_regret) for iv in intervals]
     posterior_loss, voi, posterior_regret = zip(*rows)
     return VoIReport(metric="global", prior_loss=prior_loss, posterior_loss=posterior_loss,
                      voi=voi, prior_regret=prior_regret, posterior_regret=posterior_regret)
@@ -51,11 +49,11 @@ def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:
     RAW = hi / prior and RRW = prior / lo, infinite when lo vanishes. With
     perfect inspections they reduce to the classical definitions.
     """
-    prior = system_failure_prob(net, dist)
+    prior, intervals = _intervals(net, dist, insp)
     if prior <= 0.0:
         raise ValueError("importance measures need a positive prior failure probability")
     bm, crt, raw, rrw = [], [], [], []
-    for i, iv in enumerate(_intervals(net, dist, insp)):
+    for i, iv in enumerate(intervals):
         # a certain outcome carries no news: both posteriors are the prior
         lo, hi = (iv.lo, iv.hi) if iv else (prior, prior)
         p_i = dist.marginal_failure(i)

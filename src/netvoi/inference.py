@@ -3,7 +3,9 @@
 Outcome coding follows the emission table: an alarm (y = 0) flags the
 component as damaged, a silence (y = 1) reports it working. A working
 component raises a false alarm with probability ``eps_fa``; a damaged one
-stays silent with probability ``eps_fs``.
+stays silent with probability ``eps_fs``. A posterior failure probability
+reweights the halves of the pmf and of the failure mass split by the
+inspected component's state, so no posterior pmf is formed.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import JointDistribution, _reweight_blocks
+from .distributions import JointDistribution, _failure_masses, _failure_prob, _reweight_blocks
 from .errors import (ConditioningError, DegenerateObservationError,
                      IncomparableIntervalsError)
 from .model import _check_sizes, _halves
@@ -111,12 +113,6 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
     return JointDistribution(_reweight_blocks(dist.blocks(), i, *_likelihood(i, y, insp)))
 
 
-def _failure_masses(net, dist: JointDistribution) -> tuple:
-    """Prior probability and system failure mass of every mask: ``pmf`` and ``pmf·fail``."""
-    pmf = dist.pmf_vector()
-    return pmf, pmf * ~net.truth_table()
-
-
 def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel):
     """Posterior mean, after outcome y on component i, of a quantity with prior masses ``mass``.
 
@@ -133,7 +129,7 @@ def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel):
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
     _check_sizes(net, dist, insp)
-    pmf, mass = _failure_masses(net, dist)
+    pmf, (mass,) = _failure_masses(net, dist)
     return _posterior_mean(_halves(pmf, i), _halves(mass, i), i, y, insp)
 
 
@@ -161,18 +157,20 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     pass of its own.
     """
     _check_sizes(net, dist, insp)
-    return _reported(_interval(*_failure_masses(net, dist), dist, i, insp), dist, i, insp)
+    pmf, (mass,) = _failure_masses(net, dist)
+    return _reported(_interval(pmf, mass, dist, i, insp), dist, i, insp)
 
 
-def _intervals(net, dist, insp: InspectionModel) -> list:
-    """Posterior interval of each component from one ``_failure_masses``; None where certain."""
+def _intervals(net, dist, insp: InspectionModel) -> tuple:
+    """The prior failure probability and every interval (None where certain) from one mass."""
     _check_sizes(net, dist, insp)
-    pmf, mass = _failure_masses(net, dist)
-    return [_interval(pmf, mass, dist, i, insp) for i in range(net.n_components)]
+    pmf, (mass,) = _failure_masses(net, dist)
+    return _failure_prob(mass), [_interval(pmf, mass, dist, i, insp)
+                                 for i in range(net.n_components)]
 
 
 def _interval(pmf, mass, dist, i, insp) -> PosteriorInterval | None:
-    """Interval of component i from ``_failure_masses``; None when its outcome is certain."""
+    """Interval of component i from the pmf and failure mass; None when its outcome is certain."""
     outcomes = _outcomes(dist, i, insp)
     if not outcomes:
         return None

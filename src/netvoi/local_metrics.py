@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution, _fuse
+from .distributions import Independent, JointDistribution, _failure_masses, _fuse
 from .errors import InfeasibleCorrelationError, NotApplicableError
 from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean
 from .model import _bit_sums, _check_sizes, _halves, check_state
@@ -76,10 +76,8 @@ def plan_expected_loss(net, dist: JointDistribution, plan: int,
     """Residual failure risk after the plan plus its repair bill, by plan-by-state enumeration."""
     _check_sizes(net, dist, costs)
     check_state(plan, net.n_components)
-    table = net.truth_table()
-    masks = np.arange(table.size, dtype=np.int64)
-    risk = costs.c_fail * float(dist.pmf_vector()[~table[masks | plan]].sum())
-    return risk + repair_cost(plan, costs)
+    _, (mass,) = _failure_masses(net, dist, (plan,))
+    return costs.c_fail * float(mass.sum()) + repair_cost(plan, costs)
 
 
 def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
@@ -309,28 +307,24 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
 def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
     """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
     _check_sizes(net, dist, insp, costs)
-    pmf = dist.pmf_vector()
-    fail = ~net.truth_table()
-    masks = np.arange(fail.size, dtype=np.int64)
-    kept = pmf * fail[masks | prior_plan]
+    flips = [prior_plan ^ (1 << i) for i in range(net.n_components)]
+    pmf, masses = _failure_masses(net, dist, [prior_plan] + flips)
+    kept = next(masses)
     rows = []
-    for i in range(net.n_components):
-        flipped = prior_plan ^ (1 << i)
+    for i, flipped in enumerate(masses):
         # prior masses split by the state of component i; a posterior only
         # reweights the two halves, so no posterior pmf is formed
         prob = _halves(pmf, i)
-        mass = {prior_plan: _halves(kept, i),
-                flipped: _halves(pmf * fail[masks | flipped], i)}
+        mass = {prior_plan: _halves(kept, i), flips[i]: _halves(flipped, i)}
         # a certain outcome carries no news: both rows stay at the prior plan and loss
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
         for y, p_y in _outcomes(dist, i, insp):
+            # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
             loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], i, y, insp)
                     + repair_cost(plan, costs) for plan in plans}
-            # an outcome that contradicts the prior action leaves no choice
-            row[y] = (_cheapest(list(loss.values()), costs.c_fail, plans) if len(plans) > 1
-                      else (prior_plan, loss[prior_plan]))
+            row[y] = _cheapest(list(loss.values()), costs.c_fail, plans)
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
             value += p_y * (loss[prior_plan] - row[y][1])

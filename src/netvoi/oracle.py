@@ -1,17 +1,17 @@
 """Independent validation paths: Monte Carlo estimation and brute force.
 
-Random numbers come from NumPy's Philox 4x64 counter-based generator
-keyed with the configured seed, an integer in [0, 2^128). The sample
-budget splits over 32 equal substreams (stream j is the base generator
-jumped j times, built directly with 2^128 j as its counter), whose batch
-means also provide the standard error, so estimates reproduce bit-for-bit
-for a fixed seed and are straightforward to port. Each substream draws its
+Random numbers come from NumPy's Philox 4x64 counter-based generator keyed
+with the configured seed, an integer in [0, 2^128). The n samples split over
+min(32, n) substreams whose sizes differ by at most one (stream j is the
+base generator jumped j times, built directly with 2^128 j as its counter).
+Their batch means give the standard error, so an estimate needs 2 samples;
+estimates reproduce bit-for-bit for a fixed seed. Each substream draws its
 state masks with ``JointDistribution.sample``: one uniform per chunk of
 whole belief blocks, by inverse CDF of the chunk's table; up to 12
-components that is the inverse CDF of the pmf itself. A guide table of at
-least 4096 buckets per chunk (Chen and Asau's indexed search) finds
-nearly every draw's state with one lookup and one comparison, and
-binary-searches the rest, so each draw is exactly the binary search's.
+components that is the inverse CDF of the pmf. A guide table of at least
+4096 buckets per chunk (Chen and Asau's indexed search) finds nearly every
+draw's state with one lookup and one comparison and binary-searches the
+rest, so each draw is the binary search's.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
+        if self.n_samples < 2:  # the standard error needs two batch means
+            raise ValueError(f"need at least 2 samples, not {self.n_samples}")
         if not 0 <= self.seed < 1 << 128:  # the Philox key
             raise ValueError(f"seed {self.seed} is outside [0, 2**128)")
 
@@ -54,16 +54,11 @@ def _batch_sizes(n: int) -> list[int]:
 
 
 def _batched_mean(values_per_batch, sizes):
-    n = sum(sizes)
     means = np.array([float(v.mean()) for v in values_per_batch])
-    weights = np.array(sizes, dtype=float) / n
+    weights = np.array(sizes, dtype=float) / sum(sizes)
     estimate = float(weights @ means)
     b = len(sizes)
-    if b < 2:
-        spread = float(values_per_batch[0].std())
-        return estimate, spread / math.sqrt(n)
-    stderr = math.sqrt(b / (b - 1) * float(weights ** 2 @ (means - estimate) ** 2))
-    return estimate, stderr
+    return estimate, math.sqrt(b / (b - 1) * float(weights ** 2 @ (means - estimate) ** 2))
 
 
 def mc_system_failure(net, dist: JointDistribution,

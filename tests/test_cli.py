@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from netvoi import distributions, inference
+from netvoi import JointDistribution, distributions
 from netvoi.cli import run_command
 from netvoi.output import format_number
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
@@ -40,13 +40,19 @@ def test_reliability_monte_carlo_mode(capsys):
     assert abs(est - 0.19872) <= 3 * se
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2**128)])
-def test_seed_outside_the_key_range_exits_1(capsys, seed):
+@pytest.mark.parametrize("samples, seed, message", [
+    ("100", "-1", "seed -1 is outside [0, 2**128)"),
+    ("100", str(2**128), f"seed {2**128} is outside [0, 2**128)"),
+    # one draw has no spread to estimate: its standard error would print as 0.0
+    ("1", "0", "need at least 2 samples, not 1"),
+    ("0", "0", "need at least 2 samples, not 0"),
+])
+def test_simulation_settings_out_of_range_exit_1(capsys, samples, seed, message):
     code, out, err = run(capsys, "reliability", scenario_path("three_branch.json"),
-                         "--mc-samples", "100", "--seed", seed)
+                         "--mc-samples", samples, "--seed", seed)
     assert code == 1
     assert out == ""
-    assert err == f"error: seed {seed} is outside [0, 2**128)\n"
+    assert err == f"error: {message}\n"
 
 
 def test_rank_local_top_row(capsys):
@@ -124,14 +130,18 @@ def test_intervals_output(capsys):
     assert float(rows["c2"][2]) == pytest.approx(0.0338, abs=0.0005)
 
 
+@pytest.mark.parametrize("command", ["intervals", "reliability", "global", "bm", "crt", "raw",
+                                     "rrw"])
 @pytest.mark.parametrize("name", ["layered16.json", "substation.json", "crossed_pair.json"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_intervals_form_the_failure_mass_once(capsys, monkeypatch, name, fmt):
+def test_each_command_forms_the_failure_mass_once(capsys, monkeypatch, name, fmt, command):
+    # the prior, the intervals and the importance measures share one pmf read
     calls = []
-    masses = inference._failure_masses
-    monkeypatch.setattr(inference, "_failure_masses",
-                        lambda net, dist: calls.append(net) or masses(net, dist))
-    code, out, err = run(capsys, "intervals", scenario_path(name), "--format", fmt)
+    pmf_vector = JointDistribution.pmf_vector
+    monkeypatch.setattr(JointDistribution, "pmf_vector",
+                        lambda dist: calls.append(dist) or pmf_vector(dist))
+    argv = [command] if command in ("intervals", "reliability") else ["rank", "--metric", command]
+    code, out, err = run(capsys, *argv, scenario_path(name), "--format", fmt)
     assert (code, err) == (0, "") and out
     assert len(calls) == 1
 

@@ -10,8 +10,9 @@ import pytest
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
                     Group, Independent, JointDistribution, Network, parallel,
                     series, system_failure_prob)
-from netvoi.distributions import (SAMPLE_BITS, _indexed_search, _reweight, _reweight_blocks,
-                                  _search_table, _shared_cause_table)
+from netvoi.distributions import (SAMPLE_BITS, _frozen, _fuse, _indexed_search, _reweight,
+                                  _reweight_blocks, _search_table, _shared_cause_table)
+from netvoi.local_metrics import CHUNK_BITS
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
                       make_groups_across_sampling_chunks, random_distribution)
@@ -99,15 +100,35 @@ def test_normalization_across_variants():
         assert abs(float(dist.pmf_vector().sum()) - 1.0) < 1e-12
 
 
+def _run_product(blocks, bits, state: int) -> float:
+    """Product of the entries at ``state`` of the blocks on ``bits``, by lowest member."""
+    run = sorted((b for b in blocks if set(b[0]) <= set(bits)), key=lambda b: min(b[0]))
+    on = {m: (state >> j) & 1 for j, m in enumerate(bits)}
+    return math.prod(float(table[sum(on[m] << j for j, m in enumerate(members))])
+                     for members, table in run)
+
+
 def test_pmf_vector_is_the_per_mask_product():
-    # the vector multiplies whole tables into a cube; the scalar pmf looks up
-    # each block's entry per mask, in the same order, so they agree exactly
+    # the vector, the engine's steps and the sampler's chunks multiply whole
+    # tables; the scalar products look up each block's entry per state, in
+    # the same order, so they agree byte for byte
     rng = np.random.default_rng(13)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        dist = random_distribution(rng, n)
-        expected = [dist.pmf(m) for m in range(1 << n)]
-        assert np.array_equal(dist.pmf_vector(), expected)
+    beliefs = [random_distribution(rng, int(rng.integers(1, 9))) for _ in range(100)]
+    wide = rng.uniform(0.01, 1.0, size=32)  # a 5-bit block, members out of bit order
+    mixed = JointDistribution([((6, 0, 3, 2, 5), _frozen(wide / wide.sum())),
+                               ((1,), _frozen([0.3, 0.7])), ((4,), _frozen([0.15, 0.85]))])
+    # blocks given out of order are kept by lowest member, for the scalar pmf too
+    reversed_singles = JointDistribution([((3 - i,), _frozen([p, 1.0 - p]))
+                                          for i, p in enumerate(rng.uniform(0.01, 0.99, 4))])
+    for dist in beliefs + [mixed, reversed_singles]:
+        expected = np.array([dist.pmf(m) for m in range(1 << dist.n_components)])
+        assert dist.pmf_vector().tobytes() == expected.tobytes()
+    for dist in beliefs[:30] + [mixed, make_groups_across_sampling_chunks()]:
+        for width in (CHUNK_BITS, SAMPLE_BITS):
+            for bits, table in _fuse(dist.blocks(), width):
+                expected = np.array([_run_product(dist.blocks(), bits, t)
+                                     for t in range(1 << len(bits))])
+                assert table.tobytes() == expected.tobytes()
 
 
 def test_system_failure_probability_parallel():
