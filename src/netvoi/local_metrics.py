@@ -91,9 +91,10 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     wider block, or a step on scattered bits, runs the restriction-lattice
     sweep along its own bits, vectorised over all other bits: Theta(2^N * 1.5^k)
     for k bits, so Theta(3^N) for an explicit table, instead of the Theta(4^N)
-    plan-by-state enumeration. Posteriors after one inspection need no run of
-    their own: ``voi_local`` reweights this vector's two halves split by the
-    inspected component (``_split_risks``).
+    plan-by-state enumeration. Both kinds of step apply a batch of weight
+    tables, here a batch of one. Posteriors after one inspection need no run
+    of their own: ``voi_local`` reweights this vector's two halves split by
+    the inspected component, which ``_split_risks`` forms as a batch of two.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -112,8 +113,7 @@ def _steps(dist: JointDistribution) -> list:
 def _risks(risk: np.ndarray, steps) -> np.ndarray:
     """Apply each step to ``risk``: a dense one as one matmul, any other by the lattice sweep."""
     for members, table in steps:
-        risk = (_apply_chunk(risk, members[0], table) if _fuses(members)
-                else _apply_block(risk, members, table))
+        risk = (_apply_chunk if _fuses(members) else _lattice)(risk, members, table[None])[0]
     return risk
 
 
@@ -121,28 +121,24 @@ def _split_risks(fail: np.ndarray, steps):
     """Each component i, its plan risks (R_i0, R_i1) and masses (m0, m1) with i failed and working.
 
     R_i0 + R_i1 is the prior's plan risk vector. The steps that do not hold
-    i run once for all members of i's step, which is split by i's state: a
-    chunk applies its two restricted tables; a lattice block runs one
-    (k-1)-bit sweep of its other members, batched over their weights with i
-    failed and with i working, on i's two slices of the risks stacked as
-    rows. R_i1 is swept, not taken as R - R_i0, which cancels at small risks.
+    i run once for all members of i's step, which then applies its two
+    tables split by i's state as one batch: a chunk its two zero-padded
+    halves, a lattice block one (k-1)-bit sweep of its other members. With
+    i working, repairing it changes nothing, so the lattice copies R_i1's
+    working half over its failed half along bit i. R_i1 is swept, not taken
+    as R - R_i0, which cancels at small risks.
     """
     for s, (members, table) in enumerate(steps):
         shared = _risks(fail, steps[:s] + steps[s + 1:])
         for bit, i in enumerate(members):
+            halves = table.reshape(-1, 2, 1 << bit)
             if _fuses(members):
-                halves = (table.reshape(-1, 2, 1 << bit) * _ONE_HALF).reshape(2, -1)
-                split = tuple(_apply_chunk(shared, members[0], half) for half in halves)
+                split = _apply_chunk(shared, members, (halves * _ONE_HALF).reshape(2, -1))
             else:
-                # i's bit leads, so the rows of f are i's failed slice, then its working one
-                cube, back = _bits_last(shared, members[:bit] + members[bit + 1:], lead=(i,))
-                f = cube.reshape(-1, table.size >> 1)
-                out = np.empty((2,) + f.shape)
-                _sweep(table.reshape(-1, 2, 1 << bit).swapaxes(0, 1).reshape(2, -1), f,
-                       len(members) - 1, 0, out)
-                # with i working, repairing it changes nothing: both plan halves alike
-                working = out[1, f.shape[0] // 2:]
-                split = back(out[0]), back(np.concatenate((working, working)))
+                split = _lattice(shared, members[:bit] + members[bit + 1:],
+                                 halves.swapaxes(0, 1).reshape(2, -1))
+                working = split[1].reshape(-1, 2, 1 << i)
+                working[:, 0] = working[:, 1]
             yield i, split, _halves(table, bit)
 
 
@@ -166,34 +162,31 @@ def _operator(p: np.ndarray, r: int) -> np.ndarray:
     return (p.reshape(-1, 1 << r) @ _or_table(r)).reshape(*p.shape, 1 << r)
 
 
-def _apply_chunk(risk: np.ndarray, first: int, table: np.ndarray) -> np.ndarray:
-    """Apply the weights ``table`` over bits first, first + 1, ... as one matmul."""
-    m_t = _operator(table, table.size.bit_length() - 1)
-    if first == 0:
-        return (risk.reshape(-1, table.size) @ m_t).reshape(-1)
-    return (m_t.T @ risk.reshape(-1, table.size, 1 << first)).reshape(-1)
+def _apply_chunk(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
+    """Apply each of the weight ``tables`` over the adjacent bits ``members`` as one matmul."""
+    size = tables.shape[1]
+    # one product per table, not one over the batch, so each table sums as it does alone
+    m_t = (tables[:, None] @ _or_table(len(members))).reshape(-1, size, size)
+    if members[0] == 0:
+        return (risk.reshape(-1, size) @ m_t).reshape(len(tables), -1)
+    return (m_t.swapaxes(1, 2)[:, None] @ risk.reshape(-1, size, 1 << members[0])
+            ).reshape(len(tables), -1)
 
 
-def _bits_last(risk: np.ndarray, members, lead=()) -> tuple:
-    """``risk`` as a 2 x ... x 2 cube with the bits ``lead`` first and ``members`` last.
+def _lattice(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
+    """Apply each of the weight ``tables`` over ``members`` by one batched lattice sweep.
 
-    Member 0 is the lowest bit of the trailing axes. Returns the cube and
-    the function that takes an array of the cube's shape back to mask order.
+    The sweep runs with the members' bits last, member 0 lowest; each result
+    moves back to mask order.
     """
     n = risk.size.bit_length() - 1
-    src = [n - 1 - m for m in (*lead, *members)]
-    dst = [*range(len(lead)), *range(n - 1, n - 1 - len(members), -1)]
+    src = [n - 1 - m for m in members]
+    dst = list(range(n - 1, n - 1 - len(members), -1))
     cube = np.moveaxis(risk.reshape((2,) * n), src, dst)
-    return cube, lambda x: np.moveaxis(x.reshape(cube.shape), dst, src).reshape(-1)
-
-
-def _apply_block(risk: np.ndarray, members, table: np.ndarray) -> np.ndarray:
-    """Apply a wide or scattered block by the lattice sweep along its bits."""
-    cube, back = _bits_last(risk, members)
-    f = cube.reshape(-1, table.size)
-    out = np.empty((1,) + f.shape)
-    _sweep(table[None], f, len(members), 0, out)
-    return back(out[0])
+    out = np.empty((len(tables),) + cube.shape)
+    _sweep(tables, cube.reshape(-1, tables.shape[1]), len(members), 0,
+           out.reshape(len(tables), -1, tables.shape[1]))
+    return np.moveaxis(out, [d + 1 for d in dst], [c + 1 for c in src]).reshape(len(tables), -1)
 
 
 def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> None:
@@ -226,14 +219,11 @@ def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarr
     return costs.c_fail * plan_failure_risks(net, dist) + _bit_sums(costs.c_repair)
 
 
-def _cheapest(losses, c_fail: float, plans=None) -> tuple[int, float]:
-    """Lowest-mask plan within ``PLAN_TIE_RTOL``·c_fail of the least loss, and its loss.
-
-    ``losses[k]`` prices plan k, or ``plans[k]`` when given in ascending order.
-    """
+def _cheapest(losses, c_fail: float) -> tuple[int, float]:
+    """Lowest index within ``PLAN_TIE_RTOL``·c_fail of the least loss, and its loss."""
     losses = np.asarray(losses)
     best = int(np.argmax(losses <= losses.min() + PLAN_TIE_RTOL * c_fail))
-    return best if plans is None else plans[best], float(losses[best])
+    return best, float(losses[best])
 
 
 def optimal_plan(net, dist: JointDistribution, costs: LocalCostModel) -> tuple[int, float]:
@@ -324,7 +314,8 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
             loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], i, y, insp)
                     + repair_cost(plan, costs) for plan in plans}
-            row[y] = _cheapest(list(loss.values()), costs.c_fail, plans)
+            best, least = _cheapest(list(loss.values()), costs.c_fail)
+            row[y] = plans[best], least
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
             value += p_y * (loss[prior_plan] - row[y][1])

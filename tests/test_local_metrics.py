@@ -18,7 +18,7 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
 import netvoi.local_metrics as local_metrics
 from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
 from netvoi.inference import ALARM, SILENCE, _likelihood, _outcomes, posterior_given_observation
-from netvoi.local_metrics import _cheapest, _split_risks, _steps
+from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
 from netvoi.model import _bit_sums
 from netvoi.scenario import parse_scenario_file
 
@@ -234,6 +234,9 @@ def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
         for i, risks, masses in _split_risks((~net.truth_table()).astype(float), _steps(dist)):
             seen.append(i)
             np.testing.assert_allclose(risks[0] + risks[1], prior, rtol=1e-12, atol=0.0)
+            # with i working, repairing it changes nothing
+            working = risks[1].reshape(-1, 2, 1 << i)
+            assert np.array_equal(working[:, 0], working[:, 1]), i
             for y in (SILENCE, ALARM):
                 w = _likelihood(i, y, insp)
                 z = w[0] * masses[0] + w[1] * masses[1]
@@ -413,6 +416,63 @@ def test_heuristic_bounded_by_local():
             for i, v in enumerate(report.voi):
                 if table.silence_plans[i] == table.alarm_plans[i] == report.prior_plan:
                     assert v == 0.0
+
+
+def heuristic_by_posteriors(net, dist, insp, costs):
+    """Prior plan P and (silence row, alarm row, value) of each component by the
+    heuristic's definition: after an outcome that may change the action on i
+    (an alarm when P leaves i alone, a silence when P repairs it), the cheaper
+    of P and P with i's action flipped, else P, each priced on
+    ``posterior_given_observation``."""
+    prior_plan, prior_loss = optimal_plan(net, dist, costs)
+    rows = []
+    for i in range(net.n_components):
+        repairs = (prior_plan >> i) & 1
+        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        value = 0.0
+        for y, p_y in _outcomes(dist, i, insp):
+            post = posterior_given_observation(dist, i, y, insp)
+            news = (y == ALARM) != bool(repairs)
+            loss = {plan: plan_expected_loss(net, post, plan, costs)
+                    for plan in ([prior_plan, prior_plan ^ (1 << i)] if news else [prior_plan])}
+            least = min(loss.values())
+            pick = min(plan for plan in loss if loss[plan] <= least + PLAN_TIE_RTOL * costs.c_fail)
+            row[y] = pick, loss[pick]
+            value += p_y * (loss[prior_plan] - loss[pick])
+        rows.append((row[SILENCE], row[ALARM], value))
+    return prior_plan, rows
+
+
+def test_heuristic_matches_its_definition():
+    rng = np.random.default_rng(61)
+    flips = 0
+    for n in range(2, 8):
+        for _ in range(4):
+            net = random_network(rng, n)
+            costs = LocalCostModel(float(rng.uniform(0.5, 2.0)), rng.uniform(0.01, 0.4, size=n))
+            # blocks of scattered members, listed out of bit order
+            order = [int(m) for m in rng.permutation(n)]
+            cuts = [0, *sorted(rng.choice(np.arange(1, n), size=(n - 1) // 2, replace=False)), n]
+            blocks = []
+            for a, b in zip(cuts, cuts[1:]):
+                w = rng.uniform(0.01, 1.0, size=1 << (b - a))
+                blocks.append((tuple(order[a:b]), _frozen(w / w.sum())))
+            for dist in (*beliefs_of_every_kind(rng, n), JointDistribution(blocks)):
+                for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                    report = voi_heuristic(net, dist, insp, costs)
+                    prior_plan, rows = heuristic_by_posteriors(net, dist, insp, costs)
+                    assert report.prior_plan == prior_plan
+                    table = report.action_table
+                    for i, (silence, alarm, value) in enumerate(rows):
+                        assert (table.silence_plans[i], table.alarm_plans[i]) == (
+                            silence[0], alarm[0]), i
+                        for got, want in ((table.silence_losses[i], silence[1]),
+                                          (table.alarm_losses[i], alarm[1]),
+                                          (report.voi[i], value)):
+                            assert got == pytest.approx(want, rel=1e-12, abs=0.0), i
+                        flips += (silence[0], alarm[0]) != (prior_plan, prior_plan)
+    # rows where an outcome moves the plan, so the flip and the tie rule are exercised
+    assert flips >= 50
 
 
 def test_local_value_of_inspections_that_change_no_plan_is_zero():
