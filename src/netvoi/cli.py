@@ -88,7 +88,10 @@ def _load(args):
     doc = parse_scenario_file(args.scenario)
     for warning in doc.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    net = doc.build_network(cap=args.cap)
+    try:
+        net = doc.build_network(cap=args.cap)
+    except SizeCapError:  # the same refusal, worded for the option that set the cap
+        raise SizeCapError(f"{doc.n_components} components exceed --cap {args.cap}") from None
     dist = doc.build_distribution()
     insp = doc.build_inspection()
     if args.eps_fa is not None or args.eps_fs is not None:
@@ -228,6 +231,8 @@ def run_command(argv) -> int:
     """Run a CLI invocation and return its exit code."""
     try:
         args = _shared_parser().parse_args(argv)
+        if args.cap < 1:
+            raise UsageError(f"argument --cap: must be at least 1, not {args.cap}")
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

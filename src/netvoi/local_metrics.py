@@ -30,6 +30,8 @@ PLAN_TIE_RTOL = 1e-9
 # Small blocks fuse into steps of this width; a step on adjacent bits is one
 # matmul, any other recurses on the restriction lattice down to this width.
 CHUNK_BITS = 4
+# Bytes of plan-risk vectors and weight tables a lattice step's split holds at once.
+SPLIT_BYTES = 1 << 25
 # Times a (-1, 2, 2^b) view of a table: row 0 keeps the states in which the
 # component on bit b has failed, row 1 those in which it works.
 _ONE_HALF = np.eye(2).reshape(2, 1, 2, 1)
@@ -94,7 +96,7 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     plan-by-state enumeration. Both kinds of step apply a batch of weight
     tables, here a batch of one. Posteriors after one inspection need no run
     of their own: ``voi_local`` reweights this vector's two halves split by
-    the inspected component, which ``_split_risks`` forms as a batch of two.
+    the inspected component, which ``_split_risks`` forms from zero-padded halves.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -113,7 +115,8 @@ def _steps(dist: JointDistribution) -> list:
 def _risks(risk: np.ndarray, steps) -> np.ndarray:
     """Apply each step to ``risk``: a dense one as one matmul, any other by the lattice sweep."""
     for members, table in steps:
-        risk = (_apply_chunk if _fuses(members) else _lattice)(risk, members, table[None])[0]
+        apply = _apply_chunk if _fuses(members) else _lattice
+        risk = apply(risk, members, table[None])[0].reshape(-1)
     return risk
 
 
@@ -121,25 +124,23 @@ def _split_risks(fail: np.ndarray, steps):
     """Each component i, its plan risks (R_i0, R_i1) and masses (m0, m1) with i failed and working.
 
     R_i0 + R_i1 is the prior's plan risk vector. The steps that do not hold
-    i run once for all members of i's step, which then applies its two
-    tables split by i's state as one batch: a chunk its two zero-padded
-    halves, a lattice block one (k-1)-bit sweep of its other members. With
-    i working, repairing it changes nothing, so the lattice copies R_i1's
-    working half over its failed half along bit i. R_i1 is swept, not taken
-    as R - R_i0, which cancels at small risks.
+    i run once for all members of i's step, which then applies its table's
+    two halves split by i's state, each zero-padded to the full table: a
+    dense step one batch of two per member, a lattice step the halves of as
+    many members as ``SPLIT_BYTES`` holds (all k up to an explicit table at
+    N = 16) in one sweep. R_i1 is swept, not taken as R - R_i0, which cancels at
+    small risks.
     """
     for s, (members, table) in enumerate(steps):
         shared = _risks(fail, steps[:s] + steps[s + 1:])
-        for bit, i in enumerate(members):
-            halves = table.reshape(-1, 2, 1 << bit)
-            if _fuses(members):
-                split = _apply_chunk(shared, members, (halves * _ONE_HALF).reshape(2, -1))
-            else:
-                split = _lattice(shared, members[:bit] + members[bit + 1:],
-                                 halves.swapaxes(0, 1).reshape(2, -1))
-                working = split[1].reshape(-1, 2, 1 << i)
-                working[:, 0] = working[:, 1]
-            yield i, split, _halves(table, bit)
+        dense = _fuses(members)
+        group = 1 if dense else max(1, SPLIT_BYTES // (16 * (fail.size + table.size)))
+        for lo in range(0, len(members), group):
+            bits = range(lo, min(lo + group, len(members)))
+            batch = (_apply_chunk if dense else _lattice)(shared, members, np.concatenate(
+                [(table.reshape(-1, 2, 1 << bit) * _ONE_HALF).reshape(2, -1) for bit in bits]))
+            for j, bit in enumerate(bits):
+                yield members[bit], batch[2 * j:2 * j + 2].reshape(2, -1), _halves(table, bit)
 
 
 @functools.cache
@@ -176,8 +177,8 @@ def _apply_chunk(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
 def _lattice(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
     """Apply each of the weight ``tables`` over ``members`` by one batched lattice sweep.
 
-    The sweep runs with the members' bits last, member 0 lowest; each result
-    moves back to mask order.
+    The sweep runs with the members' bits last, member 0 lowest; the batch
+    comes back as a mask-order view (tables, 2, ..., 2), flattened one result at a time.
     """
     n = risk.size.bit_length() - 1
     src = [n - 1 - m for m in members]
@@ -186,7 +187,7 @@ def _lattice(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
     out = np.empty((len(tables),) + cube.shape)
     _sweep(tables, cube.reshape(-1, tables.shape[1]), len(members), 0,
            out.reshape(len(tables), -1, tables.shape[1]))
-    return np.moveaxis(out, [d + 1 for d in dst], [c + 1 for c in src]).reshape(len(tables), -1)
+    return np.moveaxis(out, [d + 1 for d in dst], [c + 1 for c in src])
 
 
 def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> None:
@@ -197,12 +198,18 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
     whether the plan repairs them. Repairing a bit sums it out of the
     weights ``p`` and keeps only the working half of the columns of ``f``;
     leaving it keeps both for the final contraction, so every plan costs
-    2^(bits left alone). The last ``CHUNK_BITS`` bits are one dense operator
-    (``_operator``) over all their sub-plans, with as many rows as ``f`` has
-    columns.
+    2^(bits left alone). The last ``CHUNK_BITS`` bits are one product over
+    all their sub-plans: each table's dense operator (``_operator``) for a
+    batch up to ``f``'s rows, else ``f`` expanded by sub-plan for the batch.
     """
     if r <= CHUNK_BITS:
-        out[:, :, plan:plan + (1 << r)] = f @ _operator(p, r)
+        if len(p) <= len(f):
+            block = f @ _operator(p, r)
+        else:  # the batch shares one expansion, F[k, s, a, x] = f[x, k, s | a]
+            s = np.arange(1 << r)
+            wide = np.take(f.T.reshape(-1, 1 << r, len(f)), s[:, None] | s, axis=1)
+            block = (p @ wide.reshape(p.shape[1], -1)).reshape(len(p), -1, len(f)).swapaxes(1, 2)
+        out[:, :, plan:plan + (1 << r)] = block
         return
     _sweep(p, f, r - 1, plan, out)
     half = 1 << (r - 1)
@@ -257,8 +264,8 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     the posterior's plan risks are (w_f R_i0 + w_w R_i1) / Z, where Z is
     w_f m0 + w_w m1 for the masses m0 and m1 of i failed and working. Both
     outcomes are priced from one split of the engine step that holds i
-    (``_split_risks``); for a k-bit lattice block that is one batched
-    (k-1)-bit sweep, not a k-bit sweep of each ``posterior_given_observation``.
+    (``_split_risks``); a k-bit lattice block splits its members in k-bit
+    sweeps of up to 2k tables, not a sweep per ``posterior_given_observation``.
     """
     _check_sizes(net, dist, insp, costs)
     steps = _steps(dist)

@@ -21,6 +21,7 @@ always conduct.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -34,7 +35,7 @@ from .errors import ScenarioError
 from .inference import InspectionModel
 from .local_metrics import LocalCostModel
 from .model import (DEFAULT_COMPONENT_CAP, ComponentRef, FormulaTree, Network,
-                    ParallelNode, SeriesNode, STGraph, StructureFunction, TruthTable)
+                    ParallelNode, SeriesNode, STGraph, TruthTable)
 
 SCHEMA_VERSION = "1"
 
@@ -76,7 +77,7 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class ScenarioDocument:
-    """A validated scenario; :func:`parse_scenario` sets the structure and belief it built."""
+    """A validated scenario, and the structure and belief built from its fields."""
 
     components: tuple[ComponentSpec, ...]
     structure_kind: str
@@ -94,8 +95,9 @@ class ScenarioDocument:
     global_actions: tuple[GlobalAction, ...] | None
     schema_version: str = SCHEMA_VERSION
     warnings: tuple[str, ...] = field(default=(), compare=False)
-    structure: StructureFunction = field(init=False, compare=False, repr=False)
-    belief: JointDistribution = field(init=False, compare=False, repr=False)
+    # built from the document's own fields; parse_scenario sets both as it validates
+    structure = functools.cached_property(lambda self: parse_scenario(self.to_json()).structure)
+    belief = functools.cached_property(lambda self: parse_scenario(self.to_json()).belief)
 
     @property
     def n_components(self) -> int:
@@ -513,7 +515,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
         global_actions=actions,
         warnings=tuple(col.warnings),
     )
-    vars(doc).update(built)  # fields left out of __init__
+    vars(doc).update(built)  # the cached properties, built while validating
     return doc
 
 

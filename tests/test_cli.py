@@ -194,7 +194,17 @@ def test_cap_exceeded_exits_2(capsys):
     code, _, err = run(capsys, "rank", "--metric", "local",
                        scenario_path("layered16.json"), "--cap", "8")
     assert code == 2
-    assert "cap" in err
+    # the CLI names its own option, not the library's cap= argument
+    assert err == "error: 16 components exceed --cap 8\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("argv", [["reliability"], ["rank", "--metric", "local"]])
+def test_cap_below_1_is_a_usage_error(capsys, argv, cap):
+    for path in (scenario_path("three_branch.json"), "/nonexistent/path.json"):
+        code, out, err = run(capsys, *argv, path, "--cap", cap)
+        assert (code, out) == (64, "")
+        assert err == f"argument --cap: must be at least 1, not {cap}\n"
 
 
 def component_column(out):

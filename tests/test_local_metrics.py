@@ -165,6 +165,39 @@ def test_sweep_matches_brute_force():
         assert_engine_matches_brute_force(rng, net, Independent(probs), costs)
 
 
+def test_batched_lattice_equals_each_table_alone():
+    # a batch of B tables on k adjacent or scattered bits of an (k + 2)-bit
+    # vector: B <= 4 rows takes the leaf's operator side, B = 2k its
+    # expanded side; each result equals its table alone, and the plan risks
+    # of brute force under that table, with every other component failed
+    rng = np.random.default_rng(53)
+    for k in range(3, 9):
+        n = k + 2
+        net = random_network(rng, n)
+        fail = (~net.truth_table()).astype(float)
+        unit = LocalCostModel.uniform(n, 1.0, 0.0)  # brute-force losses are the risks
+        lo = int(rng.integers(0, 3))
+        scattered = sorted(rng.choice(n, size=k, replace=False).tolist())
+        if scattered[-1] - scattered[0] == k - 1:
+            scattered = [b for b in range(n) if b != 1][:k]
+        for members in (list(range(lo, lo + k)), scattered):
+            w = rng.uniform(0.0, 1.0, size=(3, 1 << k)) * (rng.random((3, 1 << k)) < 0.9)
+            w /= w.sum(axis=1, keepdims=True)
+            halves = np.concatenate([(w[0].reshape(-1, 2, 1 << bit) * local_metrics._ONE_HALF
+                                      ).reshape(2, -1) for bit in range(k)])
+            states = np.arange(1 << k)
+            spread = sum(((states >> j) & 1) << m for j, m in enumerate(members))
+            for tables in (w, halves):
+                batch = local_metrics._lattice(fail, members, tables).reshape(len(tables), -1)
+                for b, table in enumerate(tables):
+                    alone = local_metrics._lattice(fail, members, table[None])[0].reshape(-1)
+                    np.testing.assert_allclose(batch[b], alone, rtol=1e-13, atol=0.0)
+                    pmf = np.zeros(1 << n)
+                    pmf[spread] = table
+                    np.testing.assert_allclose(alone, table.sum() * brute_force_plan_risks(
+                        net, Explicit(pmf / table.sum()), unit), rtol=1e-13, atol=0.0)
+
+
 def test_product_belief_matches_its_explicit_table():
     # the same joint through fused chunks and through the lattice sweep
     rng = np.random.default_rng(29)
@@ -253,6 +286,42 @@ def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
             1.0, rng.uniform(0.01, 0.3, size=n)))
 
 
+@pytest.mark.parametrize("per_sweep", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["explicit", "mixed"])
+def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, kind, per_sweep):
+    # a budget below a lattice step's 2k tables sweeps its members per_sweep
+    # at a time; each pair matches the step's split in one batch, R_i1 still
+    # ignores repairing i, and the local metric picks the same plans
+    rng = np.random.default_rng(59)
+    insp, lattice = InspectionModel(0.05, 0.1), local_metrics._lattice
+    for dist in split_beliefs(kind, rng):
+        n = dist.n_components
+        net = random_network(rng, n)
+        fail, steps = (~net.truth_table()).astype(float), _steps(dist)
+        costs = LocalCostModel(1.0, rng.uniform(0.01, 0.3, size=n))
+        whole = {i: risks for i, risks, _ in _split_risks(fail, steps)}
+        report = voi_local(net, dist, insp, costs)
+        batches = []
+        with monkeypatch.context() as m:
+            widest = max(table.size for _, table in steps)
+            m.setattr(local_metrics, "SPLIT_BYTES", per_sweep * 16 * (fail.size + widest))
+            m.setattr(local_metrics, "_lattice", lambda risk, members, tables:
+                      batches.append(len(tables)) or lattice(risk, members, tables))
+            for i, risks, _ in _split_risks(fail, steps):
+                np.testing.assert_allclose(risks, whole[i], rtol=1e-13, atol=0.0)
+                working = risks[1].reshape(-1, 2, 1 << i)
+                assert np.array_equal(working[:, 0], working[:, 1]), i
+            grouped = voi_local(net, dist, insp, costs)
+        for plans in ("silence_plans", "alarm_plans"):
+            assert getattr(grouped.action_table, plans) == getattr(report.action_table, plans)
+        np.testing.assert_allclose(grouped.voi, report.voi, rtol=1e-9, atol=1e-15)
+        # the batches of both grouped splits above: k // per_sweep full groups and the rest
+        sizes = [len(members) for members, _ in steps if not local_metrics._fuses(members)]
+        expected = sum(([2 * per_sweep] * (k // per_sweep) + [2 * (k % per_sweep)]
+                        * (k % per_sweep > 0) for k in sizes), [])
+        assert sorted(b for b in batches if b > 1) == sorted(expected * 2)
+
+
 def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half():
     # under false alarms the alarm has positive probability, but the risks
     # restricted to the component failed are all zero: the alarm row comes
@@ -270,25 +339,41 @@ def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half()
         assert_local_matches_posteriors(net, dist, insp, costs)
 
 
-def test_local_metric_sweeps_each_component_once(monkeypatch):
-    # one (N-1)-bit split sweep per component plus the prior's N-bit sweep,
-    # not two N-bit posterior sweeps per component
+@pytest.mark.parametrize("kind", ["explicit", "scattered"])
+def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
+    # each component is swept once, in one sweep of the halves of all the
+    # members of its lattice step as a batch: not one sweep per member, nor
+    # two per posterior
     leaves = []
     sweep = local_metrics._sweep
 
     def counted(p, f, r, plan, out):
         if r <= local_metrics.CHUNK_BITS:
-            leaves.append(r)
+            leaves.append(len(p))
         sweep(p, f, r, plan, out)
 
     monkeypatch.setattr(local_metrics, "_sweep", counted)
     rng = np.random.default_rng(47)
-    n = 7
-    w = rng.uniform(0.01, 1.0, size=1 << n)
-    voi_local(random_network(rng, n), Explicit(w / w.sum()), InspectionModel(0.05, 0.1),
+    if kind == "explicit":  # one 7-bit block
+        n = 7
+        w = rng.uniform(0.01, 1.0, size=1 << n)
+        dist = Explicit(w / w.sum())
+    else:  # a scattered 6-member group, then singles fused into a scattered 3-bit step
+        n = 9
+        dist = CommonCauseGroups([Group((0, 2, 3, 5, 6, 8), 0.2, 0.4), Group((1,), 0.1),
+                                  Group((4,), 0.15), Group((7,), 0.3)])
+    voi_local(random_network(rng, n), dist, InspectionModel(0.05, 0.1),
               LocalCostModel.uniform(n, 1.0, 0.05))
-    leaves_of = lambda bits: 1 << (bits - local_metrics.CHUNK_BITS)  # noqa: E731
-    assert len(leaves) == leaves_of(n) + n * leaves_of(n - 1)
+    leaves_of = lambda bits: 1 << max(bits - local_metrics.CHUNK_BITS, 0)  # noqa: E731
+    steps = _steps(dist)
+    lattice = [members for members, _ in steps if not local_metrics._fuses(members)]
+    assert len(lattice) == len(steps) == (1 if kind == "explicit" else 2)
+    # each step sweeps alone in the prior and in the split of every other
+    # step, and as its members' 2k halves in its own split
+    expected = sum((([1] * len(steps) + [2 * len(m)]) * leaves_of(len(m)) for m in lattice), [])
+    assert sorted(leaves) == sorted(expected)
+    if kind == "explicit":
+        assert len(leaves) == 2 * leaves_of(n)
 
 
 def test_cost_model_validation():

@@ -4,10 +4,11 @@ import dataclasses
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from netvoi import (CommonCauseGroups, Explicit, Independent, ScenarioError,
-                    parse_scenario, parse_scenario_file, system_failure_prob)
+                    parse_scenario, parse_scenario_file, system_failure_prob, voi_local)
 from netvoi import ScenarioDocument, distributions
 from netvoi.cli import run_command
 
@@ -339,9 +340,31 @@ def _no_table(group):
 def test_built_structure_and_belief_are_not_constructor_fields():
     doc = parse_scenario_file(scenario_path("three_branch.json"))
     params = inspect.signature(ScenarioDocument).parameters
-    assert "structure" not in params and "belief" not in params
+    assert not {"structure", "belief", "built"} & set(params)
+    assert {"structure", "belief"} <= set(vars(doc))  # parsing built them once
     assert "structure=" not in repr(doc) and "belief=" not in repr(doc)
-    # a copy with other spec fields never carries the network of the original
-    copy = dataclasses.replace(doc, formula="parallel(x)")
-    assert not hasattr(copy, "structure") and not hasattr(copy, "belief")
+    # a copy with other spec fields builds its own network, never the original's
+    formula = "series(c1, c2, c3, c4, c5, c6)"
+    copy = dataclasses.replace(doc, formula=formula)
     assert copy != doc and dataclasses.replace(doc) == doc
+    assert np.array_equal(copy.build_network().truth_table(),
+                          parse_scenario(doc.to_json().replace(doc.formula, formula))
+                          .build_network().truth_table())
+    assert not np.array_equal(copy.structure.truth_table(), doc.structure.truth_table())
+    with pytest.raises(ScenarioError, match="never referenced"):
+        dataclasses.replace(doc, formula="parallel(c1)").build_network()
+
+
+def local_report(doc):
+    return voi_local(doc.build_network(), doc.build_distribution(), doc.build_inspection(),
+                     doc.build_costs())
+
+
+@pytest.mark.parametrize("name", ["three_branch.json", "substation.json"])
+def test_replaced_costs_rank_like_the_parsed_document(name):
+    doc = parse_scenario_file(scenario_path(name))
+    obj = doc.to_json_obj()
+    obj["costs"]["c_fail"] = 2.0
+    copy, parsed = dataclasses.replace(doc, c_fail=2.0), parse_scenario(json.dumps(obj))
+    assert copy == parsed
+    assert local_report(copy) == local_report(parsed) != local_report(doc)
