@@ -22,9 +22,10 @@ from .errors import ConditioningError
 from .model import _bit_sums, _check_sizes, _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
-# Bits of one sampling chunk, drawn with one uniform: its cdf, guide and masks
-# take 96 KB. A smaller chunk's guide still has 2^SAMPLE_BITS buckets.
-SAMPLE_BITS = 12
+# Bits of one sampling chunk, drawn with one uniform: at 16 bits its cdf, guide and
+# masks take 512 KB each. Chunks of up to 12 bits keep the GUIDE_FLOOR of 4,096 buckets.
+SAMPLE_BITS = 16
+GUIDE_FLOOR = 1 << 12
 
 
 class JointDistribution:
@@ -79,14 +80,18 @@ class JointDistribution:
         return JointDistribution(blocks)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` masks by inverse CDF, one uniform per chunk (of ``pmf_vector()`` if one)."""
-        if self._chunks is None:  # (cdf, guide, mask of each state) of each ``SAMPLE_BITS`` product
-            self._chunks = tuple((*_search_table(table), _bit_sums([1 << b for b in bits]))
+        """``size`` masks by inverse CDF, one uniform per chunk: of ``pmf_vector()`` if N <= 16."""
+        if self._chunks is None:  # (cdf, guide, state masks; None on bits 0..k-1) per chunk
+            self._chunks = tuple((*_search_table(table), None if bits[-1] == len(bits) - 1
+                                  else _bit_sums([1 << b for b in bits]))
                                  for bits, table in _fuse(self._blocks, SAMPLE_BITS))
         u = rng.random((size, len(self._chunks)))
-        draws = (masks[_indexed_search(cdf, guide, u[:, c])]
-                 for c, (cdf, guide, masks) in enumerate(self._chunks))
-        return functools.reduce(np.bitwise_or, draws)
+        draws = None
+        for c, (cdf, guide, masks) in enumerate(self._chunks):
+            idx = _indexed_search(cdf, guide, u[:, c])
+            idx = idx if masks is None else masks[idx]
+            draws = idx if draws is None else np.bitwise_or(draws, idx, out=draws)
+        return draws
 
     def _check_index(self, i: int) -> None:
         if not 0 <= i < self.n_components:
@@ -131,11 +136,11 @@ def _search_table(table) -> tuple:
 
     The cdf is the running sum with its last entry set to 1.0, so every
     uniform in [0, 1) lands on a state. ``guide[g]`` is the first state
-    whose cdf exceeds g / G, for G = max(states, 2^SAMPLE_BITS) buckets: a
+    whose cdf exceeds g / G, for G = max(states, GUIDE_FLOOR) buckets: a
     power of two, so g / G is exact.
     """
     cdf = np.append(np.cumsum(table)[:-1], 1.0)
-    buckets = max(cdf.size, 1 << SAMPLE_BITS)
+    buckets = max(cdf.size, GUIDE_FLOOR)
     return cdf, np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
 
 

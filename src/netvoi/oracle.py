@@ -7,7 +7,7 @@ base generator jumped j times, built directly with 2^128 j as its counter).
 Their batch means give the standard error, so an estimate needs 2 samples;
 estimates reproduce bit-for-bit for a fixed seed. Each substream draws its
 state masks with ``JointDistribution.sample``: one uniform per chunk of
-whole belief blocks, by inverse CDF of the chunk's table; up to 12
+whole belief blocks, by inverse CDF of the chunk's table; up to 16
 components that is the inverse CDF of the pmf. A guide table of at least
 4096 buckets per chunk (Chen and Asau's indexed search) finds nearly every
 draw's state with one lookup and one comparison and binary-searches the

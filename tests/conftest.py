@@ -192,15 +192,15 @@ def substation_reference(rho_ds: float):
 
 
 def make_groups_across_sampling_chunks():
-    """Eighteen components whose groups cut across the 12-bit sampling chunks.
+    """Twenty components whose groups cut across the 16-bit sampling chunks.
 
-    By lowest member, {0,1}, {2,13,17} and the singles 3..9 fill the first
-    12 bits; the group {10,11,12,14} straddles bit 12 and opens the second
-    chunk, with the singles 15 and 16.
+    By lowest member, {0,1}, {2,17,19} and the singles 3..13 fill the first
+    16 bits; the group {14,15,18} straddles bit 16 and opens the second
+    chunk, with the single 16.
     """
-    groups = [Group([0, 1], 0.2, 0.5), Group([2, 13, 17], 0.3, 0.6),
-              Group([10, 11, 12, 14], 0.1, 0.4)]
-    groups += [Group([m], 0.05 + 0.03 * m, 0.0) for m in (3, 4, 5, 6, 7, 8, 9, 15, 16)]
+    groups = [Group([0, 1], 0.2, 0.5), Group([2, 17, 19], 0.3, 0.6),
+              Group([14, 15, 18], 0.1, 0.4)]
+    groups += [Group([m], 0.05 + 0.03 * m, 0.0) for m in (*range(3, 14), 16)]
     return CommonCauseGroups(groups)
 
 

@@ -242,7 +242,7 @@ def test_explicit_form_of_substation_ranks_alike(tmp_path, capsys):
 
 
 def test_explicit_form_of_substation_samples_alike(tmp_path, capsys):
-    # a belief and its explicit table draw the same masks up to 12 components
+    # a belief and its explicit table draw the same masks up to 16 components
     doc = parse_scenario_file(scenario_path("substation.json"))
     obj = json.loads(doc.to_json())
     obj["dependence"] = {"kind": "explicit",

@@ -10,8 +10,9 @@ import pytest
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
                     Group, Independent, JointDistribution, Network, parallel,
                     series, system_failure_prob)
-from netvoi.distributions import (SAMPLE_BITS, _frozen, _fuse, _indexed_search, _reweight,
-                                  _reweight_blocks, _search_table, _shared_cause_table)
+from netvoi.distributions import (GUIDE_FLOOR, SAMPLE_BITS, _frozen, _fuse, _indexed_search,
+                                  _reweight, _reweight_blocks, _search_table,
+                                  _shared_cause_table)
 from netvoi.local_metrics import CHUNK_BITS
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
@@ -276,11 +277,12 @@ def _point_mass(n, at):
     np.array([0.25, 0.75 + 1e-13, 0.0, 0.0]),  # the cumsum passes 1.0 at state 1
     np.array([0.1] * 10 + [1e-13] + [0.0] * 5),  # and at state 10
     _spread_table(6, 1), _spread_table(12, 2), _spread_table(13, 3), _spread_table(14, 4),
+    _spread_table(15, 5), _spread_table(16, 6),
 ], ids=lambda t: f"{t.size}-states")
 def test_indexed_search_is_the_binary_search(table):
     cdf, guide = _search_table(table)
     buckets = guide.size
-    assert buckets == max(table.size, 1 << SAMPLE_BITS)
+    assert buckets == max(table.size, GUIDE_FLOOR)
     edges = np.arange(buckets) / buckets
     inner = cdf[cdf < 1.0]
     u = np.concatenate([edges, np.nextafter(edges[1:], 0.0), inner, np.nextafter(inner, 0.0),
@@ -289,20 +291,36 @@ def test_indexed_search_is_the_binary_search(table):
     assert np.array_equal(_indexed_search(cdf, guide, u), np.searchsorted(cdf, u, side="right"))
 
 
-@pytest.mark.parametrize("n", [3, 13, 14])
-def test_explicit_draws_are_a_plain_inverse_cdf(n):
-    rng = np.random.default_rng(n)
-    w = rng.uniform(0.0, 1.0, size=1 << n) ** 3
-    dist = Explicit(w / w.sum())
+def _one_chunk_belief(kind, n, rng):
+    """An n-component belief of one kind; "groups" puts a group on bits 0 and n - 1."""
+    if kind == "independent":
+        return Independent(rng.uniform(0.02, 0.5, size=n))
+    if kind == "explicit":
+        w = rng.uniform(0.0, 1.0, size=1 << n) ** 3
+        return Explicit(w / w.sum())
+    rest = range(1, n - 1)
+    return CommonCauseGroups([Group([0, n - 1], 0.3, 0.6)]
+                             + [Group(rest[i:i + 3], 0.05 + 0.01 * i, 0.4)
+                                for i in range(0, len(rest), 3)])
+
+
+@pytest.mark.parametrize("kind", ["independent", "groups", "explicit"])
+@pytest.mark.parametrize("n", [3, 13, 16])
+def test_one_chunk_draws_are_a_plain_inverse_cdf(kind, n):
+    # up to SAMPLE_BITS components a draw is one uniform through the pmf's cdf
+    assert n <= SAMPLE_BITS
+    dist = _one_chunk_belief(kind, n, np.random.default_rng(n))
     cdf = list(itertools.accumulate(dist.pmf_vector().tolist()))
     cdf[-1] = 1.0
-    uniforms = np.random.default_rng(99).random(3000)
-    expected = [bisect.bisect_right(cdf, u) for u in uniforms.tolist()]
-    assert dist.sample(np.random.default_rng(99), 3000).tolist() == expected
+    reference = np.random.default_rng(99)
+    expected = [bisect.bisect_right(cdf, u) for u in reference.random(3000).tolist()]
+    rng = np.random.default_rng(99)
+    assert dist.sample(rng, 3000).tolist() == expected
+    assert rng.random() == reference.random()  # and no more uniforms than draws
 
 
 @pytest.mark.parametrize("make", [
-    lambda: Independent(np.linspace(0.05, 0.5, 16)),
+    lambda: Independent(np.linspace(0.05, 0.5, 20)),
     lambda: Independent(np.linspace(0.5, 0.02, 20)),
     make_groups_across_sampling_chunks,
 ])
