@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("scenario", help="path to a scenario JSON document")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to PATH instead of stdout")
         p.add_argument("--eps-fa", type=float, default=None,
@@ -80,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="normalized-value bar chart as SVG")
     add_common(p_plot)
+    for p in (p_rel, p_int, p_rank, p_act):  # plot writes SVG only
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
 

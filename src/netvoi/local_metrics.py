@@ -48,8 +48,10 @@ class LocalCostModel:
         object.__setattr__(self, "c_repair", tuple(float(c) for c in self.c_repair))
         if not 0.0 < self.c_fail < math.inf:
             raise ValueError(f"failure cost {self.c_fail} must be positive and finite")
-        if not all(0.0 <= c < math.inf for c in self.c_repair):
-            raise ValueError("repair costs must be finite and nonnegative")
+        if (not all(0.0 <= c < math.inf for c in self.c_repair)
+                or self.c_fail + sum(self.c_repair) == math.inf):
+            raise ValueError("repair costs must be finite and nonnegative, and the failure "
+                             "cost plus their sum finite")
 
     @classmethod
     def uniform(cls, n: int, c_fail: float, c_repair: float) -> "LocalCostModel":
@@ -261,11 +263,14 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
 
     Outcome y on component i reweights the prior's plan risks restricted to
     i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
-    the posterior's plan risks are (w_f R_i0 + w_w R_i1) / Z, where Z is
-    w_f m0 + w_w m1 for the masses m0 and m1 of i failed and working. Both
-    outcomes are priced from one split of the engine step that holds i
-    (``_split_risks``); a k-bit lattice block splits its members in k-bit
-    sweeps of up to 2k tables, not a sweep per ``posterior_given_observation``.
+    the posterior's plan risks are (w_f R_i0 + w_w R_i1) / (w_f m0 + w_w m1)
+    for the masses m0 and m1 of i failed and working (``_split_risks``). A
+    loss is c_fail times a nonnegative risk plus a repair bill, so, in
+    floating point too, only plans billed at most T can lie in the tie band
+    of the least loss: T is the larger over both outcomes of the heuristic's
+    cheaper loss, of the prior plan and its flip at i, plus the band. Pricing
+    those plans in mask order gives the floats of a scan of all 2^N plans;
+    with free repairs it prices every plan.
     """
     _check_sizes(net, dist, insp, costs)
     steps = _steps(dist)
@@ -273,17 +278,24 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     repair = _bit_sums(costs.c_repair)
     prior_plan, prior_loss = _cheapest(costs.c_fail * _risks(fail, steps) + repair, costs.c_fail)
     rows = [None] * net.n_components
-    for i, (r_failed, r_working), (m_failed, m_working) in _split_risks(fail, steps):
+    for i, split, masses in _split_risks(fail, steps):
         # a certain outcome carries no news: both rows stay at the prior plan and loss
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
-        for y, p_y in _outcomes(dist, i, insp):
-            risks = _posterior_mean((m_failed, m_working), (r_failed, r_working), i, y, insp)
-            losses = costs.c_fail * risks + repair
-            row[y] = _cheapest(losses, costs.c_fail)
+        outcomes = _outcomes(dist, i, insp)
+        heuristic = {y: [costs.c_fail * _posterior_mean(masses, split[:, a].tolist(), i, y, insp)
+                         + repair.item(a) for a in (prior_plan, prior_plan ^ (1 << i))]
+                     for y, _ in outcomes}
+        bound = max(map(min, heuristic.values()), default=-math.inf) + PLAN_TIE_RTOL * costs.c_fail
+        plans = (repair <= bound).nonzero()[0]
+        risks, bills = split.take(plans, axis=1), repair[plans]
+        for y, p_y in outcomes:
+            losses = costs.c_fail * _posterior_mean(masses, risks, i, y, insp) + bills
+            best, least = _cheapest(losses, costs.c_fail)
+            row[y] = int(plans[best]), least
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan adds exactly 0
-            value += p_y * (float(losses[prior_plan]) - row[y][1])
+            value += p_y * (heuristic[y][0] - least)
         rows[i] = (row[SILENCE], row[ALARM], value)
     return _report("local", prior_plan, prior_loss, rows)
 

@@ -430,6 +430,8 @@ def _parse_costs(raw, n, col):
     c_repair = _numbers(costs.get("c_repair"), n, "costs.c_repair", col, _NONNEGATIVE)
     if isinstance(c_repair, float):  # one cost for every component
         c_repair = (c_repair,) * n
+    if None not in (c_fail, c_repair) and c_fail + sum(c_repair) == math.inf:
+        col.error("costs.c_repair", "c_fail plus the sum of c_repair must be finite")
     return c_fail, c_repair
 
 

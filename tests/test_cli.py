@@ -165,6 +165,13 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert text.rstrip().endswith("</svg>")
 
 
+def test_plot_takes_no_format(capsys):
+    # plot writes SVG only, so a format is a usage error, not silently ignored
+    code, out, err = run(capsys, "plot", scenario_path("three_branch.json"), "--format", "json")
+    assert (code, out) == (64, "")
+    assert "unrecognized arguments: --format json" in err
+
+
 def test_unknown_flag_exits_64(capsys):
     code, _, err = run(capsys, "rank", "--nope", scenario_path("three_branch.json"))
     assert code == 64
@@ -327,6 +334,22 @@ def test_failure_mass_summing_past_1_is_a_certain_failure(tmp_path, capsys):
         code, _, err = run(capsys, *argv, str(path))
         assert (code, err) == (0, ""), argv
     assert run(capsys, "reliability", str(path)) == (0, "1.0\n", "")
+
+
+@pytest.mark.parametrize("costs", [{"c_fail": 1.0, "c_repair": 1e308},
+                                   {"c_fail": 1.7e308, "c_repair": [1e307] + [0.0] * 5}])
+def test_costs_whose_worst_loss_overflows_exit_1_at_parse(tmp_path, costs):
+    # each cost is finite, but c_fail plus all repairs is not: refused before
+    # any loss is formed, so no overflow warning reaches stderr
+    obj = json.loads(Path(scenario_path("three_branch.json")).read_text())
+    obj["costs"] = costs
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    fresh = subprocess.run([sys.executable, "-m", "netvoi.cli", "rank", "--metric", "local",
+                            str(path)], env=dict(os.environ, PYTHONPATH=SRC_DIR),
+                           capture_output=True, text=True, timeout=60)
+    assert (fresh.returncode, fresh.stdout) == (1, "")
+    assert fresh.stderr == "error: costs.c_repair: c_fail plus the sum of c_repair must be finite\n"
 
 
 def test_binary_envelope_outside_0_1_exits_1_at_parse(tmp_path, capsys):

@@ -17,7 +17,8 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     voi_heuristic, voi_local)
 import netvoi.local_metrics as local_metrics
 from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
-from netvoi.inference import ALARM, SILENCE, _likelihood, _outcomes, posterior_given_observation
+from netvoi.inference import (ALARM, SILENCE, _likelihood, _outcomes, _posterior_mean,
+                              posterior_given_observation)
 from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
 from netvoi.model import _bit_sums
 from netvoi.scenario import parse_scenario_file
@@ -376,10 +377,100 @@ def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
         assert len(leaves) == 2 * leaves_of(n)
 
 
+def local_by_full_scan(net, dist, insp, costs):
+    """``voi_local``'s report with each outcome's posterior losses formed over
+    all 2^N plans from ``_split_risks``: the search without the heuristic's bound."""
+    fail, repair = (~net.truth_table()).astype(float), _bit_sums(costs.c_repair)
+    prior_plan, prior_loss = _cheapest(plan_losses(net, dist, costs), costs.c_fail)
+    rows = [None] * net.n_components
+    for i, split, masses in _split_risks(fail, _steps(dist)):
+        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        value = 0.0
+        for y, p_y in _outcomes(dist, i, insp):
+            losses = costs.c_fail * _posterior_mean(masses, split, i, y, insp) + repair
+            row[y] = _cheapest(losses, costs.c_fail)
+            value += p_y * (float(losses[prior_plan]) - row[y][1])
+        rows[i] = (row[SILENCE], row[ALARM], value)
+    return local_metrics._report("local", prior_plan, prior_loss, rows)
+
+
+def test_bounded_posterior_search_is_the_full_scan(monkeypatch):
+    # the same plans, losses and values, to the last bit, as pricing all 2^N plans
+    rng = np.random.default_rng(67)
+    sizes = []
+    cheapest = local_metrics._cheapest
+    monkeypatch.setattr(local_metrics, "_cheapest", lambda losses, c_fail:
+                        sizes.append(len(losses)) or cheapest(losses, c_fail))
+    cut = searches = 0
+    for n in range(2, 11):
+        net = random_network(rng, n)
+        c_fail = float(rng.uniform(0.5, 5.0))
+        drawn = rng.uniform(0.0, 0.3 * c_fail, size=n)
+        for c_repair in (drawn, np.zeros(n), np.where(rng.random(n) < 0.5, 0.0, drawn)):
+            costs = LocalCostModel(c_fail, c_repair)
+            for dist in beliefs_of_every_kind(rng, n, certain=n % 2 == 1):
+                for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                    report = voi_local(net, dist, insp, costs)
+                    assert report == local_by_full_scan(net, dist, insp, costs), (n, dist)
+                    cut += sum(k < 1 << n for k in sizes)
+                    searches += len(sizes) - 1
+                    sizes.clear()
+    # with costs drawn here, most posterior searches price only some of the plans
+    assert cut > searches / 2
+
+
+def test_near_tie_above_the_heuristic_bound_goes_to_the_lower_mask():
+    # parallel(c0, c1): repairing either leaves no risk, so each single repair
+    # costs its bill. After an alarm on c1 the least loss is c1's bill, from
+    # the heuristic's flip 0b10, and c0's bill lies inside the tie band just
+    # above it: the lowest-mask rule picks 0b01, which the bound must keep
+    net = Network(FormulaTree(parallel(0, 1)))
+    dist = Independent([0.5, 0.05])
+    costs = LocalCostModel(1.0, (0.1 + PLAN_TIE_RTOL / 2, 0.1))
+    report = voi_local(net, dist, PERFECT_INSPECTION, costs)
+    assert report.prior_plan == 0
+    assert report.action_table.alarm_plans[1] == 0b01
+    assert report.action_table.alarm_losses[1] == costs.c_repair[0]
+    assert report == local_by_full_scan(net, dist, PERFECT_INSPECTION, costs)
+
+
+def test_bound_is_the_larger_over_both_outcomes():
+    # series(c0, c1) where c0 fails exactly when c1 works, or both work. The
+    # prior repairs c0. Inspecting c0, an alarm keeps that cheap repair, and
+    # a silence makes c1's failure likely and repairs c1, whose bill is above
+    # the alarm's bound; inspecting c1, the alarm needs c1's repair, above the
+    # silence's bound. Each search must reach past its own outcome's bound.
+    net = Network(FormulaTree(series(0, 1)))
+    dist = Explicit([0.0, 0.3, 0.5, 0.2])
+    costs = LocalCostModel(1.0, (0.1, 0.4))
+    report = voi_local(net, dist, PERFECT_INSPECTION, costs)
+    assert report.prior_plan == 0b01
+    table = report.action_table
+    assert (table.silence_plans, table.alarm_plans) == ((0b10, 0b01), (0b01, 0b10))
+    assert report == local_by_full_scan(net, dist, PERFECT_INSPECTION, costs)
+
+
+def test_layered16_posterior_searches_price_a_few_plans(monkeypatch):
+    # the prior's scan prices all 2^16 plans; the 32 posterior searches only
+    # the plans whose repair bill is within the heuristic's bound
+    sizes = []
+    cheapest = local_metrics._cheapest
+    monkeypatch.setattr(local_metrics, "_cheapest", lambda losses, c_fail:
+                        sizes.append(len(losses)) or cheapest(losses, c_fail))
+    doc = parse_scenario_file(scenario_path("layered16.json"))
+    voi_local(doc.build_network(), doc.build_distribution(), doc.build_inspection(),
+              doc.build_costs())
+    assert sizes[0] == 1 << 16
+    assert len(sizes) == 33 and max(sizes[1:]) <= 17
+
+
 def test_cost_model_validation():
     assert LocalCostModel(1.0, (0.0, 0.5)).c_repair == (0.0, 0.5)
+    assert LocalCostModel(1e308, (1e307, 1e307)).c_repair == (1e307, 1e307)
     for c_fail, c_repair in ((0.0, (0.1,)), (math.nan, (0.1,)), (math.inf, (0.1,)),
-                             (1.0, (-0.1,)), (1.0, (math.nan,)), (1.0, (0.1, math.inf))):
+                             (1.0, (-0.1,)), (1.0, (math.nan,)), (1.0, (0.1, math.inf)),
+                             # each cost finite, but the worst loss overflows
+                             (1.0, (1e308, 1e308)), (1.7e308, (1e307,))):
         with pytest.raises(ValueError):
             LocalCostModel(c_fail, c_repair)
 
