@@ -94,11 +94,8 @@ def _load(args):
     except SizeCapError:  # the same refusal, worded for the option that set the cap
         raise SizeCapError(f"{doc.n_components} components exceed --cap {args.cap}") from None
     dist = doc.build_distribution()
-    insp = doc.build_inspection()
-    if args.eps_fa is not None or args.eps_fs is not None:
-        fa = args.eps_fa if args.eps_fa is not None else doc.eps_fa
-        fs = args.eps_fs if args.eps_fs is not None else doc.eps_fs
-        insp = InspectionModel(fa, fs)
+    insp = InspectionModel(doc.eps_fa if args.eps_fa is None else args.eps_fa,
+                           doc.eps_fs if args.eps_fs is None else args.eps_fs)
     return doc, net, dist, insp
 
 
@@ -208,8 +205,7 @@ def _cmd_plot(args) -> int:
     heuristic = _voi_heuristic(net, dist, insp, costs, local.prior_plan, local.prior_loss)
     series = [("global", system.voi_normalized), ("local", local.voi_normalized),
               ("heuristic", heuristic.voi_normalized)]
-    text = render_bar_chart_svg(net.names, series, title="normalized inspection value")
-    _emit(text, args)
+    _emit(render_bar_chart_svg(net.names, series), args)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import ConditioningError
+from .errors import CORRELATION, NONNEGATIVE, PROBABILITY, ConditioningError
 from .model import _bit_sums, _check_sizes, _halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
@@ -188,14 +188,11 @@ class Independent(JointDistribution):
     """Product of per-component Bernoulli failure indicators."""
 
     def __init__(self, failure_probs):
-        probs = tuple(float(p) for p in failure_probs)
-        if not probs:
+        self.failure_probs = tuple(PROBABILITY.check(p, f"failure probability of component {i}")
+                                   for i, p in enumerate(failure_probs))
+        if not self.failure_probs:
             raise ValueError("need at least one component")
-        for i, p in enumerate(probs):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"failure probability {p} of component {i} not in [0, 1]")
-        self.failure_probs = probs
-        super().__init__(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(probs))
+        super().__init__(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(self.failure_probs))
 
 
 class Explicit(JointDistribution):
@@ -206,7 +203,7 @@ class Explicit(JointDistribution):
         size = arr.size
         if size < 2 or size & (size - 1):
             raise ValueError("weight count must be a power of two, at least 2")
-        if not np.all((0.0 <= arr) & (arr < np.inf)):
+        if not np.all(np.isfinite(arr) & NONNEGATIVE.test(arr)):
             raise ValueError("weights must be finite and nonnegative")
         total = float(arr.sum())
         if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
@@ -235,8 +232,10 @@ class Group:
 
     def __init__(self, members, p, rho=0.0):
         self.members = tuple(int(m) for m in members)
-        self.p = float(p)
-        self.rho = float(rho)
+        if not self.members:
+            raise ValueError("a group needs at least one member")
+        self.p = PROBABILITY.check(p, "group failure probability")
+        self.rho = CORRELATION.check(rho, "group correlation")
 
 
 class CommonCauseGroups(JointDistribution):
@@ -249,13 +248,6 @@ class CommonCauseGroups(JointDistribution):
 
     def __init__(self, groups, n_components: int | None = None):
         groups = list(groups)
-        for g in groups:
-            if not g.members:
-                raise ValueError("a group needs at least one member")
-            if not 0.0 <= g.p <= 1.0:
-                raise ValueError(f"group failure probability {g.p} not in [0, 1]")
-            if not 0.0 <= g.rho < 1.0:
-                raise ValueError(f"group correlation {g.rho} not in [0, 1)")
         covered = [m for g in groups for m in g.members]
         if len(set(covered)) != len(covered):
             raise ValueError("groups overlap")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import NONNEGATIVE, POSITIVE, PROBABILITY
+
 
 @dataclass(frozen=True)
 class GlobalAction:
@@ -20,15 +22,9 @@ class GlobalAction:
     residual_risk: float
 
     def __post_init__(self):
-        if not 0.0 <= self.cost < math.inf:
-            raise ValueError(f"action cost {self.cost} is not a finite nonnegative number")
-        if not 0.0 <= self.residual_risk <= 1.0:
-            raise ValueError(f"residual risk {self.residual_risk} not in [0, 1]")
-
-
-def _check_prob(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"failure probability {p} not in [0, 1]")
+        object.__setattr__(self, "cost", NONNEGATIVE.check(self.cost, "action cost"))
+        object.__setattr__(self, "residual_risk",
+                           PROBABILITY.check(self.residual_risk, "residual risk"))
 
 
 class LossEnvelope:
@@ -48,7 +44,7 @@ class QuadraticLoss(LossEnvelope):
     """Smooth reference envelope p * (1 - p)."""
 
     def value(self, p: float) -> float:
-        _check_prob(p)
+        p = PROBABILITY.check(p, "failure probability")
         return p * (1.0 - p)
 
 
@@ -69,15 +65,11 @@ class PiecewiseLinearLoss(LossEnvelope):
     @classmethod
     def from_actions(cls, actions, c_fail: float):
         """Envelope induced by system-level actions under failure cost c_fail."""
-        if not 0.0 < c_fail < math.inf:
-            raise ValueError(f"failure cost {c_fail} must be positive and finite")
-        acts = list(actions)
-        if not acts:
-            raise ValueError("need at least one action")
-        return cls((a.residual_risk * c_fail, a.cost) for a in acts)
+        c_fail = POSITIVE.check(c_fail, "failure cost")
+        return cls((a.residual_risk * c_fail, a.cost) for a in actions)
 
     def value(self, p: float) -> float:
-        _check_prob(p)
+        p = PROBABILITY.check(p, "failure probability")
         return min(b + m * p for m, b in self._lines)
 
 
@@ -89,15 +81,11 @@ class BinaryActionLoss(PiecewiseLinearLoss):
     """
 
     def __init__(self, c_repair: float, c_fail: float):
-        if c_fail <= 0.0:
-            raise ValueError("failure cost must be positive")
-        peak = c_repair / c_fail
-        if not 0.0 < peak < 1.0:
-            raise ValueError(
-                f"repair/failure cost ratio {peak} must lie strictly inside (0, 1)"
-            )
         self.c_repair = float(c_repair)
-        self.c_fail = float(c_fail)
+        self.c_fail = POSITIVE.check(c_fail, "failure cost")
+        if not 0.0 < self.peak < 1.0:
+            raise ValueError(f"repair/failure cost ratio {self.peak} must lie strictly "
+                             "inside (0, 1)")
         super().__init__([(self.c_fail, 0.0), (0.0, self.c_repair)])
 
     @property

@@ -1,4 +1,30 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the numeric domains of its inputs."""
+
+import math
+from typing import Callable, NamedTuple
+
+
+class Domain(NamedTuple):
+    """The range of one kind of input number: its words in an error, and its test."""
+
+    words: str
+    test: Callable[[float], bool]
+
+    def check(self, value, what: str) -> float:
+        """``value`` as a float, unless it is not finite or fails the test: then a ValueError."""
+        x = float(value)
+        if not (math.isfinite(x) and self.test(x)):
+            raise ValueError(f"{what} must be finite and {self.words}, not {x}")
+        return x
+
+
+# Every probability, correlation, rate and cost that a reader takes is checked by one of these.
+PROBABILITY = Domain("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+CORRELATION = Domain("in [0, 1)", lambda x: 0.0 <= x < 1.0)
+SIGNED_CORRELATION = Domain("in [-1, 1]", lambda x: -1.0 <= x <= 1.0)
+RATE = Domain("in [0, 0.5)", lambda x: 0.0 <= x < 0.5)
+POSITIVE = Domain("positive", lambda x: x > 0.0)
+NONNEGATIVE = Domain("nonnegative", lambda x: x >= 0.0)
 
 
 class NetvoiError(Exception):

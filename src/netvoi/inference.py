@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import JointDistribution, _failure_masses, _failure_prob, _reweight_blocks
-from .errors import (ConditioningError, DegenerateObservationError,
+from .errors import (RATE, ConditioningError, DegenerateObservationError,
                      IncomparableIntervalsError)
 from .model import _check_sizes, _halves
 
@@ -25,17 +25,10 @@ PRIOR_MATCH_TOL = 1e-9
 
 
 def _normalize_rates(value, what):
-    if isinstance(value, (int, float)):
-        rates = (float(value),)
-        scalar = True
-    else:
-        rates = tuple(float(v) for v in value)
-        scalar = False
-        if not rates:
-            raise ValueError(f"{what} list is empty")
-    for r in rates:
-        if not 0.0 <= r < 0.5:
-            raise ValueError(f"{what} of {r} is outside [0, 0.5)")
+    scalar = isinstance(value, (int, float))
+    rates = tuple(RATE.check(r, what) for r in ((value,) if scalar else value))
+    if not rates:
+        raise ValueError(f"{what} list is empty")
     return rates, scalar
 
 
@@ -80,6 +73,12 @@ PERFECT_INSPECTION = InspectionModel(0.0, 0.0)
 
 def alarm_probability(dist: JointDistribution, i: int, insp: InspectionModel) -> float:
     """Marginal probability that inspecting component i raises an alarm."""
+    _check_sizes(dist, insp)
+    return _alarm_probability(dist, i, insp)
+
+
+def _alarm_probability(dist, i, insp) -> float:
+    """``alarm_probability`` for a belief and rates whose sizes the caller has checked."""
     return insp.fa(i) + insp.k(i) * dist.marginal_failure(i)
 
 
@@ -89,7 +88,7 @@ def _outcomes(dist: JointDistribution, i: int, insp: InspectionModel) -> tuple:
     A certain outcome carries no news: every metric prices that inspection
     at 0, and ``posterior_interval`` has no second posterior to report.
     """
-    h = alarm_probability(dist, i, insp)
+    h = _alarm_probability(dist, i, insp)
     return ((SILENCE, 1.0 - h), (ALARM, h)) if 0.0 < h < 1.0 else ()
 
 
@@ -109,6 +108,7 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
     The prior's blocks, with the likelihood multiplied into the one that
     holds component i.
     """
+    _check_sizes(dist, insp)
     dist._check_index(i)
     return JointDistribution(_reweight_blocks(dist.blocks(), i, *_likelihood(i, y, insp)))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Independent, JointDistribution, _failure_masses, _fuse
-from .errors import InfeasibleCorrelationError, NotApplicableError
+from .errors import (NONNEGATIVE, POSITIVE, PROBABILITY, SIGNED_CORRELATION,
+                     InfeasibleCorrelationError, NotApplicableError)
 from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean
 from .model import _bit_sums, _check_sizes, _halves, check_state
 from .reports import PosteriorActionTable, VoIReport
@@ -45,13 +46,12 @@ class LocalCostModel:
     c_repair: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "c_repair", tuple(float(c) for c in self.c_repair))
-        if not 0.0 < self.c_fail < math.inf:
-            raise ValueError(f"failure cost {self.c_fail} must be positive and finite")
-        if (not all(0.0 <= c < math.inf for c in self.c_repair)
-                or self.c_fail + sum(self.c_repair) == math.inf):
-            raise ValueError("repair costs must be finite and nonnegative, and the failure "
-                             "cost plus their sum finite")
+        object.__setattr__(self, "c_fail", POSITIVE.check(self.c_fail, "failure cost"))
+        object.__setattr__(self, "c_repair", tuple(
+            NONNEGATIVE.check(c, f"repair cost of component {i}")
+            for i, c in enumerate(self.c_repair)))
+        if self.c_fail + sum(self.c_repair) == math.inf:
+            raise ValueError("the failure cost plus the sum of repair costs must be finite")
 
     @classmethod
     def uniform(cls, n: int, c_fail: float, c_repair: float) -> "LocalCostModel":
@@ -155,21 +155,21 @@ def _or_table(r: int) -> np.ndarray:
 
 
 def _operator(p: np.ndarray, r: int) -> np.ndarray:
-    """Dense plan-risk operator of weights ``p`` for the sub-plans of its low ``r`` bits.
+    """Dense plan-risk operator of the weight tables ``p`` for the sub-plans of their ``r`` bits.
 
-    Returns M transposed, of shape p.shape + (2^r,); for each table along
-    the leading axes of p, ``M[a, t]`` is the sum of p[s] over the states s
-    with s | a = t: right-multiplying the failure indicator over t gives the
-    failure mass of every sub-plan a.
+    ``p`` holds tables of 2^r weights along its last axis: a matrix of them is one
+    product, a stack one product each. Returns M transposed, of shape p.shape + (2^r,):
+    ``M[a, t]`` sums a table's p[s] over the states s with s | a = t, so right-multiplying
+    the failure indicator over t gives the failure mass of every sub-plan a.
     """
-    return (p.reshape(-1, 1 << r) @ _or_table(r)).reshape(*p.shape, 1 << r)
+    return (p @ _or_table(r)).reshape(*p.shape, 1 << r)
 
 
 def _apply_chunk(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
     """Apply each of the weight ``tables`` over the adjacent bits ``members`` as one matmul."""
     size = tables.shape[1]
     # one product per table, not one over the batch, so each table sums as it does alone
-    m_t = (tables[:, None] @ _or_table(len(members))).reshape(-1, size, size)
+    m_t = _operator(tables[:, None], len(members)).reshape(-1, size, size)
     if members[0] == 0:
         return (risk.reshape(-1, size) @ m_t).reshape(len(tables), -1)
     return (m_t.swapaxes(1, 2)[:, None] @ risk.reshape(-1, size, 1 << members[0])
@@ -206,7 +206,7 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
     """
     if r <= CHUNK_BITS:
         if len(p) <= len(f):
-            block = f @ _operator(p, r)
+            block = f @ _operator(p.reshape(-1, 1 << r), r).reshape(len(p), -1, 1 << r)
         else:  # the batch shares one expansion, F[k, s, a, x] = f[x, k, s | a]
             s = np.arange(1 << r)
             wide = np.take(f.T.reshape(-1, 1 << r, len(f)), s[:, None] | s, axis=1)
@@ -352,9 +352,8 @@ def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:
     replaced whenever its conditional failure risk exceeds the repair cost.
     Returns 1 or 2, or 0 for a tie.
     """
-    for name, p in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name}={p} not in [0, 1]")
+    p1, p2 = PROBABILITY.check(p1, "p1"), PROBABILITY.check(p2, "p2")
+    rho = SIGNED_CORRELATION.check(rho, "rho")
     if not 0.0 < peak <= 0.5:
         raise ValueError(f"cost ratio {peak} must lie in (0, 0.5]")
     both = p1 * p2 + rho * math.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))

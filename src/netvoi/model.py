@@ -184,12 +184,9 @@ class FormulaTree(StructureFunction):
                 stack.extend(node.parts)
         self._nodes = tuple(reversed(nodes))
         indices = [node.index for node in self._nodes if isinstance(node, ComponentRef)]
-        counts = Counter(indices)
-        duplicates = sorted(i for i, c in counts.items() if c > 1)
+        duplicates = sorted(i for i, c in Counter(indices).items() if c > 1)
         if duplicates:
             raise ValueError(f"components referenced more than once: {duplicates}")
-        if not indices:
-            raise ValueError("formula references no components")
         n = max(indices) + 1
         missing = sorted(set(range(n)) - set(indices))
         if missing:
@@ -305,7 +302,13 @@ class TruthTable(StructureFunction):
     """Explicit system state per mask, rejected unless monotone."""
 
     def __init__(self, values):
-        arr = np.array([bool(int(v)) for v in values], dtype=bool)
+        # a state is 0 or 1 as an int, a bool or a character: an entry whose str is a key
+        known = {"0": False, "1": True, "False": False, "True": True}
+        states = [known.get(str(v), v) for v in values]
+        bad = next((k for k, s in enumerate(states) if not isinstance(s, bool)), None)
+        if bad is not None:
+            raise ValueError(f"truth table entry {bad} is {states[bad]!r}, not 0 or 1")
+        arr = np.array(states, dtype=bool)
         size = arr.size
         if size < 2 or size & (size - 1):
             raise ValueError("truth table length must be a power of two, at least 2")

@@ -17,6 +17,7 @@ rest, so each draw is the binary search's.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,9 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("n_samples", self.n_samples), ("seed", self.seed)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n_samples < 2:  # the standard error needs two batch means
             raise ValueError(f"need at least 2 samples, not {self.n_samples}")
         if not 0 <= self.seed < 1 << 128:  # the Philox key

@@ -52,8 +52,8 @@ def render_json(obj) -> str:
 _CHART_COLORS = ("#4878a8", "#e49444", "#5ba053", "#b04e4e")
 
 
-def render_bar_chart_svg(component_names, data_series, title="") -> str:
-    """Grouped bar chart of normalized values in [0, 1], one group per component.
+def render_bar_chart_svg(component_names, data_series) -> str:
+    """Grouped bar chart of normalized inspection values in [0, 1], one group per component.
 
     ``data_series`` is a sequence of (label, values) pairs; every value list
     must match the component count.
@@ -68,13 +68,8 @@ def render_bar_chart_svg(component_names, data_series, title="") -> str:
     left, right, top, bottom = 56, 16, 40, 56
     plot_w = width - left - right
     plot_h = height - top - bottom
-    n_groups = len(names)
-    n_series = max(len(series), 1)
-    group_w = plot_w / max(n_groups, 1)
-    bar_w = group_w * 0.8 / n_series
-
-    def x_of(group, k):
-        return left + group * group_w + group_w * 0.1 + k * bar_w
+    group_w = plot_w / len(names)
+    bar_w = group_w * 0.8 / len(series)
 
     def y_of(value):
         return top + plot_h * (1.0 - min(max(value, 0.0), 1.0))
@@ -83,10 +78,9 @@ def render_bar_chart_svg(component_names, data_series, title="") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
+        f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+        'font-family="sans-serif" font-size="14">normalized inspection value</text>',
     ]
-    if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{title}</text>')
     for tick in (0.0, 0.25, 0.5, 0.75, 1.0):
         y = y_of(tick)
         parts.append(f'<line x1="{left}" y1="{y:.2f}" x2="{width - right}" y2="{y:.2f}" '
@@ -96,7 +90,7 @@ def render_bar_chart_svg(component_names, data_series, title="") -> str:
     for k, (label, values) in enumerate(series):
         color = _CHART_COLORS[k % len(_CHART_COLORS)]
         for g, value in enumerate(values):
-            x = x_of(g, k)
+            x = left + g * group_w + group_w * 0.1 + k * bar_w
             y = y_of(value)
             h = top + plot_h - y
             parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{bar_w:.2f}" '

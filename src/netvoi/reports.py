@@ -21,10 +21,8 @@ def rank_order(values) -> tuple[int, ...]:
 def normalize(values) -> tuple[float, ...]:
     """Divide by the maximum; an all-nonpositive column maps to zeros."""
     vals = [float(v) for v in values]
-    top = max(vals) if vals else 0.0
-    if top <= 0.0:
-        return tuple(0.0 for _ in vals)
-    return tuple(v / top for v in vals)
+    top = max(vals)
+    return tuple(0.0 if top <= 0.0 else v / top for v in vals)
 
 
 @dataclass(frozen=True)

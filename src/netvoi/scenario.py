@@ -31,7 +31,7 @@ from .distributions import (CommonCauseGroups, Explicit, Group, Independent,
                             JointDistribution)
 from .envelopes import (BinaryActionLoss, GlobalAction, LossEnvelope,
                         PiecewiseLinearLoss, QuadraticLoss)
-from .errors import ScenarioError
+from .errors import CORRELATION, NONNEGATIVE, POSITIVE, PROBABILITY, RATE, ScenarioError
 from .inference import InspectionModel
 from .local_metrics import LocalCostModel
 from .model import (DEFAULT_COMPONENT_CAP, ComponentRef, FormulaTree, Network,
@@ -44,13 +44,6 @@ _RESERVED_IDS = {"series", "parallel"}
 # Deepest nesting of composites in a formula: evaluating the tree takes two frames
 # a level, its repr more, so most of Python's 1000 frames are left to the caller.
 _MAX_FORMULA_DEPTH = 200
-
-# The rule of each kind of numeric field: what its error says, and its test.
-_PROBABILITY = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
-_CORRELATION = ("in [0, 1)", lambda x: 0.0 <= x < 1.0)
-_RATE = ("in [0, 0.5)", lambda x: 0.0 <= x < 0.5)
-_POSITIVE = ("positive", lambda x: x > 0.0)
-_NONNEGATIVE = ("nonnegative", lambda x: x >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -191,8 +184,8 @@ class _Collector:
         self.warnings.append(f"{path}: {message}")
 
 
-def _number(value, path, col, rule):
-    """``value`` as a finite float that obeys ``rule``; else None, with one error at ``path``.
+def _number(value, path, col, domain):
+    """``value`` as a finite float in ``domain``; else None, with one error at ``path``.
 
     Documents are read with every number as a float, so NaN and the
     infinities are rejected here, whether written as JSON literals or as
@@ -204,22 +197,22 @@ def _number(value, path, col, rule):
         message = f"expected a number, got {value!r}"
     elif not math.isfinite(value):
         message = f"expected a finite number, got {value}"
-    elif not rule[1](value):
-        message = f"must be {rule[0]}"
+    elif not domain.test(value):
+        message = f"must be {domain.words}"
     else:
         return value
     col.error(path, message)
     return None
 
 
-def _numbers(value, n, path, col, rule):
+def _numbers(value, n, path, col, domain):
     """A number, or a list of ``n`` as a tuple, read by ``_number``; None if any is invalid."""
     if not isinstance(value, list):
-        return _number(value, path, col, rule)
+        return _number(value, path, col, domain)
     if len(value) != n:
         col.error(path, f"list must have {n} entries")
         return None
-    out = tuple(_number(v, f"{path}[{k}]", col, rule) for k, v in enumerate(value))
+    out = tuple(_number(v, f"{path}[{k}]", col, domain) for k, v in enumerate(value))
     return None if None in out else out
 
 
@@ -261,7 +254,7 @@ def _parse_components(raw, dep_kind, col):
             col.error(f"{path}.failure_probability", "only allowed with independent dependence")
         else:
             p = _number(item["failure_probability"], f"{path}.failure_probability", col,
-                        _PROBABILITY)
+                        PROBABILITY)
         specs.append(ComponentSpec(id=cid, name=name, failure_probability=p))
     return tuple(specs)
 
@@ -399,8 +392,8 @@ def _parse_groups(groups_raw, ids, col):
             col.error(f"{path}.members", f"unknown component ids {unknown}")
             continue
         specs.append(GroupSpec(members=tuple(members),
-                               p=_number(g.get("p"), f"{path}.p", col, _PROBABILITY),
-                               rho=_number(g.get("rho"), f"{path}.rho", col, _CORRELATION)))
+                               p=_number(g.get("p"), f"{path}.p", col, PROBABILITY),
+                               rho=_number(g.get("rho"), f"{path}.rho", col, CORRELATION)))
     return tuple(specs)
 
 
@@ -411,7 +404,7 @@ def _parse_rates(raw, n, col):
         return None, None
     rates = []
     for key in ("eps_fa", "eps_fs"):
-        value = _numbers(insp.get(key), n, f"inspection.{key}", col, _RATE)
+        value = _numbers(insp.get(key), n, f"inspection.{key}", col, RATE)
         if isinstance(value, tuple) and len(set(value)) > 1:
             col.warn(f"inspection.{key}",
                      "non-uniform inspection accuracy: series/parallel "
@@ -426,8 +419,8 @@ def _parse_costs(raw, n, col):
     if not isinstance(costs, dict):
         col.error("costs", "must be an object with c_fail and c_repair")
         return None, None
-    c_fail = _number(costs.get("c_fail"), "costs.c_fail", col, _POSITIVE)
-    c_repair = _numbers(costs.get("c_repair"), n, "costs.c_repair", col, _NONNEGATIVE)
+    c_fail = _number(costs.get("c_fail"), "costs.c_fail", col, POSITIVE)
+    c_repair = _numbers(costs.get("c_repair"), n, "costs.c_repair", col, NONNEGATIVE)
     if isinstance(c_repair, float):  # one cost for every component
         c_repair = (c_repair,) * n
     if None not in (c_fail, c_repair) and c_fail + sum(c_repair) == math.inf:
@@ -457,8 +450,8 @@ def _parse_envelope(raw, col):
         if not isinstance(a, dict):
             col.error(path, "must be an object")
             continue
-        cost = _number(a.get("cost"), f"{path}.cost", col, _NONNEGATIVE)
-        risk = _number(a.get("residual_risk"), f"{path}.residual_risk", col, _PROBABILITY)
+        cost = _number(a.get("cost"), f"{path}.cost", col, NONNEGATIVE)
+        risk = _number(a.get("residual_risk"), f"{path}.residual_risk", col, PROBABILITY)
         if None not in (cost, risk):
             actions.append(GlobalAction(cost, risk))
     return None, tuple(actions)

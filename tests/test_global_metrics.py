@@ -154,8 +154,8 @@ def test_rank_handles_deterministic_component():
 def test_each_alarm_probability_is_computed_once(monkeypatch, three_branch):
     net, dist = three_branch
     calls = []
-    computed = inference.alarm_probability
-    monkeypatch.setattr(inference, "alarm_probability",
+    computed = inference._alarm_probability
+    monkeypatch.setattr(inference, "_alarm_probability",
                         lambda d, i, insp: calls.append(i) or computed(d, i, insp))
     rank_global(net, dist, PERFECT_INSPECTION, QuadraticLoss())
     importance_measures(net, dist, PERFECT_INSPECTION)

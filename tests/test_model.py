@@ -9,10 +9,10 @@ import pytest
 from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     InvalidStateError, LocalCostModel, Network, NonMonotoneError,
                     QuadraticLoss, SimulationConfig, SizeCapError, STGraph, TruthTable,
-                    brute_force_plan_risks, importance_measures, mc_system_failure, parallel,
-                    plan_failure_risks, posterior_interval, posterior_system_failure,
-                    rank_global, series, system_failure_prob, voi_global, voi_heuristic,
-                    voi_local)
+                    alarm_probability, brute_force_plan_risks, importance_measures,
+                    mc_system_failure, parallel, plan_failure_risks, posterior_given_observation,
+                    posterior_interval, posterior_system_failure, rank_global, series,
+                    system_failure_prob, voi_global, voi_heuristic, voi_local)
 from netvoi.model import ComponentRef, ParallelNode, SeriesNode
 
 from conftest import make_three_branch, random_formula, random_network
@@ -109,6 +109,16 @@ def test_truth_table_accepts_constant_and_requires_power_of_two():
     TruthTable([1, 1])
     with pytest.raises(ValueError):
         TruthTable([0, 1, 1])
+
+
+def test_truth_table_states_are_0_or_1():
+    # ints, bools and characters all read; nothing else is a state
+    for values in ([0, 1, 1, 1], [False, True, True, True], "0111", np.array([0, 1, 1, 1])):
+        assert TruthTable(values).truth_table().tolist() == [False, True, True, True]
+    for values, k, shown in (([0, 2, 1, 1], 1, "2"), ("0121", 2, "'2'"),
+                             ([0, 1, 1.0, 1], 2, "1.0"), ([0, 1, 1, None], 3, "None")):
+        with pytest.raises(ValueError, match=rf"^truth table entry {k} is {shown}, not 0 or 1$"):
+            TruthTable(values)
 
 
 def test_st_graph_matches_formula_composition():
@@ -326,7 +336,12 @@ _SIZED = {
         lambda net, dist, insp, costs: mc_system_failure(net, dist, SimulationConfig(10)),
     "brute_force_plan_risks": lambda net, dist, insp, costs: brute_force_plan_risks(net, dist,
                                                                                     costs),
+    # these two take no network: the rates must number the belief's components
+    "posterior_given_observation":
+        lambda net, dist, insp, costs: posterior_given_observation(dist, 2, ALARM, insp),
+    "alarm_probability": lambda net, dist, insp, costs: alarm_probability(dist, 2, insp),
 }
+_UNNETWORKED = ("posterior_given_observation", "alarm_probability")
 _NET3 = Network(FormulaTree(parallel(series(0, 1), 2)))
 _DIST3 = Independent([0.1, 0.2, 0.3])
 _COSTS3 = LocalCostModel.uniform(3, 1.0, 0.1)
@@ -339,7 +354,8 @@ _WRONG_COSTS = LocalCostModel.uniform(2, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("name, dist, costs, message", [
-    (name, dist, _COSTS3, message) for name in _SIZED for dist, message in _WRONG_BELIEFS
+    (name, dist, _COSTS3, message) for name in _SIZED if name not in _UNNETWORKED
+    for dist, message in _WRONG_BELIEFS
 ] + [
     (name, _DIST3, _WRONG_COSTS, "LocalCostModel has 2")
     for name in ("voi_local", "voi_heuristic", "brute_force_plan_risks")
@@ -350,7 +366,7 @@ def test_a_belief_or_cost_model_of_the_wrong_size_raises_one_error(name, dist, c
 
 
 _RATED = ("posterior_interval", "posterior_system_failure", "voi_global", "rank_global",
-          "importance_measures", "voi_local", "voi_heuristic")
+          "importance_measures", "voi_local", "voi_heuristic") + _UNNETWORKED
 
 
 @pytest.mark.parametrize("name", _RATED)
@@ -363,7 +379,8 @@ _RATED = ("posterior_interval", "posterior_system_failure", "voi_global", "rank_
 def test_inspection_rates_must_number_the_components(name, eps_fa, eps_fs, count):
     insp = InspectionModel(eps_fa, eps_fs)
     assert insp.n_components == count
-    with pytest.raises(ValueError, match=f"^Network has 3 components but InspectionModel "
+    owner = "Independent" if name in _UNNETWORKED else "Network"
+    with pytest.raises(ValueError, match=f"^{owner} has 3 components but InspectionModel "
                                          f"has {count}$"):
         _SIZED[name](_NET3, _DIST3, insp, _COSTS3)
 

@@ -111,6 +111,17 @@ def test_substream_is_the_jumped_generator(seed):
         assert np.array_equal(stream.random((1000, 777, 2)), jumped.random((1000, 777, 2))), j
 
 
+@pytest.mark.parametrize("n_samples, seed, message", [
+    (100.0, 0, "n_samples must be an integer, not 100.0"),
+    (100, 1.5, "seed must be an integer, not 1.5"),
+    ("100", 0, "n_samples must be an integer, not '100'"),
+])
+def test_simulation_settings_must_be_integers(n_samples, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimulationConfig(n_samples, seed=seed)
+    assert SimulationConfig(np.int64(100), seed=np.uint64(3)).n_samples == 100
+
+
 def test_error_shrinks_with_sample_size():
     net = Network(FormulaTree(series(0)))
     dist = Independent([0.3])
