@@ -26,7 +26,7 @@ from .local_metrics import (LocalCostModel, apply_repairs, cumulative_approx_voi
                             series_pair_policy, voi_heuristic, voi_local)
 from .model import (DEFAULT_COMPONENT_CAP, FormulaTree, Network, STGraph,
                     StructureFunction, TruthTable, parallel, series)
-from .oracle import SimulationConfig, brute_force_plan_risks, mc_system_failure
+from .oracle import SimulationConfig, mc_system_failure
 from .reports import ImportanceReport, PosteriorActionTable, VoIReport
 from .scenario import ScenarioDocument, parse_scenario, parse_scenario_file
 
@@ -71,7 +71,6 @@ __all__ = [
     "VoIReport",
     "alarm_probability",
     "apply_repairs",
-    "brute_force_plan_risks",
     "closed_form_rule",
     "cumulative_approx_voi",
     "importance_measures",

@@ -49,19 +49,20 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, priced=True):
         p.add_argument("scenario", help="path to a scenario JSON document")
         p.add_argument("--output", metavar="PATH", default=None,
                        help="write to PATH instead of stdout")
-        p.add_argument("--eps-fa", type=float, default=None,
-                       help="override the document's false-alarm rate")
-        p.add_argument("--eps-fs", type=float, default=None,
-                       help="override the document's false-silence rate")
+        if priced:  # the commands that price an inspection
+            p.add_argument("--eps-fa", type=float, default=None,
+                           help="override the document's false-alarm rate")
+            p.add_argument("--eps-fs", type=float, default=None,
+                           help="override the document's false-silence rate")
         p.add_argument("--cap", type=int, default=DEFAULT_COMPONENT_CAP,
-                       help="component cap for exact analysis")
+                       help="component cap of every command, Monte Carlo included")
 
     p_rel = sub.add_parser("reliability", help="prior system failure probability")
-    add_common(p_rel)
+    add_common(p_rel, priced=False)
     p_rel.add_argument("--mc-samples", type=int, default=None,
                        help="estimate by Monte Carlo with this many samples")
     p_rel.add_argument("--seed", type=int, default=0)
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="normalized-value bar chart as SVG")
     add_common(p_plot)
-    for p in (p_rel, p_int, p_rank, p_act):  # plot writes SVG only
+    for p in (p_int, p_rank, p_act):  # reliability prints numbers, plot SVG
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     return parser
@@ -93,7 +94,12 @@ def _load(args):
         net = doc.build_network(cap=args.cap)
     except SizeCapError:  # the same refusal, worded for the option that set the cap
         raise SizeCapError(f"{doc.n_components} components exceed --cap {args.cap}") from None
-    dist = doc.build_distribution()
+    return doc, net, doc.build_distribution()
+
+
+def _load_priced(args):
+    """``_load``'s document, network and belief, and the inspection with its overrides."""
+    doc, net, dist = _load(args)
     insp = InspectionModel(doc.eps_fa if args.eps_fa is None else args.eps_fa,
                            doc.eps_fs if args.eps_fs is None else args.eps_fs)
     return doc, net, dist, insp
@@ -113,7 +119,7 @@ def _plan_label(plan: int, names) -> str:
 
 
 def _cmd_reliability(args) -> int:
-    doc, net, dist, _ = _load(args)
+    _, net, dist = _load(args)
     if args.mc_samples is not None:
         cfg = SimulationConfig(n_samples=args.mc_samples, seed=args.seed)
         estimate, stderr = mc_system_failure(net, dist, cfg)
@@ -135,7 +141,7 @@ def _table(args, header, rows, head=(), tail=()) -> str:
 
 
 def _cmd_intervals(args) -> int:
-    doc, net, dist, insp = _load(args)
+    doc, net, dist, insp = _load_priced(args)
     _, intervals = _intervals(net, dist, insp)
     intervals = [_reported(iv, dist, i, insp) for i, iv in enumerate(intervals)]
     rows = [(name, iv.lo, iv.hi, iv.prior, iv.alarm_prob) for name, iv in zip(net.names, intervals)]
@@ -153,7 +159,7 @@ def _voi_report(args, doc, net, dist, insp):
 
 
 def _cmd_rank(args) -> int:
-    doc, net, dist, insp = _load(args)
+    doc, net, dist, insp = _load_priced(args)
     names = net.names
     tail = {}
     if args.metric in VOI_METRICS:
@@ -182,7 +188,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_actions(args) -> int:
-    doc, net, dist, insp = _load(args)
+    doc, net, dist, insp = _load_priced(args)
     table = posterior_action_table(net, dist, insp, doc.build_costs())
     names = net.names
     rows = [
@@ -197,7 +203,7 @@ def _cmd_actions(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    doc, net, dist, insp = _load(args)
+    doc, net, dist, insp = _load_priced(args)
     costs = doc.build_costs()
     system = rank_global(net, dist, insp, doc.build_envelope())
     local = voi_local(net, dist, insp, costs)

@@ -12,7 +12,10 @@ class Domain(NamedTuple):
 
     def check(self, value, what: str) -> float:
         """``value`` as a float, unless it is not finite or fails the test: then a ValueError."""
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range reads as the infinity of its sign
+            x = math.inf if value > 0 else -math.inf
         if not (math.isfinite(x) and self.test(x)):
             raise ValueError(f"{what} must be finite and {self.words}, not {x}")
         return x

@@ -77,7 +77,10 @@ def repair_cost(plan: int, costs: LocalCostModel) -> float:
 
 def plan_expected_loss(net, dist: JointDistribution, plan: int,
                        costs: LocalCostModel) -> float:
-    """Residual failure risk after the plan plus its repair bill, by plan-by-state enumeration."""
+    """Residual failure risk after the plan plus its repair bill, by plan-by-state enumeration.
+
+    The tests enumerate it over every plan as the plan-risk engine's Theta(4^N) reference.
+    """
     _check_sizes(net, dist, costs)
     check_state(plan, net.n_components)
     _, (mass,) = _failure_masses(net, dist, (plan,))

@@ -1,4 +1,4 @@
-"""Independent validation paths: Monte Carlo estimation and brute force.
+"""Monte Carlo estimation of the system failure probability.
 
 Random numbers come from NumPy's Philox 4x64 counter-based generator keyed
 with the configured seed, an integer in [0, 2^128). The n samples split over
@@ -23,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import JointDistribution
-from .errors import SizeCapError
-from .local_metrics import LocalCostModel, plan_expected_loss
 from .model import _check_sizes
 
 N_BATCHES = 32
-BRUTE_FORCE_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -75,19 +72,3 @@ def mc_system_failure(net, dist: JointDistribution,
     batches = [failed[dist.sample(_substream(cfg.seed, j), size)]
                for j, size in enumerate(sizes)]
     return _batched_mean(batches, sizes)
-
-
-def brute_force_plan_risks(net, dist: JointDistribution,
-                           costs: LocalCostModel) -> np.ndarray:
-    """Expected loss of every plan by plain plan-by-state enumeration.
-
-    Reference for the plan-risk engine in netvoi.local_metrics: one
-    ``plan_expected_loss`` per plan, which checks the sizes, capped at 12
-    components because the enumeration is Theta(4^N).
-    """
-    n = net.n_components
-    if n > BRUTE_FORCE_CAP:
-        raise SizeCapError(
-            f"brute-force plan enumeration is capped at {BRUTE_FORCE_CAP} components"
-        )
-    return np.array([plan_expected_loss(net, dist, plan, costs) for plan in range(1 << n)])

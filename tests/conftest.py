@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from netvoi import (CommonCauseGroups, FormulaTree, Group, Independent,
-                    LocalCostModel, Network, STGraph, parallel, series)
+                    LocalCostModel, Network, STGraph, parallel, plan_expected_loss, series)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -202,6 +202,18 @@ def make_groups_across_sampling_chunks():
               Group([14, 15, 18], 0.1, 0.4)]
     groups += [Group([m], 0.05 + 0.03 * m, 0.0) for m in (*range(3, 14), 16)]
     return CommonCauseGroups(groups)
+
+
+# ------------------------------------------------------ plan-risk reference
+
+def brute_force_plan_risks(net, dist, costs) -> np.ndarray:
+    """Expected loss of every plan, one ``plan_expected_loss`` per mask.
+
+    The plan-risk engine's reference: plan-by-state enumeration, Theta(4^N)
+    and capless, so keep N small.
+    """
+    return np.array([plan_expected_loss(net, dist, plan, costs)
+                     for plan in range(1 << net.n_components)])
 
 
 # ----------------------------------------------------------- random instances

@@ -141,7 +141,9 @@ def test_each_command_forms_the_failure_mass_once(capsys, monkeypatch, name, fmt
     monkeypatch.setattr(JointDistribution, "pmf_vector",
                         lambda dist: calls.append(dist) or pmf_vector(dist))
     argv = [command] if command in ("intervals", "reliability") else ["rank", "--metric", command]
-    code, out, err = run(capsys, *argv, scenario_path(name), "--format", fmt)
+    if command != "reliability":  # reliability prints one format
+        argv += ["--format", fmt]
+    code, out, err = run(capsys, *argv, scenario_path(name))
     assert (code, err) == (0, "") and out
     assert len(calls) == 1
 
@@ -170,6 +172,17 @@ def test_plot_takes_no_format(capsys):
     code, out, err = run(capsys, "plot", scenario_path("three_branch.json"), "--format", "json")
     assert (code, out) == (64, "")
     assert "unrecognized arguments: --format json" in err
+
+
+@pytest.mark.parametrize("option", [["--format", "json"], ["--eps-fa", "0.1"],
+                                    ["--eps-fs", "0.1"]], ids=["format", "eps-fa", "eps-fs"])
+def test_reliability_takes_no_format_and_no_rates(capsys, option):
+    # reliability prints one or two numbers and prices no inspection
+    for mc in ([], ["--mc-samples", "100"]):
+        code, out, err = run(capsys, "reliability", scenario_path("three_branch.json"),
+                             *mc, *option)
+        assert (code, out) == (64, "")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
 
 
 def test_unknown_flag_exits_64(capsys):

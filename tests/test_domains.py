@@ -41,13 +41,16 @@ _READERS = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "outside"])
+# ints past the float range read as the infinity of their sign
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400, "outside"],
+                         ids=["nan", "inf", "-inf", "10**400", "-10**400", "outside"])
 @pytest.mark.parametrize("reader, what, words, outside", _READERS,
                          ids=[f"{k}-{r[1]}" for k, r in enumerate(_READERS)])
 def test_every_reader_refuses_a_value_outside_its_domain_in_one_wording(reader, what, words,
                                                                         outside, value):
     x = outside if value == "outside" else value
-    message = f"{what} must be finite and {words}, not {float(x)}"
+    shown = (math.inf if x > 0 else -math.inf) if isinstance(x, int) else float(x)
+    message = f"{what} must be finite and {words}, not {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reader(x)
 

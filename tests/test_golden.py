@@ -1,11 +1,12 @@
 """Golden CLI bytes: every command and format on every scenario.
 
 The goldens live in ``tests/golden/<scenario>/<command>.<format>``: the
-stdout of ``reliability`` (exact and Monte Carlo), ``intervals``,
-``actions`` and ``rank`` under each of the seven metrics, in CSV and in
-JSON, plus the ``plot`` SVG, on each ``scenarios/*.json`` file and on the
-substation written as an explicit table. Regenerate them, after a change
-that is meant to alter the output, from the repository root with
+stdout of ``intervals``, ``actions`` and ``rank`` under each of the seven
+metrics, in CSV and in JSON, plus the one format of ``reliability`` (exact
+and Monte Carlo) and the ``plot`` SVG, on each ``scenarios/*.json`` file
+and on the substation written as an explicit table. Regenerate them,
+after a change that is meant to alter the output, from the repository
+root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -25,11 +26,12 @@ from conftest import SCENARIO_DIR
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 METRICS = ("global", "local", "heuristic", "bm", "crt", "raw", "rrw")
-COMMANDS = [("reliability", ["reliability"]),
-            ("reliability-mc", ["reliability", "--mc-samples", "20000", "--seed", "3"]),
-            ("intervals", ["intervals"]),
-            ("actions", ["actions"])]
-COMMANDS += [(f"rank-{m}", ["rank", "--metric", m]) for m in METRICS]
+TABLES = [("intervals", ["intervals"]), ("actions", ["actions"])]
+TABLES += [(f"rank-{m}", ["rank", "--metric", m]) for m in METRICS]
+# the commands that print one format and take no --format
+ONE_FORMAT = [("reliability.csv", ["reliability"]),
+              ("reliability-mc.csv", ["reliability", "--mc-samples", "20000", "--seed", "3"]),
+              ("plot.svg", ["plot"])]
 
 
 def scenario_files(tmp: Path) -> dict:
@@ -47,10 +49,11 @@ def scenario_files(tmp: Path) -> dict:
 def cases(tmp: Path):
     """(golden file name, argv) of every output, in a fixed order."""
     for name, path in scenario_files(tmp).items():
-        for label, argv in COMMANDS:
+        for label, argv in TABLES:
             for fmt in ("csv", "json"):
                 yield f"{name}/{label}.{fmt}", argv + [str(path), "--format", fmt]
-        yield f"{name}/plot.svg", ["plot", str(path)]
+        for file, argv in ONE_FORMAT:
+            yield f"{name}/{file}", argv + [str(path)]
 
 
 def stdout_of(argv) -> str:
@@ -77,6 +80,14 @@ def test_cli_outputs_match_goldens(tmp_path):
             raise AssertionError(f"{name} differs from its golden first at line {line}")
     on_disk = sorted(str(p.relative_to(GOLDEN_DIR)) for p in GOLDEN_DIR.rglob("*") if p.is_file())
     assert on_disk == sorted(names), "golden files without a case, or cases without a file"
+
+
+def test_every_json_golden_is_a_table():
+    paths = sorted(GOLDEN_DIR.rglob("*.json"))
+    assert paths
+    for path in paths:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(obj, dict) and isinstance(obj.get("rows"), list), path
 
 
 def write_goldens() -> None:

@@ -9,8 +9,7 @@ import pytest
 from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree,
                     Group, Independent, InfeasibleCorrelationError,
                     InspectionModel, LocalCostModel, Network, NotApplicableError,
-                    apply_repairs, brute_force_plan_risks,
-                    cumulative_approx_voi, optimal_plan, parallel,
+                    apply_repairs, cumulative_approx_voi, optimal_plan, parallel,
                     plan_expected_loss, plan_failure_risks, plan_losses,
                     posterior_action_table, repair_cost,
                     series, series_pair_policy, system_failure_prob,
@@ -23,8 +22,8 @@ from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
 from netvoi.model import _bit_sums
 from netvoi.scenario import parse_scenario_file
 
-from conftest import (make_three_branch, random_distribution, random_network,
-                      scenario_path, THREE_BRANCH_PROBS)
+from conftest import (brute_force_plan_risks, make_three_branch, random_distribution,
+                      random_network, scenario_path, THREE_BRANCH_PROBS)
 
 
 def plan_of(names_on, names):

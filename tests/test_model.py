@@ -9,8 +9,8 @@ import pytest
 from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     InvalidStateError, LocalCostModel, Network, NonMonotoneError,
                     QuadraticLoss, SimulationConfig, SizeCapError, STGraph, TruthTable,
-                    alarm_probability, brute_force_plan_risks, importance_measures,
-                    mc_system_failure, parallel, plan_failure_risks, posterior_given_observation,
+                    alarm_probability, importance_measures, mc_system_failure, parallel,
+                    plan_expected_loss, plan_failure_risks, posterior_given_observation,
                     posterior_interval, posterior_system_failure, rank_global, series,
                     system_failure_prob, voi_global, voi_heuristic, voi_local)
 from netvoi.model import ComponentRef, ParallelNode, SeriesNode
@@ -334,8 +334,7 @@ _SIZED = {
     "system_failure_prob": lambda net, dist, insp, costs: system_failure_prob(net, dist),
     "mc_system_failure":
         lambda net, dist, insp, costs: mc_system_failure(net, dist, SimulationConfig(10)),
-    "brute_force_plan_risks": lambda net, dist, insp, costs: brute_force_plan_risks(net, dist,
-                                                                                    costs),
+    "plan_expected_loss": lambda net, dist, insp, costs: plan_expected_loss(net, dist, 0, costs),
     # these two take no network: the rates must number the belief's components
     "posterior_given_observation":
         lambda net, dist, insp, costs: posterior_given_observation(dist, 2, ALARM, insp),
@@ -358,7 +357,7 @@ _WRONG_COSTS = LocalCostModel.uniform(2, 1.0, 0.1)
     for dist, message in _WRONG_BELIEFS
 ] + [
     (name, _DIST3, _WRONG_COSTS, "LocalCostModel has 2")
-    for name in ("voi_local", "voi_heuristic", "brute_force_plan_risks")
+    for name in ("voi_local", "voi_heuristic", "plan_expected_loss")
 ])
 def test_a_belief_or_cost_model_of_the_wrong_size_raises_one_error(name, dist, costs, message):
     with pytest.raises(ValueError, match=f"^Network has 3 components but {message}$"):

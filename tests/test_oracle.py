@@ -1,16 +1,15 @@
-"""Monte Carlo estimators and the brute-force reference."""
+"""Monte Carlo estimators and the brute-force reference of the tests."""
 
 import numpy as np
 import pytest
 
 from netvoi import (Explicit, FormulaTree, Independent, LocalCostModel, Network,
-                    SimulationConfig, SizeCapError, brute_force_plan_risks,
-                    mc_system_failure, parallel, plan_losses, series,
+                    SimulationConfig, mc_system_failure, parallel, plan_losses, series,
                     system_failure_prob)
 from netvoi.oracle import N_BATCHES, _substream
 from netvoi.scenario import parse_scenario_file
 
-from conftest import (THREE_BRANCH_PROBS, make_crossed_pair,
+from conftest import (THREE_BRANCH_PROBS, brute_force_plan_risks, make_crossed_pair,
                       make_groups_across_sampling_chunks, make_substation,
                       make_three_branch, scenario_path)
 
@@ -153,10 +152,3 @@ def test_brute_force_empty_plan_row():
     losses = brute_force_plan_risks(net, dist, costs)
     assert losses[0] == pytest.approx(system_failure_prob(net, dist), abs=1e-12)
     assert np.allclose(losses, plan_losses(net, dist, costs), atol=1e-12)
-
-
-def test_brute_force_cap():
-    net = Network(FormulaTree(series(*range(13))), cap=13)
-    dist = Independent([0.1] * 13)
-    with pytest.raises(SizeCapError):
-        brute_force_plan_risks(net, dist, LocalCostModel.uniform(13, 1.0, 0.1))

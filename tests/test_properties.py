@@ -14,13 +14,13 @@ import pytest
 from netvoi import (BinaryActionLoss, CommonCauseGroups, FormulaTree,
                     GlobalAction, Group, Independent, InspectionModel,
                     LocalCostModel, Network, PiecewiseLinearLoss, QuadraticLoss,
-                    SimulationConfig, brute_force_plan_risks, closed_form_rule,
+                    SimulationConfig, closed_form_rule,
                     mc_system_failure, optimal_plan, parallel, plan_losses,
                     posterior_action_table, posterior_interval, rank_global,
                     series, system_failure_prob, voi_global, voi_heuristic,
                     voi_local)
 
-from conftest import random_distribution, random_network
+from conftest import brute_force_plan_risks, random_distribution, random_network
 
 N_INSTANCES = 500
 
