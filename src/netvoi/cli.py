@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_rel, priced=False)
     p_rel.add_argument("--mc-samples", type=int, default=None,
                        help="estimate by Monte Carlo with this many samples")
-    p_rel.add_argument("--seed", type=int, default=0)
+    p_rel.add_argument("--seed", type=int, help="Monte Carlo seed, default 0; needs --mc-samples")
 
     p_int = sub.add_parser("intervals", help="posterior interval per component")
     add_common(p_int)
@@ -121,7 +121,7 @@ def _plan_label(plan: int, names) -> str:
 def _cmd_reliability(args) -> int:
     _, net, dist = _load(args)
     if args.mc_samples is not None:
-        cfg = SimulationConfig(n_samples=args.mc_samples, seed=args.seed)
+        cfg = SimulationConfig(n_samples=args.mc_samples, seed=args.seed or 0)
         estimate, stderr = mc_system_failure(net, dist, cfg)
         _emit(f"{format_number(estimate)} {format_number(stderr)}\n", args)
     else:
@@ -236,6 +236,8 @@ def run_command(argv) -> int:
         args = _shared_parser().parse_args(argv)
         if args.cap < 1:
             raise UsageError(f"argument --cap: must be at least 1, not {args.cap}")
+        if getattr(args, "seed", None) is not None and args.mc_samples is None:
+            raise UsageError("argument --seed: only goes with --mc-samples")
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -83,13 +83,14 @@ def _alarm_probability(dist, i, insp) -> float:
 
 
 def _outcomes(dist: JointDistribution, i: int, insp: InspectionModel) -> tuple:
-    """Each outcome of inspecting component i with its probability; () when one is certain.
+    """Each outcome on component i as (y, probability, likelihood); () when one is certain.
 
     A certain outcome carries no news: every metric prices that inspection
     at 0, and ``posterior_interval`` has no second posterior to report.
     """
     h = _alarm_probability(dist, i, insp)
-    return ((SILENCE, 1.0 - h), (ALARM, h)) if 0.0 < h < 1.0 else ()
+    return ((SILENCE, 1.0 - h, _likelihood(i, SILENCE, insp)),
+            (ALARM, h, _likelihood(i, ALARM, insp))) if 0.0 < h < 1.0 else ()
 
 
 def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
@@ -113,14 +114,14 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
     return JointDistribution(_reweight_blocks(dist.blocks(), i, *_likelihood(i, y, insp)))
 
 
-def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel):
-    """Posterior mean, after outcome y on component i, of a quantity with prior masses ``mass``.
+def _posterior_mean(prob, mass, likelihood: tuple[float, float]):
+    """Posterior mean, after an outcome on component i, of a quantity with prior masses ``mass``.
 
     ``prob`` and ``mass`` are split by the state of component i (``_halves``):
-    the likelihood only reweights the two halves, so no posterior is formed.
+    the outcome's likelihood only reweights the two halves, so no posterior is formed.
     The halves of ``mass`` may be arrays, such as ``voi_local``'s plan risks.
     """
-    w_failed, w_working = _likelihood(i, y, insp)
+    w_failed, w_working = likelihood
     total = w_failed * prob[0] + w_working * prob[1]
     if total <= 0.0:
         raise ConditioningError("observation has probability zero")
@@ -130,7 +131,7 @@ def _posterior_mean(prob, mass, i: int, y: int, insp: InspectionModel):
 def posterior_system_failure(net, dist, i, y, insp) -> float:
     _check_sizes(net, dist, insp)
     pmf, (mass,) = _failure_masses(net, dist)
-    return _posterior_mean(_halves(pmf, i), _halves(mass, i), i, y, insp)
+    return _posterior_mean(_halves(pmf, i), _halves(mass, i), _likelihood(i, y, insp))
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def _interval(pmf, mass, dist, i, insp) -> PosteriorInterval | None:
         return None
     h = outcomes[1][1]
     prob, fail = _halves(pmf, i), _halves(mass, i)
-    lo, hi = (_posterior_mean(prob, fail, i, y, insp) for y, _ in outcomes)
+    lo, hi = (_posterior_mean(prob, fail, likelihood) for _, _, likelihood in outcomes)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)
 

@@ -250,9 +250,10 @@ def posterior_action_table(net, dist: JointDistribution, insp: InspectionModel,
 
 
 def _report(metric: str, prior_plan: int, prior_loss: float, rows) -> VoIReport:
-    """Report of per-component (silence row, alarm row, value), each row a (plan, loss)."""
-    silence, alarm, voi = zip(*rows)
-    (silence_plans, silence_losses), (alarm_plans, alarm_losses) = zip(*silence), zip(*alarm)
+    """Report of per-component ({y: (plan, loss)}, value); outcomes not priced keep the prior's."""
+    priced, voi = zip(*rows)
+    (silence_plans, silence_losses), (alarm_plans, alarm_losses) = (
+        zip(*(row.get(y, (prior_plan, prior_loss)) for row in priced)) for y in (SILENCE, ALARM))
     return VoIReport(metric=metric, prior_loss=prior_loss,
                      posterior_loss=tuple(prior_loss - v for v in voi), voi=voi,
                      prior_plan=prior_plan,
@@ -282,24 +283,22 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     prior_plan, prior_loss = _cheapest(costs.c_fail * _risks(fail, steps) + repair, costs.c_fail)
     rows = [None] * net.n_components
     for i, split, masses in _split_risks(fail, steps):
-        # a certain outcome carries no news: both rows stay at the prior plan and loss
-        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
-        value = 0.0
+        row, value = {}, 0.0
         outcomes = _outcomes(dist, i, insp)
-        heuristic = {y: [costs.c_fail * _posterior_mean(masses, split[:, a].tolist(), i, y, insp)
+        heuristic = {y: [costs.c_fail * _posterior_mean(masses, split[:, a].tolist(), w)
                          + repair.item(a) for a in (prior_plan, prior_plan ^ (1 << i))]
-                     for y, _ in outcomes}
+                     for y, _, w in outcomes}
         bound = max(map(min, heuristic.values()), default=-math.inf) + PLAN_TIE_RTOL * costs.c_fail
         plans = (repair <= bound).nonzero()[0]
         risks, bills = split.take(plans, axis=1), repair[plans]
-        for y, p_y in outcomes:
-            losses = costs.c_fail * _posterior_mean(masses, risks, i, y, insp) + bills
+        for y, p_y, w in outcomes:
+            losses = costs.c_fail * _posterior_mean(masses, risks, w) + bills
             best, least = _cheapest(losses, costs.c_fail)
             row[y] = int(plans[best]), least
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan adds exactly 0
             value += p_y * (heuristic[y][0] - least)
-        rows[i] = (row[SILENCE], row[ALARM], value)
+        rows[i] = (row, value)
     return _report("local", prior_plan, prior_loss, rows)
 
 
@@ -324,24 +323,23 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
     kept = next(masses)
     rows = []
     for i, flipped in enumerate(masses):
-        # prior masses split by the state of component i; a posterior only
-        # reweights the two halves, so no posterior pmf is formed
-        prob = _halves(pmf, i)
-        mass = {prior_plan: _halves(kept, i), flips[i]: _halves(flipped, i)}
-        # a certain outcome carries no news: both rows stay at the prior plan and loss
-        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
-        value = 0.0
-        for y, p_y in _outcomes(dist, i, insp):
+        # prior masses split by the state of component i; with i working,
+        # s | P is s | (P ^ (1 << i)), so a flip changes only the failed half
+        prob, (failed, working) = _halves(pmf, i), _halves(kept, i)
+        mass = {prior_plan: (failed, working),
+                flips[i]: (float(flipped.reshape(-1, 2, 1 << i)[:, 0].sum()), working)}
+        row, value = {}, 0.0
+        for y, p_y, w in _outcomes(dist, i, insp):
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], i, y, insp)
+            loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], w)
                     + repair_cost(plan, costs) for plan in plans}
             best, least = _cheapest(list(loss.values()), costs.c_fail)
             row[y] = plans[best], least
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
             value += p_y * (loss[prior_plan] - row[y][1])
-        rows.append((row[SILENCE], row[ALARM], value))
+        rows.append((row, value))
     return _report("heuristic", prior_plan, prior_loss, rows)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from netvoi import JointDistribution, distributions
 from netvoi.cli import run_command
-from netvoi.output import format_number
+from netvoi.output import format_number, render_bar_chart_svg
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
 
 from conftest import scenario_path
@@ -167,6 +167,11 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert text.rstrip().endswith("</svg>")
 
 
+def test_bar_chart_refuses_a_series_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^series 'local' has 1 values for 2 components$"):
+        render_bar_chart_svg(["a", "b"], [("global", [1.0, 0.5]), ("local", [1.0])])
+
+
 def test_plot_takes_no_format(capsys):
     # plot writes SVG only, so a format is a usage error, not silently ignored
     code, out, err = run(capsys, "plot", scenario_path("three_branch.json"), "--format", "json")
@@ -183,6 +188,13 @@ def test_reliability_takes_no_format_and_no_rates(capsys, option):
                              *mc, *option)
         assert (code, out) == (64, "")
         assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
+def test_reliability_seed_needs_mc_samples(capsys):
+    # an exact answer draws nothing, so a seed without --mc-samples is a mistake
+    code, out, err = run(capsys, "reliability", scenario_path("three_branch.json"), "--seed", "5")
+    assert (code, out) == (64, "")
+    assert "--seed" in err and "--mc-samples" in err
 
 
 def test_unknown_flag_exits_64(capsys):

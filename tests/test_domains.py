@@ -6,8 +6,8 @@ import re
 import pytest
 
 from netvoi import (BinaryActionLoss, CommonCauseGroups, GlobalAction, Group, Independent,
-                    InspectionModel, LocalCostModel, PiecewiseLinearLoss, QuadraticLoss,
-                    series_pair_policy)
+                    InspectionModel, LocalCostModel, Network, PiecewiseLinearLoss,
+                    QuadraticLoss, STGraph, parallel, series, series_pair_policy)
 
 _ACTIONS = [GlobalAction(0.2, 0.5), GlobalAction(0.0, 1.0)]
 
@@ -58,3 +58,17 @@ def test_every_reader_refuses_a_value_outside_its_domain_in_one_wording(reader, 
 def test_an_envelope_needs_an_action():
     with pytest.raises(ValueError, match="^need at least one line$"):
         PiecewiseLinearLoss.from_actions([], 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Independent([]), "need at least one component"),
+    (lambda: Group([], 0.1), "a group needs at least one member"),
+    (lambda: series(), r"series\(\) needs at least one part"),
+    (lambda: parallel(), r"parallel\(\) needs at least one part"),
+    (lambda: STGraph(["a"], []), "graph has no edges"),
+    (lambda: Network(STGraph([], [("o", "s")])), "a network needs at least one component"),
+    (lambda: InspectionModel([], 0.1), "false-alarm rate list is empty"),
+], ids=["independent", "group", "series", "parallel", "st-graph", "network", "rates"])
+def test_an_empty_input_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()

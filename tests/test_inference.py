@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from netvoi import (ALARM, PERFECT_INSPECTION, SILENCE, DegenerateObservationError,
-                    Dominance, FormulaTree, IncomparableIntervalsError, Independent,
-                    InspectionModel, JointDistribution, Network, PosteriorInterval,
-                    alarm_probability,
+from netvoi import (ALARM, PERFECT_INSPECTION, SILENCE, ConditioningError,
+                    DegenerateObservationError, Dominance, FormulaTree,
+                    IncomparableIntervalsError, Independent, InspectionModel,
+                    JointDistribution, Network, PosteriorInterval, alarm_probability,
                     interval_dominates, parallel, posterior_given_observation,
                     posterior_interval, posterior_system_failure, series,
                     system_failure_prob)
@@ -140,6 +140,14 @@ def test_identical_components_dominate_mutually():
     assert interval_dominates(a, b) is Dominance.MUTUAL
 
 
+def test_the_second_interval_may_contain_the_first():
+    net = Network(FormulaTree(parallel(0, 1)))
+    dist = Independent([0.5, 0.2])
+    a = posterior_interval(net, dist, 0, PERFECT_INSPECTION)
+    b = posterior_interval(net, dist, 1, PERFECT_INSPECTION)
+    assert interval_dominates(a, b) is Dominance.SECOND
+
+
 def test_interval_comparison_requires_matching_priors():
     a = PosteriorInterval(lo=0.1, hi=0.3, prior=0.2, alarm_prob=0.5)
     b = PosteriorInterval(lo=0.1, hi=0.3, prior=0.25, alarm_prob=0.5)
@@ -152,6 +160,13 @@ def test_degenerate_observation_raises():
     dist = Independent([0.0, 0.4])
     with pytest.raises(DegenerateObservationError):
         posterior_interval(net, dist, 0, PERFECT_INSPECTION)
+
+
+def test_posterior_system_failure_refuses_an_outcome_of_probability_zero():
+    # component 0 never fails, so a perfect inspection of it never alarms
+    net = Network(FormulaTree(series(0, 1)))
+    with pytest.raises(ConditioningError, match="^observation has probability zero$"):
+        posterior_system_failure(net, Independent([0.0, 0.5]), 0, ALARM, PERFECT_INSPECTION)
 
 
 def test_posterior_distributions_renormalize():

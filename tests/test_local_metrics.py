@@ -217,7 +217,7 @@ def local_by_posteriors(net, dist, insp, costs):
     for i in range(net.n_components):
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
-        for y, p_y in _outcomes(dist, i, insp):
+        for y, p_y, _ in _outcomes(dist, i, insp):
             losses = plan_losses(net, posterior_given_observation(dist, i, y, insp), costs)
             row[y] = _cheapest(losses, costs.c_fail)
             value += p_y * (float(losses[prior_plan]) - row[y][1])
@@ -332,7 +332,7 @@ def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half()
     costs = LocalCostModel(1.0, (0.05, 0.1, 0.02, 0.08, 0.03, 0.06))
     # the component in a fused chunk, and in a 6-bit lattice block
     for dist in (Independent(probs), Explicit(Independent(probs).pmf_vector())):
-        assert _outcomes(dist, 0, insp)[1] == (ALARM, pytest.approx(0.1, rel=1e-12))
+        assert _outcomes(dist, 0, insp)[1][:2] == (ALARM, pytest.approx(0.1, rel=1e-12))
         splits = _split_risks((~net.truth_table()).astype(float), _steps(dist))
         _, risks, masses = next(s for s in splits if s[0] == 0)
         assert masses[0] == 0.0 and not risks[0].any()
@@ -383,13 +383,13 @@ def local_by_full_scan(net, dist, insp, costs):
     prior_plan, prior_loss = _cheapest(plan_losses(net, dist, costs), costs.c_fail)
     rows = [None] * net.n_components
     for i, split, masses in _split_risks(fail, _steps(dist)):
-        row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
+        row = {}
         value = 0.0
-        for y, p_y in _outcomes(dist, i, insp):
-            losses = costs.c_fail * _posterior_mean(masses, split, i, y, insp) + repair
+        for y, p_y, w in _outcomes(dist, i, insp):
+            losses = costs.c_fail * _posterior_mean(masses, split, w) + repair
             row[y] = _cheapest(losses, costs.c_fail)
             value += p_y * (float(losses[prior_plan]) - row[y][1])
-        rows[i] = (row[SILENCE], row[ALARM], value)
+        rows[i] = (row, value)
     return local_metrics._report("local", prior_plan, prior_loss, rows)
 
 
@@ -605,7 +605,7 @@ def heuristic_by_posteriors(net, dist, insp, costs):
         repairs = (prior_plan >> i) & 1
         row = {SILENCE: (prior_plan, prior_loss), ALARM: (prior_plan, prior_loss)}
         value = 0.0
-        for y, p_y in _outcomes(dist, i, insp):
+        for y, p_y, _ in _outcomes(dist, i, insp):
             post = posterior_given_observation(dist, i, y, insp)
             news = (y == ALARM) != bool(repairs)
             loss = {plan: plan_expected_loss(net, post, plan, costs)
