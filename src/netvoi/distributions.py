@@ -5,8 +5,8 @@ Every distribution is immutable and exposes one factorised view,
 blocks whose product is the pmf. A posterior after one inspection keeps
 the prior's blocks but one, whose table has the likelihood multiplied in
 along one bit, so it never forms the 2^N pmf. ``_product_table`` builds
-every product of tables, the pmf included, and ``_failure_masses`` every
-failure mass: the pmf times the system's failure after a repair plan.
+every product of tables, the pmf included, and ``_failure_masses`` a
+failure mass: the pmf times the system's failure after one repair plan.
 Masks follow the convention of :mod:`netvoi.model`: bit i set means
 component i works, so "failure" of component i is a cleared bit.
 """
@@ -34,6 +34,8 @@ class JointDistribution:
     Bit j of a block's table index is the state of its j-th member, and the
     members of all blocks are the components 0 .. N-1. Blocks are kept in
     order of their lowest member, the order in which every product takes them.
+    The constructor checks the blocks it is given; each subclass builds its
+    own blocks from the inputs it checks.
     """
 
     n_components: int
@@ -42,8 +44,16 @@ class JointDistribution:
     _chunks: tuple | None = None
 
     def __init__(self, blocks):
-        self._blocks = tuple(sorted(blocks, key=lambda b: min(b[0])))
-        self.n_components = sum(len(members) for members, _ in self._blocks)
+        blocks = [(tuple(members), table) for members, table in blocks]
+        self.n_components = n = sum(len(members) for members, _ in blocks)
+        seen = set()
+        for members, _ in blocks:
+            if not (members and seen.isdisjoint(members) and len(set(members)) == len(members)
+                    and all(m in range(n) for m in members)):
+                raise ValueError(f"block {members}: members must partition components 0..{n - 1}")
+            seen.update(members)
+        self._blocks = tuple(sorted(((m, _weights(t, len(m), f"block {m}: weights"))
+                                     for m, t in blocks), key=lambda b: min(b[0])))
 
     def blocks(self) -> tuple:
         """Independent blocks as (member bits, read-only weight table) pairs."""
@@ -165,6 +175,20 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _weights(table, k: int, name: str) -> np.ndarray:
+    """``table`` as a frozen array, refused by ``name`` unless it is 2^k finite,
+    nonnegative weights that sum to 1 within EXPLICIT_SUM_TOL."""
+    arr = _frozen(table)
+    if arr.shape != (1 << k,):
+        raise ValueError(f"{name} must be {1 << k} numbers, not an array of shape {arr.shape}")
+    if not np.all(np.isfinite(arr) & NONNEGATIVE.test(arr)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    total = float(arr.sum())
+    if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
+        raise ValueError(f"{name} sum to {total}, not 1")
+    return arr
+
+
 def _reweight(table: np.ndarray, bit: int, w_failed: float, w_working: float) -> np.ndarray:
     """Posterior weights: ``table`` times a likelihood along ``bit``, renormalised.
 
@@ -192,7 +216,9 @@ class Independent(JointDistribution):
                                    for i, p in enumerate(failure_probs))
         if not self.failure_probs:
             raise ValueError("need at least one component")
-        super().__init__(((i,), _frozen([p, 1.0 - p])) for i, p in enumerate(self.failure_probs))
+        self.n_components = len(self.failure_probs)
+        self._blocks = tuple(((i,), _frozen([p, 1.0 - p]))
+                             for i, p in enumerate(self.failure_probs))
 
 
 class Explicit(JointDistribution):
@@ -203,12 +229,8 @@ class Explicit(JointDistribution):
         size = arr.size
         if size < 2 or size & (size - 1):
             raise ValueError("weight count must be a power of two, at least 2")
-        if not np.all(np.isfinite(arr) & NONNEGATIVE.test(arr)):
-            raise ValueError("weights must be finite and nonnegative")
-        total = float(arr.sum())
-        if not abs(total - 1.0) <= EXPLICIT_SUM_TOL:
-            raise ValueError(f"weights sum to {total}, not 1")
-        super().__init__(((tuple(range(size.bit_length() - 1)), _frozen(arr)),))
+        self.n_components = n = size.bit_length() - 1
+        self._blocks = ((tuple(range(n)), _weights(arr, n, "weights")),)
 
 
 def _shared_cause_table(group) -> np.ndarray:
@@ -266,16 +288,11 @@ class CommonCauseGroups(JointDistribution):
         return next(g.p for g in self.groups if i in g.members)
 
 
-def _failure_masses(net, dist: JointDistribution, plans=(0,)) -> tuple:
-    """The pmf, and the failure mass pmf(s)·fail(s | plan) over all masks s for each plan.
-
-    Masses are formed one at a time as the iterator is read, from one
-    failure indicator and, unless every plan is empty, one mask vector.
-    """
+def _failure_masses(net, dist: JointDistribution, plan: int = 0) -> tuple:
+    """The pmf, and the failure mass pmf(s)·fail(s | plan) over all masks s."""
     _check_sizes(net, dist)
     pmf, fail = dist.pmf_vector(), ~net.truth_table()
-    masks = np.arange(fail.size, dtype=np.int64) if any(plans) else None
-    return pmf, (pmf * (fail[masks | plan] if plan else fail) for plan in plans)
+    return pmf, pmf * (fail[np.arange(fail.size, dtype=np.int64) | plan] if plan else fail)
 
 
 def _failure_prob(mass) -> float:
@@ -285,5 +302,5 @@ def _failure_prob(mass) -> float:
 
 def system_failure_prob(net, dist: JointDistribution) -> float:
     """Exact probability that the system is down, by full enumeration."""
-    _, (mass,) = _failure_masses(net, dist)
+    _, mass = _failure_masses(net, dist)
     return _failure_prob(mass)

@@ -49,7 +49,8 @@ class InspectionModel:
 
     @property
     def uniform(self) -> bool:
-        return isinstance(self.eps_fa, float) and isinstance(self.eps_fs, float)
+        """Whether each rate takes one value, given as a number or as a list."""
+        return all(isinstance(r, float) or len(set(r)) == 1 for r in (self.eps_fa, self.eps_fs))
 
     @property
     def n_components(self) -> int | None:
@@ -130,7 +131,7 @@ def _posterior_mean(prob, mass, likelihood: tuple[float, float]):
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
     _check_sizes(net, dist, insp)
-    pmf, (mass,) = _failure_masses(net, dist)
+    pmf, mass = _failure_masses(net, dist)
     return _posterior_mean(_halves(pmf, i), _halves(mass, i), _likelihood(i, y, insp))
 
 
@@ -158,14 +159,14 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     pass of its own.
     """
     _check_sizes(net, dist, insp)
-    pmf, (mass,) = _failure_masses(net, dist)
+    pmf, mass = _failure_masses(net, dist)
     return _reported(_interval(pmf, mass, dist, i, insp), dist, i, insp)
 
 
 def _intervals(net, dist, insp: InspectionModel) -> tuple:
     """The prior failure probability and every interval (None where certain) from one mass."""
     _check_sizes(net, dist, insp)
-    pmf, (mass,) = _failure_masses(net, dist)
+    pmf, mass = _failure_masses(net, dist)
     return _failure_prob(mass), [_interval(pmf, mass, dist, i, insp)
                                  for i in range(net.n_components)]
 

@@ -83,7 +83,7 @@ def plan_expected_loss(net, dist: JointDistribution, plan: int,
     """
     _check_sizes(net, dist, costs)
     check_state(plan, net.n_components)
-    _, (mass,) = _failure_masses(net, dist, (plan,))
+    _, mass = _failure_masses(net, dist, plan)
     return costs.c_fail * float(mass.sum()) + repair_cost(plan, costs)
 
 
@@ -318,16 +318,19 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
 def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
     """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
     _check_sizes(net, dist, insp, costs)
-    flips = [prior_plan ^ (1 << i) for i in range(net.n_components)]
-    pmf, masses = _failure_masses(net, dist, [prior_plan] + flips)
-    kept = next(masses)
+    pmf, kept = _failure_masses(net, dist, prior_plan)
+    fail, masks, flipped = ~net.truth_table(), np.arange(pmf.size), np.empty_like(pmf)
     rows = []
-    for i, flipped in enumerate(masses):
-        # prior masses split by the state of component i; with i working,
-        # s | P is s | (P ^ (1 << i)), so a flip changes only the failed half
-        prob, (failed, working) = _halves(pmf, i), _halves(kept, i)
-        mass = {prior_plan: (failed, working),
-                flips[i]: (float(flipped.reshape(-1, 2, 1 << i)[:, 0].sum()), working)}
+    for i in range(net.n_components):
+        flip = prior_plan ^ (1 << i)
+        # with i working, s | P is s | flip: a flip changes only the failed half,
+        # formed alone and summed in place as ``_halves`` sums, since from N = 16
+        # on numpy adds a contiguous copy of a half in another order
+        failed = flipped.reshape(-1, 2, 1 << i)[:, 0]
+        np.multiply(pmf.reshape(-1, 2, 1 << i)[:, 0],
+                    fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip], out=failed)
+        prob, (kept_failed, working) = _halves(pmf, i), _halves(kept, i)
+        mass = {prior_plan: (kept_failed, working), flip: (float(failed.sum()), working)}
         row, value = {}, 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
             # an outcome that contradicts the prior action leaves no choice

@@ -41,8 +41,9 @@ SCHEMA_VERSION = "1"
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED_IDS = {"series", "parallel"}
-# Deepest nesting of composites in a formula: evaluating the tree takes two frames
-# a level, its repr more, so most of Python's 1000 frames are left to the caller.
+# Deepest nesting of composites in a formula. The recursive-descent parser takes one
+# frame a level, and the frozen nodes' recursive repr and == about four (hash two), so
+# 200 levels stay inside Python's 1000 frames; evaluation keeps its own stack.
 _MAX_FORMULA_DEPTH = 200
 
 

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,18 @@ def test_explicit_lookup_and_validation():
     for weights in ([math.nan] * 4, [math.inf, 0.0, 0.0, 0.0], [math.nan, 1.0]):
         with pytest.raises(ValueError):
             Explicit(weights)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([((0, 2), [0.1, 0.2, 0.3, 0.4])], "block (0, 2): members must partition components 0..1"),
+    ([((0, 1), [0.7, 0.7, -0.2, -0.2])], "block (0, 1): weights must be finite and nonnegative"),
+    ([((0, 0), [0.1, 0.2, 0.3, 0.4])], "block (0, 0): members must partition components 0..1"),
+    ([((0, 1), [0.1, 0.2, 0.7])], "block (0, 1): weights must be 4 numbers"),
+    ([((0,), [0.5, 0.6]), ((1,), [0.5, 0.5])], "block (0,): weights sum to 1.1, not 1"),
+], ids=["member-past-n", "negative-weight", "repeated-member", "wrong-size", "sum"])
+def test_joint_distribution_refuses_a_block_by_name(blocks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        JointDistribution(blocks)
 
 
 def test_explicit_marginal_from_crossed_pair():

@@ -139,6 +139,12 @@ def test_closed_form_rule():
     assert closed_form_rule(mixed, dist) is None
     nonuniform = InspectionModel([0.0, 0.1, 0.0], 0.0)
     assert closed_form_rule(par, dist, nonuniform) is None
+    # uniform accuracy given once per component is still uniform
+    scalar, listed = InspectionModel(0.1, 0.05), InspectionModel([0.1] * 3, [0.05] * 3)
+    assert listed.uniform
+    for net in (par, srs):
+        rule = closed_form_rule(net, dist, scalar)
+        assert rule is not None and closed_form_rule(net, dist, listed) == rule
 
 
 def test_rank_handles_deterministic_component():

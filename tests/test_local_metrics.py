@@ -19,7 +19,7 @@ from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
 from netvoi.inference import (ALARM, SILENCE, _likelihood, _outcomes, _posterior_mean,
                               posterior_given_observation)
 from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
-from netvoi.model import _bit_sums
+from netvoi.model import _bit_sums, _halves
 from netvoi.scenario import parse_scenario_file
 
 from conftest import (brute_force_plan_risks, make_three_branch, random_distribution,
@@ -648,6 +648,54 @@ def test_heuristic_matches_its_definition():
                         flips += (silence[0], alarm[0]) != (prior_plan, prior_plan)
     # rows where an outcome moves the plan, so the flip and the tie rule are exercised
     assert flips >= 50
+
+
+def heuristic_by_full_masses(net, dist, insp, costs, prior_plan):
+    """Per component, ({outcome: (plan, loss)}, value) of the heuristic around
+    ``prior_plan``, with the kept plan and each flip priced from its own full
+    failure mass pmf(s)·fail(s | plan) over all 2^N states."""
+    pmf, fail = dist.pmf_vector(), ~net.truth_table()
+    masks = np.arange(fail.size)
+    rows = []
+    for i in range(net.n_components):
+        plans = (prior_plan, prior_plan ^ (1 << i))
+        mass = {plan: _halves(pmf * fail[masks | plan], i) for plan in plans}
+        row, value = {}, 0.0
+        for y, p_y, w in _outcomes(dist, i, insp):
+            choices = sorted(plans) if y == (prior_plan >> i) & 1 else [prior_plan]
+            loss = {plan: costs.c_fail * _posterior_mean(_halves(pmf, i), mass[plan], w)
+                    + repair_cost(plan, costs) for plan in choices}
+            best, least = _cheapest(list(loss.values()), costs.c_fail)
+            row[y] = choices[best], least
+            value += p_y * (loss[prior_plan] - least)
+        rows.append((row, value))
+    return rows
+
+
+def test_heuristic_at_every_plan_is_priced_as_from_full_masses():
+    # every plan, not only the optimal one: the all-ones plan, plans that
+    # repair the inspected component and plans that leave it alone
+    rng = np.random.default_rng(67)
+    for n in (2, 4, 6):
+        for certain in (False, True):
+            net = random_network(rng, n)
+            costs = LocalCostModel(float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 0.5, size=n))
+            for dist in beliefs_of_every_kind(rng, n, certain=certain):
+                pmf, fail = dist.pmf_vector(), ~net.truth_table()
+                for plan in range(1 << n):
+                    loss = plan_expected_loss(net, dist, plan, costs)
+                    mass = pmf * fail[np.arange(fail.size) | plan]
+                    assert loss == costs.c_fail * float(mass.sum()) + repair_cost(plan, costs)
+                    for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                        report = local_metrics._voi_heuristic(net, dist, insp, costs, plan, loss)
+                        table = report.action_table
+                        for i, (row, value) in enumerate(
+                                heuristic_by_full_masses(net, dist, insp, costs, plan)):
+                            assert report.voi[i] == value, (plan, i)
+                            assert row.get(SILENCE, (plan, loss)) == (
+                                table.silence_plans[i], table.silence_losses[i]), (plan, i)
+                            assert row.get(ALARM, (plan, loss)) == (
+                                table.alarm_plans[i], table.alarm_losses[i]), (plan, i)
 
 
 def test_local_value_of_inspections_that_change_no_plan_is_zero():
