@@ -71,9 +71,13 @@ class JointDistribution:
         return self._vector
 
     def marginal_failure(self, i: int) -> float:
+        return self._marginal(i)[0]
+
+    def _marginal(self, i: int) -> tuple[float, float]:
+        """Probabilities that component i has failed and that it works, from its block's halves."""
         self._check_index(i)
         members, table = next(b for b in self._blocks if i in b[0])
-        return _halves(table, members.index(i))[0]
+        return _halves(table, members.index(i))
 
     def condition(self, evidence):
         """Condition on exact component states, given as {index: 0 or 1}.
@@ -283,9 +287,10 @@ class CommonCauseGroups(JointDistribution):
     def _blocks(self) -> tuple:
         return tuple((g.members, _shared_cause_table(g)) for g in self.groups)
 
-    def marginal_failure(self, i: int) -> float:
+    def _marginal(self, i: int) -> tuple[float, float]:
         self._check_index(i)
-        return next(g.p for g in self.groups if i in g.members)
+        p = next(g.p for g in self.groups if i in g.members)
+        return p, 1.0 - p
 
 
 def _failure_masses(net, dist: JointDistribution, plan: int = 0) -> tuple:

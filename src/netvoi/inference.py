@@ -16,7 +16,7 @@ from enum import Enum
 from .distributions import JointDistribution, _failure_masses, _failure_prob, _reweight_blocks
 from .errors import (RATE, ConditioningError, DegenerateObservationError,
                      IncomparableIntervalsError)
-from .model import _check_sizes, _halves
+from .model import _check_sizes, _fold_halves
 
 ALARM = 0
 SILENCE = 1
@@ -75,23 +75,30 @@ PERFECT_INSPECTION = InspectionModel(0.0, 0.0)
 def alarm_probability(dist: JointDistribution, i: int, insp: InspectionModel) -> float:
     """Marginal probability that inspecting component i raises an alarm."""
     _check_sizes(dist, insp)
-    return _alarm_probability(dist, i, insp)
+    return _alarm_probability(dist.marginal_failure(i), i, insp)
 
 
-def _alarm_probability(dist, i, insp) -> float:
-    """``alarm_probability`` for a belief and rates whose sizes the caller has checked."""
-    return insp.fa(i) + insp.k(i) * dist.marginal_failure(i)
+def _alarm_probability(q_failed: float, i: int, insp: InspectionModel) -> float:
+    """``alarm_probability`` of component i from its marginal failure probability."""
+    return insp.fa(i) + insp.k(i) * q_failed
 
 
 def _outcomes(dist: JointDistribution, i: int, insp: InspectionModel) -> tuple:
     """Each outcome on component i as (y, probability, likelihood); () when one is certain.
 
     A certain outcome carries no news: every metric prices that inspection
-    at 0, and ``posterior_interval`` has no second posterior to report.
+    at 0, and ``posterior_interval`` has no second posterior to report. An
+    outcome is possible when its posterior denominator w_f·q0 + w_w·q1 over
+    i's marginal halves is positive, not when its rounded probability is: an
+    explicit table sums to 1 only within EXPLICIT_SUM_TOL, so a certain
+    alarm can have probability 1 - 1e-16.
     """
-    h = _alarm_probability(dist, i, insp)
-    return ((SILENCE, 1.0 - h, _likelihood(i, SILENCE, insp)),
-            (ALARM, h, _likelihood(i, ALARM, insp))) if 0.0 < h < 1.0 else ()
+    q_failed, q_working = dist._marginal(i)
+    h = _alarm_probability(q_failed, i, insp)
+    outcomes = ((SILENCE, 1.0 - h, _likelihood(i, SILENCE, insp)),
+                (ALARM, h, _likelihood(i, ALARM, insp)))
+    possible = all(w_f * q_failed + w_w * q_working > 0.0 for _, _, (w_f, w_w) in outcomes)
+    return outcomes if possible else ()
 
 
 def _likelihood(i: int, y: int, insp: InspectionModel) -> tuple[float, float]:
@@ -118,8 +125,9 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
 def _posterior_mean(prob, mass, likelihood: tuple[float, float]):
     """Posterior mean, after an outcome on component i, of a quantity with prior masses ``mass``.
 
-    ``prob`` and ``mass`` are split by the state of component i (``_halves``):
-    the outcome's likelihood only reweights the two halves, so no posterior is formed.
+    ``prob`` and ``mass`` are split by the state of component i (``_halves``,
+    ``_fold_halves``): the outcome's likelihood only reweights the two halves,
+    so no posterior is formed.
     The halves of ``mass`` may be arrays, such as ``voi_local``'s plan risks.
     """
     w_failed, w_working = likelihood
@@ -131,8 +139,22 @@ def _posterior_mean(prob, mass, likelihood: tuple[float, float]):
 
 def posterior_system_failure(net, dist, i, y, insp) -> float:
     _check_sizes(net, dist, insp)
+    dist._check_index(i)
+    _, prob, fail = _split_masses(net, dist)
+    return _posterior_mean(prob[i], fail[i], _likelihood(i, y, insp))
+
+
+def _split_masses(net, dist) -> tuple:
+    """The prior failure probability, and every component's halves of the pmf and the failure mass.
+
+    One fold each (``_fold_halves``): the failure mass folds into itself,
+    then the pmf into the mass's storage, so neither fold takes memory beyond
+    that of forming the mass.
+    """
     pmf, mass = _failure_masses(net, dist)
-    return _posterior_mean(_halves(pmf, i), _halves(mass, i), _likelihood(i, y, insp))
+    prior = _failure_prob(mass)
+    fail = _fold_halves(mass, mass)
+    return prior, _fold_halves(pmf, mass), fail
 
 
 @dataclass(frozen=True)
@@ -159,25 +181,24 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     pass of its own.
     """
     _check_sizes(net, dist, insp)
-    pmf, mass = _failure_masses(net, dist)
-    return _reported(_interval(pmf, mass, dist, i, insp), dist, i, insp)
+    dist._check_index(i)
+    _, prob, fail = _split_masses(net, dist)
+    return _reported(_interval(prob[i], fail[i], dist, i, insp), dist, i, insp)
 
 
 def _intervals(net, dist, insp: InspectionModel) -> tuple:
-    """The prior failure probability and every interval (None where certain) from one mass."""
+    """The prior failure probability and every interval (None where certain) from one fold."""
     _check_sizes(net, dist, insp)
-    pmf, mass = _failure_masses(net, dist)
-    return _failure_prob(mass), [_interval(pmf, mass, dist, i, insp)
-                                 for i in range(net.n_components)]
+    prior, prob, fail = _split_masses(net, dist)
+    return prior, [_interval(prob[i], fail[i], dist, i, insp) for i in range(net.n_components)]
 
 
-def _interval(pmf, mass, dist, i, insp) -> PosteriorInterval | None:
-    """Interval of component i from the pmf and failure mass; None when its outcome is certain."""
+def _interval(prob, fail, dist, i, insp) -> PosteriorInterval | None:
+    """Interval of component i from its pmf and failure-mass halves; None if it is certain."""
     outcomes = _outcomes(dist, i, insp)
     if not outcomes:
         return None
     h = outcomes[1][1]
-    prob, fail = _halves(pmf, i), _halves(mass, i)
     lo, hi = (_posterior_mean(prob, fail, likelihood) for _, _, likelihood in outcomes)
     return PosteriorInterval(lo=min(max(lo, 0.0), 1.0), hi=min(max(hi, 0.0), 1.0),
                              prior=(1.0 - h) * lo + h * hi, alarm_prob=h)

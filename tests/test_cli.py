@@ -361,6 +361,32 @@ def test_failure_mass_summing_past_1_is_a_certain_failure(tmp_path, capsys):
     assert run(capsys, "reliability", str(path)) == (0, "1.0\n", "")
 
 
+def test_a_certain_alarm_whose_probability_rounds_below_1_is_certain(tmp_path, capsys):
+    # the weights sum to 1 - 1.1e-16, within the explicit-table tolerance; c3
+    # always fails, yet its alarm probability reads 0.9999999999999999
+    doc = {
+        "schema_version": "1",
+        "components": [{"id": "c1"}, {"id": "c2"}, {"id": "c3"}],
+        "structure": {"formula": "series(c1, parallel(c2, c3))"},
+        "dependence": {"kind": "explicit", "weights": [0.7, 0.1, 0.1, 0.1, 0, 0, 0, 0]},
+        "inspection": {"eps_fa": 0.0, "eps_fs": 0.0},
+        "costs": {"c_fail": 1.0, "c_repair": 0.1},
+        "envelope": "quadratic",
+    }
+    path = tmp_path / "certain_alarm.json"
+    path.write_text(json.dumps(doc))
+    for metric in ("global", "local", "heuristic", "bm"):
+        code, out, err = run(capsys, "rank", "--metric", metric, "--format", "json", str(path))
+        assert (code, err) == (0, ""), metric
+        key = "bm" if metric == "bm" else "voi"
+        voi = {row["component"]: row[key] for row in json.loads(out)["rows"]}
+        assert voi["c3"] == 0.0 and voi["c1"] > 0.0, metric
+    code, out, err = run(capsys, "intervals", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: inspecting component 2 has a certain outcome "
+                   "(alarm probability 0.9999999999999999)\n")
+
+
 @pytest.mark.parametrize("costs", [{"c_fail": 1.0, "c_repair": 1e308},
                                    {"c_fail": 1.7e308, "c_repair": [1e307] + [0.0] * 5}])
 def test_costs_whose_worst_loss_overflows_exit_1_at_parse(tmp_path, costs):

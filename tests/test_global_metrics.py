@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from netvoi import (PERFECT_INSPECTION, BinaryActionLoss, FormulaTree, Independent,
-                    InspectionModel, Network, QuadraticLoss, closed_form_rule,
-                    importance_measures, parallel, posterior_interval, rank_global,
-                    series, system_failure_prob, voi_global)
+from netvoi import (PERFECT_INSPECTION, BinaryActionLoss, DegenerateObservationError,
+                    Explicit, FormulaTree, Independent, InspectionModel, Network,
+                    QuadraticLoss, closed_form_rule, importance_measures, parallel,
+                    parse_scenario_file, posterior_interval, rank_global, series,
+                    system_failure_prob, voi_global)
 from netvoi import inference
 
-from conftest import (make_crossed_pair, make_three_branch, random_distribution,
+from conftest import (SCENARIO_DIR, make_crossed_pair, make_three_branch, random_distribution,
                       random_network, THREE_BRANCH_PROBS)
 
 
@@ -166,3 +167,25 @@ def test_each_alarm_probability_is_computed_once(monkeypatch, three_branch):
     rank_global(net, dist, PERFECT_INSPECTION, QuadraticLoss())
     importance_measures(net, dist, PERFECT_INSPECTION)
     assert calls == list(range(6)) * 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
+                         + ["substation.json as explicit"])
+def test_library_and_cli_read_one_interval_per_component(name):
+    # the library's one-component calls and the CLI's every-component report
+    # take their halves from the same fold, so their floats agree exactly
+    doc = parse_scenario_file(SCENARIO_DIR / name.split()[0])
+    net, dist, insp = doc.build_network(), doc.build_distribution(), doc.build_inspection()
+    if name.endswith("explicit"):
+        dist = Explicit(dist.pmf_vector())
+    env = doc.build_envelope()
+    _, intervals = inference._intervals(net, dist, insp)
+    report = rank_global(net, dist, insp, env)
+    rows = list(zip(report.posterior_loss, report.voi, report.posterior_regret))
+    for i, iv in enumerate(intervals):
+        if iv is None:
+            with pytest.raises(DegenerateObservationError):
+                posterior_interval(net, dist, i, insp)
+            continue
+        assert posterior_interval(net, dist, i, insp) == iv
+        assert voi_global(net, dist, i, insp, env) == rows[i]

@@ -10,6 +10,9 @@ from netvoi import (ALARM, PERFECT_INSPECTION, SILENCE, ConditioningError,
                     interval_dominates, parallel, posterior_given_observation,
                     posterior_interval, posterior_system_failure, series,
                     system_failure_prob)
+from netvoi.distributions import _failure_masses
+from netvoi.inference import _intervals, _outcomes, _posterior_mean
+from netvoi.model import _halves
 
 from conftest import (crossed_pair_reference, make_crossed_pair, random_distribution,
                       random_network)
@@ -169,6 +172,15 @@ def test_posterior_system_failure_refuses_an_outcome_of_probability_zero():
         posterior_system_failure(net, Independent([0.0, 0.5]), 0, ALARM, PERFECT_INSPECTION)
 
 
+@pytest.mark.parametrize("i", [2, -1])
+def test_posteriors_of_a_component_out_of_range_raise_index_error(i):
+    net, dist = Network(FormulaTree(series(0, 1))), Independent([0.1, 0.2])
+    with pytest.raises(IndexError, match=f"^component index {i} out of range$"):
+        posterior_system_failure(net, dist, i, ALARM, PERFECT_INSPECTION)
+    with pytest.raises(IndexError, match=f"^component index {i} out of range$"):
+        posterior_interval(net, dist, i, PERFECT_INSPECTION)
+
+
 def test_posterior_distributions_renormalize():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -205,3 +217,27 @@ def test_series_and_parallel_closed_forms():
             1 - (1 - prior_s) * (1 - insp.fa(i)) / (1 - h), abs=1e-12)
         assert iv_s.hi == pytest.approx(
             1 - (1 - prior_s) * insp.fa(i) / h, abs=1e-12)
+
+
+def test_intervals_from_one_fold_match_a_pass_per_component():
+    # each component's halves taken by its own strided pass, as before the fold
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 10))
+        net, dist = random_network(rng, n), random_distribution(rng, n)
+        insp = InspectionModel(float(rng.uniform(0, 0.3)), float(rng.uniform(0, 0.3)))
+        kinds.add(type(dist).__name__)
+        pmf, mass = _failure_masses(net, dist)
+        prior, intervals = _intervals(net, dist, insp)
+        assert prior == min(float(mass.sum()), 1.0)
+        for i, iv in enumerate(intervals):
+            outcomes = _outcomes(dist, i, insp)
+            assert (iv is None) == (not outcomes)
+            if iv is None:
+                continue
+            lo, hi = (min(max(_posterior_mean(_halves(pmf, i), _halves(mass, i), w), 0.0), 1.0)
+                      for _, _, w in outcomes)
+            assert (iv.lo, iv.hi) == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
+            assert iv.alarm_prob == alarm_probability(dist, i, insp)
+    assert kinds == {"Independent", "Explicit", "CommonCauseGroups"}

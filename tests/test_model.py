@@ -13,7 +13,7 @@ from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     plan_expected_loss, plan_failure_risks, posterior_given_observation,
                     posterior_interval, posterior_system_failure, rank_global, series,
                     system_failure_prob, voi_global, voi_heuristic, voi_local)
-from netvoi.model import ComponentRef, ParallelNode, SeriesNode
+from netvoi.model import ComponentRef, ParallelNode, SeriesNode, _fold_halves, _halves
 
 from conftest import make_three_branch, random_formula, random_network
 
@@ -391,3 +391,23 @@ def test_inspection_rate_lists_must_agree_and_a_full_list_fits():
     assert insp.n_components == 3 and InspectionModel(0.05, 0.1).n_components is None
     for name in _RATED:
         _SIZED[name](_NET3, _DIST3, insp, _COSTS3)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_one_fold_gives_every_bit_the_halves_of_its_own_pass(n):
+    rng = np.random.default_rng(n)
+    certain = int(rng.integers(n))
+    uniform = rng.uniform(0.0, 1.0, 1 << n)
+    dyadic = rng.integers(0, 1 << 20, 1 << n) * 2.0 ** -20  # every sum is exact in any order
+    for x in (uniform, dyadic, np.zeros(1 << n)):
+        x.reshape(-1, 2, 1 << certain)[:, 1] = 0.0  # a component that always fails
+        x.flags.writeable = False  # folded into another array, x is left alone
+        halves = _fold_halves(x, np.empty(x.size // 2))
+        assert len(halves) == n and halves[certain][1] == 0.0
+        for i, pair in enumerate(halves):
+            assert pair == pytest.approx(_halves(x, i), rel=1e-14, abs=0.0)
+        copy = x.copy()
+        assert _fold_halves(copy, copy) == halves
+    assert halves == [(0.0, 0.0)] * n
+    exact = [_halves(dyadic, i) for i in range(n)]
+    assert _fold_halves(dyadic, np.empty(dyadic.size // 2)) == exact
