@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import CORRELATION, NONNEGATIVE, PROBABILITY, ConditioningError
-from .model import _bit_sums, _check_sizes, _halves, check_state
+from .model import _bit_sums, _check_sizes, _fold_halves, check_state
 
 EXPLICIT_SUM_TOL = 1e-12
 # Bits of one sampling chunk, drawn with one uniform: at 16 bits its cdf, guide and
@@ -74,10 +74,15 @@ class JointDistribution:
         return self._marginal(i)[0]
 
     def _marginal(self, i: int) -> tuple[float, float]:
-        """Probabilities that component i has failed and that it works, from its block's halves."""
+        """Probabilities that component i has failed and that it works."""
         self._check_index(i)
-        members, table = next(b for b in self._blocks if i in b[0])
-        return _halves(table, members.index(i))
+        return self._marginals[i]
+
+    @functools.cached_property
+    def _marginals(self) -> dict:
+        """Every component's marginal pair, kept from first use: one fold of each block table."""
+        return {m: pair for members, table in self._blocks
+                for m, pair in zip(members, _fold_halves(table, np.empty(table.size // 2)))}
 
     def condition(self, evidence):
         """Condition on exact component states, given as {index: 0 or 1}.
@@ -287,10 +292,10 @@ class CommonCauseGroups(JointDistribution):
     def _blocks(self) -> tuple:
         return tuple((g.members, _shared_cause_table(g)) for g in self.groups)
 
-    def _marginal(self, i: int) -> tuple[float, float]:
-        self._check_index(i)
-        p = next(g.p for g in self.groups if i in g.members)
-        return p, 1.0 - p
+    @functools.cached_property
+    def _marginals(self) -> dict:
+        """Each member's pair (p, 1 - p) from its group, so no table is built for it."""
+        return {m: (g.p, 1.0 - g.p) for g in self.groups for m in g.members}
 
 
 def _failure_masses(net, dist: JointDistribution, plan: int = 0) -> tuple:

@@ -125,10 +125,10 @@ def posterior_given_observation(dist: JointDistribution, i: int, y: int,
 def _posterior_mean(prob, mass, likelihood: tuple[float, float]):
     """Posterior mean, after an outcome on component i, of a quantity with prior masses ``mass``.
 
-    ``prob`` and ``mass`` are split by the state of component i (``_halves``,
-    ``_fold_halves``): the outcome's likelihood only reweights the two halves,
-    so no posterior is formed.
-    The halves of ``mass`` may be arrays, such as ``voi_local``'s plan risks.
+    ``prob`` and ``mass`` are split by the state of component i, failed then
+    working: the outcome's likelihood only reweights the two halves, so no
+    posterior is formed. The halves of ``mass`` may be arrays, such as
+    ``voi_local``'s plan risks.
     """
     w_failed, w_working = likelihood
     total = w_failed * prob[0] + w_working * prob[1]
@@ -144,14 +144,14 @@ def posterior_system_failure(net, dist, i, y, insp) -> float:
     return _posterior_mean(prob[i], fail[i], _likelihood(i, y, insp))
 
 
-def _split_masses(net, dist) -> tuple:
-    """The prior failure probability, and every component's halves of the pmf and the failure mass.
+def _split_masses(net, dist, plan: int = 0) -> tuple:
+    """Failure probability after ``plan``, and every component's halves of the pmf and that mass.
 
     One fold each (``_fold_halves``): the failure mass folds into itself,
     then the pmf into the mass's storage, so neither fold takes memory beyond
     that of forming the mass.
     """
-    pmf, mass = _failure_masses(net, dist)
+    pmf, mass = _failure_masses(net, dist, plan)
     prior = _failure_prob(mass)
     fail = _fold_halves(mass, mass)
     return prior, _fold_halves(pmf, mass), fail

@@ -17,8 +17,8 @@ import numpy as np
 from .distributions import Independent, JointDistribution, _failure_masses, _fuse
 from .errors import (NONNEGATIVE, POSITIVE, PROBABILITY, SIGNED_CORRELATION,
                      InfeasibleCorrelationError, NotApplicableError)
-from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean
-from .model import _bit_sums, _check_sizes, _halves, check_state
+from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean, _split_masses
+from .model import _bit_sums, _check_sizes, _fold_halves, check_state
 from .reports import PosteriorActionTable, VoIReport
 
 FRECHET_TOL = 1e-12
@@ -134,10 +134,11 @@ def _split_risks(fail: np.ndarray, steps):
     dense step one batch of two per member, a lattice step the halves of as
     many members as ``SPLIT_BYTES`` holds (all k up to an explicit table at
     N = 16) in one sweep. R_i1 is swept, not taken as R - R_i0, which cancels at
-    small risks.
+    small risks. The masses of all members come from one fold of the table.
     """
     for s, (members, table) in enumerate(steps):
         shared = _risks(fail, steps[:s] + steps[s + 1:])
+        masses = _fold_halves(table, np.empty(table.size // 2))
         dense = _fuses(members)
         group = 1 if dense else max(1, SPLIT_BYTES // (16 * (fail.size + table.size)))
         for lo in range(0, len(members), group):
@@ -145,7 +146,7 @@ def _split_risks(fail: np.ndarray, steps):
             batch = (_apply_chunk if dense else _lattice)(shared, members, np.concatenate(
                 [(table.reshape(-1, 2, 1 << bit) * _ONE_HALF).reshape(2, -1) for bit in bits]))
             for j, bit in enumerate(bits):
-                yield members[bit], batch[2 * j:2 * j + 2].reshape(2, -1), _halves(table, bit)
+                yield members[bit], batch[2 * j:2 * j + 2].reshape(2, -1), masses[bit]
 
 
 @functools.cache
@@ -318,24 +319,19 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
 def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
     """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
     _check_sizes(net, dist, insp, costs)
-    pmf, kept = _failure_masses(net, dist, prior_plan)
-    fail, masks, flipped = ~net.truth_table(), np.arange(pmf.size), np.empty_like(pmf)
+    _, prob, kept = _split_masses(net, dist, prior_plan)
+    pmf, fail, masks = dist.pmf_vector(), ~net.truth_table(), np.arange(1 << net.n_components)
     rows = []
     for i in range(net.n_components):
         flip = prior_plan ^ (1 << i)
-        # with i working, s | P is s | flip: a flip changes only the failed half,
-        # formed alone and summed in place as ``_halves`` sums, since from N = 16
-        # on numpy adds a contiguous copy of a half in another order
-        failed = flipped.reshape(-1, 2, 1 << i)[:, 0]
-        np.multiply(pmf.reshape(-1, 2, 1 << i)[:, 0],
-                    fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip], out=failed)
-        prob, (kept_failed, working) = _halves(pmf, i), _halves(kept, i)
-        mass = {prior_plan: (kept_failed, working), flip: (float(failed.sum()), working)}
+        # with i working, s | P is s | flip: a flip changes only the failed half
+        failed = pmf.reshape(-1, 2, 1 << i)[:, 0] * fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip]
+        mass = {prior_plan: kept[i], flip: (float(failed.sum()), kept[i][1])}
         row, value = {}, 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = {plan: costs.c_fail * _posterior_mean(prob, mass[plan], w)
+            loss = {plan: costs.c_fail * _posterior_mean(prob[i], mass[plan], w)
                     + repair_cost(plan, costs) for plan in plans}
             best, least = _cheapest(list(loss.values()), costs.c_fail)
             row[y] = plans[best], least

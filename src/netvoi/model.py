@@ -116,24 +116,14 @@ def _bit_sums(values) -> np.ndarray:
     return out
 
 
-def _halves(x: np.ndarray, i: int) -> tuple[float, float]:
-    """Sums of ``x``, indexed by mask, over the states where component i has failed and works.
-
-    Bit i splits the masks into runs of 2^i failed then 2^i working states,
-    so a (-1, 2, 2^i) view separates the halves without an index array.
-    """
-    v = x.reshape(-1, 2, 1 << i)
-    return float(v[:, 0].sum()), float(v[:, 1].sum())
-
-
 def _fold_halves(x: np.ndarray, out: np.ndarray) -> list[tuple[float, float]]:
-    """``_halves(x, i)`` for every bit i, from one Θ(2^N) fold in place of N Θ(2^N) passes.
+    """Per bit i, the sums of ``x``, indexed by mask, over the states where i has failed and works.
 
-    The top bit splits ``x`` into two contiguous rows, failed then working:
-    their sums are that bit's halves, and their sum over the rows no longer
-    holds it. Folding down to bit 0 adds the entries in another order than
-    ``_halves``, so the sums may differ from it in the last bits. The folds
-    overwrite the first 2^(N-1) entries of ``out``, which may be ``x`` itself.
+    One Θ(2^N) fold in place of a strided pass per bit. The top bit splits
+    ``x`` into two contiguous rows, failed then working: their sums are that
+    bit's halves, and their sum over the rows no longer holds it. Folding
+    goes on down to bit 0. The folds overwrite the first 2^(N-1) entries of
+    ``out``, which may be ``x`` itself.
     """
     halves = []
     while x.size > 1:

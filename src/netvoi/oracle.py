@@ -68,7 +68,7 @@ def mc_system_failure(net, dist: JointDistribution,
     _check_sizes(net, dist)
     failed = ~net.truth_table()
     sizes = _batch_sizes(cfg.n_samples)
-    # bool indicators: their mean and std are those of the 0/1 floats, in 1/8 the memory
-    batches = [failed[dist.sample(_substream(cfg.seed, j), size)]
-               for j, size in enumerate(sizes)]
+    # each batch's bool indicators are drawn and reduced to their mean in turn
+    batches = (failed[dist.sample(_substream(cfg.seed, j), size)]
+               for j, size in enumerate(sizes))
     return _batched_mean(batches, sizes)

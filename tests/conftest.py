@@ -216,6 +216,19 @@ def brute_force_plan_risks(net, dist, costs) -> np.ndarray:
                      for plan in range(1 << net.n_components)])
 
 
+# ------------------------------------------------------------ halves reference
+
+def strided_halves(x: np.ndarray, i: int) -> tuple[float, float]:
+    """Sums of ``x``, indexed by mask, over the states where component i has failed and works.
+
+    Bit i splits the masks into runs of 2^i failed then 2^i working states,
+    so a (-1, 2, 2^i) view separates the halves: two strided sums per bit,
+    the reference the one fold of ``_fold_halves`` is checked against.
+    """
+    v = x.reshape(-1, 2, 1 << i)
+    return float(v[:, 0].sum()), float(v[:, 1].sum())
+
+
 # ----------------------------------------------------------- random instances
 
 def random_formula(rng: np.random.Generator, n: int):

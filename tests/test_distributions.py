@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from netvoi import (CommonCauseGroups, ConditioningError, Explicit, FormulaTree,
-                    Group, Independent, JointDistribution, Network, parallel,
-                    series, system_failure_prob)
+                    Group, Independent, InspectionModel, JointDistribution, Network,
+                    alarm_probability, parallel, series, system_failure_prob)
 from netvoi.distributions import (GUIDE_FLOOR, SAMPLE_BITS, _frozen, _fuse, _indexed_search,
                                   _reweight, _reweight_blocks, _search_table,
                                   _shared_cause_table)
 from netvoi.local_metrics import CHUNK_BITS
 
 from conftest import (crossed_pair_reference, make_crossed_pair,
-                      make_groups_across_sampling_chunks, random_distribution)
+                      make_groups_across_sampling_chunks, random_distribution, strided_halves)
 
 
 def test_independent_pmf_product_rule():
@@ -172,6 +172,38 @@ def test_condition_past_the_pmf_size_keeps_the_blocks():
     post = Independent([0.1] * 64).condition({0: 0, 5: 1})
     assert isinstance(post, JointDistribution) and post.n_components == 64
     assert [post.marginal_failure(j) for j in range(64)] == [1.0] + [0.1] * 4 + [0.0] + [0.1] * 58
+
+
+def test_group_marginals_need_no_table():
+    # a 64-member group's table would hold 2^64 weights
+    dist, insp = CommonCauseGroups([Group(range(64), 0.1, 0.3)]), InspectionModel(0.05, 0.1)
+    assert dist.marginal_failure(5) == 0.1
+    assert alarm_probability(dist, 5, insp) == insp.fa(5) + insp.k(5) * 0.1
+    assert "_blocks" not in vars(dist)
+
+
+def test_marginals_are_the_halves_of_each_block_table():
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        w = rng.uniform(0.01, 1.0, size=1 << n)
+        order = [int(m) for m in rng.permutation(n)]
+        cut = int(rng.integers(1, n + 1))
+        groups = [Group(order[:cut], float(rng.uniform(0.02, 0.98)), float(rng.uniform(0, 0.9)))]
+        groups += [Group([m], float(rng.uniform(0.02, 0.98)), 0.0) for m in order[cut:]]
+        ccg = CommonCauseGroups(groups, n_components=n)
+        i = int(rng.integers(n))
+        beliefs = (Independent(rng.uniform(0.0, 1.0, size=n)), Explicit(w / w.sum()), ccg,
+                   JointDistribution(_reweight_blocks(ccg.blocks(), i, 0.3, 0.9)),
+                   Explicit(w / w.sum()).condition({i: 1}))
+        for dist in beliefs:
+            for members, table in dist.blocks():
+                for j, m in enumerate(members):
+                    want = strided_halves(table, j)
+                    assert dist._marginal(m) == pytest.approx(want, rel=1e-14, abs=0.0)
+                    # a one-member table is its own pair; a group's pair is (p, 1 - p)
+                    if len(members) == 1 and not isinstance(dist, CommonCauseGroups):
+                        assert dist._marginal(m) == want
+                    assert dist.marginal_failure(m) == dist._marginal(m)[0]
 
 
 def test_condition_series_survivor_formula():

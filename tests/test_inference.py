@@ -12,10 +12,9 @@ from netvoi import (ALARM, PERFECT_INSPECTION, SILENCE, ConditioningError,
                     system_failure_prob)
 from netvoi.distributions import _failure_masses
 from netvoi.inference import _intervals, _outcomes, _posterior_mean
-from netvoi.model import _halves
 
 from conftest import (crossed_pair_reference, make_crossed_pair, random_distribution,
-                      random_network)
+                      random_network, strided_halves)
 
 
 def test_alarm_probability_formula():
@@ -236,8 +235,8 @@ def test_intervals_from_one_fold_match_a_pass_per_component():
             assert (iv is None) == (not outcomes)
             if iv is None:
                 continue
-            lo, hi = (min(max(_posterior_mean(_halves(pmf, i), _halves(mass, i), w), 0.0), 1.0)
-                      for _, _, w in outcomes)
+            lo, hi = (min(max(_posterior_mean(strided_halves(pmf, i), strided_halves(mass, i), w),
+                              0.0), 1.0) for _, _, w in outcomes)
             assert (iv.lo, iv.hi) == pytest.approx((lo, hi), rel=1e-12, abs=0.0)
             assert iv.alarm_prob == alarm_probability(dist, i, insp)
     assert kinds == {"Independent", "Explicit", "CommonCauseGroups"}

@@ -16,10 +16,10 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     voi_heuristic, voi_local)
 import netvoi.local_metrics as local_metrics
 from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
-from netvoi.inference import (ALARM, SILENCE, _likelihood, _outcomes, _posterior_mean,
-                              posterior_given_observation)
+from netvoi.inference import (ALARM, SILENCE, _intervals, _likelihood, _outcomes,
+                              _posterior_mean, posterior_given_observation)
 from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
-from netvoi.model import _bit_sums, _halves
+from netvoi.model import _bit_sums, _fold_halves
 from netvoi.scenario import parse_scenario_file
 
 from conftest import (brute_force_plan_risks, make_three_branch, random_distribution,
@@ -653,17 +653,26 @@ def test_heuristic_matches_its_definition():
 def heuristic_by_full_masses(net, dist, insp, costs, prior_plan):
     """Per component, ({outcome: (plan, loss)}, value) of the heuristic around
     ``prior_plan``, with the kept plan and each flip priced from its own full
-    failure mass pmf(s)·fail(s | plan) over all 2^N states."""
+    failure mass pmf(s)·fail(s | plan) over all 2^N states: the halves of the
+    pmf and of each mass by one fold of the full array, except the flip's
+    failed half, summed as one contiguous copy."""
     pmf, fail = dist.pmf_vector(), ~net.truth_table()
     masks = np.arange(fail.size)
+
+    def halves(x):
+        return _fold_halves(x, np.empty(x.size // 2))
+
     rows = []
     for i in range(net.n_components):
         plans = (prior_plan, prior_plan ^ (1 << i))
-        mass = {plan: _halves(pmf * fail[masks | plan], i) for plan in plans}
+        full = {plan: pmf * fail[masks | plan] for plan in plans}
+        mass = {plan: halves(full[plan])[i] for plan in plans}
+        failed = np.ascontiguousarray(full[plans[1]].reshape(-1, 2, 1 << i)[:, 0])
+        mass[plans[1]] = float(failed.sum()), mass[plans[1]][1]
         row, value = {}, 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
             choices = sorted(plans) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = {plan: costs.c_fail * _posterior_mean(_halves(pmf, i), mass[plan], w)
+            loss = {plan: costs.c_fail * _posterior_mean(halves(pmf)[i], mass[plan], w)
                     + repair_cost(plan, costs) for plan in choices}
             best, least = _cheapest(list(loss.values()), costs.c_fail)
             row[y] = choices[best], least
@@ -696,6 +705,33 @@ def test_heuristic_at_every_plan_is_priced_as_from_full_masses():
                                 table.silence_plans[i], table.silence_losses[i]), (plan, i)
                             assert row.get(ALARM, (plan, loss)) == (
                                 table.alarm_plans[i], table.alarm_losses[i]), (plan, i)
+
+
+def test_heuristic_keeping_the_empty_plan_reads_the_intervals():
+    # at the empty plan the heuristic's kept mass is the failure mass whose
+    # halves the intervals fold, so its posterior losses are c_fail times theirs
+    rng = np.random.default_rng(83)
+    kept = 0
+    for n in range(8, 13):
+        net = random_network(rng, n)
+        for dist in beliefs_of_every_kind(rng, n):
+            c_fail = float(rng.uniform(0.5, 2.0))
+            # every repair costs more than the loss of doing nothing
+            prior = system_failure_prob(net, dist)
+            costs = LocalCostModel(c_fail, c_fail * prior * rng.uniform(1.01, 3.0, size=n))
+            for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                report = voi_heuristic(net, dist, insp, costs)
+                assert report.prior_plan == 0
+                table = report.action_table
+                for i, iv in enumerate(_intervals(net, dist, insp)[1]):
+                    if iv is None:
+                        continue
+                    assert table.silence_plans[i] == 0
+                    assert table.silence_losses[i] == c_fail * iv.lo, (n, i)
+                    if table.alarm_plans[i] == 0:
+                        assert table.alarm_losses[i] == c_fail * iv.hi, (n, i)
+                        kept += 1
+    assert kept >= 50
 
 
 def test_local_value_of_inspections_that_change_no_plan_is_zero():

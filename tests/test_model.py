@@ -13,9 +13,9 @@ from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     plan_expected_loss, plan_failure_risks, posterior_given_observation,
                     posterior_interval, posterior_system_failure, rank_global, series,
                     system_failure_prob, voi_global, voi_heuristic, voi_local)
-from netvoi.model import ComponentRef, ParallelNode, SeriesNode, _fold_halves, _halves
+from netvoi.model import ComponentRef, ParallelNode, SeriesNode, _fold_halves
 
-from conftest import make_three_branch, random_formula, random_network
+from conftest import make_three_branch, random_formula, random_network, strided_halves
 
 
 def test_two_component_series_evaluation():
@@ -405,9 +405,9 @@ def test_one_fold_gives_every_bit_the_halves_of_its_own_pass(n):
         halves = _fold_halves(x, np.empty(x.size // 2))
         assert len(halves) == n and halves[certain][1] == 0.0
         for i, pair in enumerate(halves):
-            assert pair == pytest.approx(_halves(x, i), rel=1e-14, abs=0.0)
+            assert pair == pytest.approx(strided_halves(x, i), rel=1e-14, abs=0.0)
         copy = x.copy()
         assert _fold_halves(copy, copy) == halves
     assert halves == [(0.0, 0.0)] * n
-    exact = [_halves(dyadic, i) for i in range(n)]
+    exact = [strided_halves(dyadic, i) for i in range(n)]
     assert _fold_halves(dyadic, np.empty(dyadic.size // 2)) == exact
