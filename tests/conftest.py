@@ -1,5 +1,6 @@
 """Shared fixtures: the worked example systems used throughout the suite."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from netvoi import (CommonCauseGroups, FormulaTree, Group, Independent,
                     LocalCostModel, Network, STGraph, parallel, plan_expected_loss, series)
+from netvoi.oracle import _batch_sizes, _substream
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -214,6 +216,26 @@ def brute_force_plan_risks(net, dist, costs) -> np.ndarray:
     """
     return np.array([plan_expected_loss(net, dist, plan, costs)
                      for plan in range(1 << net.n_components)])
+
+
+# ------------------------------------------------------ Monte Carlo reference
+
+def whole_batch_mc(net, dist, cfg) -> tuple[float, float]:
+    """``mc_system_failure`` with each substream drawn in one ``sample`` call.
+
+    Each batch is its substream's whole draw, reduced by the mean of its
+    bool failure indicators; batch means weighted by size give the estimate
+    and the standard error. Counting the same draws in pieces must give
+    these floats exactly.
+    """
+    failed = ~net.truth_table()
+    sizes = _batch_sizes(cfg.n_samples)
+    means = np.array([float(failed[dist.sample(_substream(cfg.seed, j), size)].mean())
+                      for j, size in enumerate(sizes)])
+    weights = np.array(sizes, dtype=float) / sum(sizes)
+    estimate = float(weights @ means)
+    b = len(sizes)
+    return estimate, math.sqrt(b / (b - 1) * float(weights ** 2 @ (means - estimate) ** 2))
 
 
 # ------------------------------------------------------------ halves reference

@@ -1,17 +1,19 @@
 """Monte Carlo estimators and the brute-force reference of the tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from netvoi import (Explicit, FormulaTree, Independent, LocalCostModel, Network,
                     SimulationConfig, mc_system_failure, parallel, plan_losses, series,
                     system_failure_prob)
-from netvoi.oracle import N_BATCHES, _substream
+from netvoi.oracle import N_BATCHES, PIECE, _substream
 from netvoi.scenario import parse_scenario_file
 
 from conftest import (THREE_BRANCH_PROBS, brute_force_plan_risks, make_crossed_pair,
                       make_groups_across_sampling_chunks, make_substation,
-                      make_three_branch, scenario_path)
+                      make_three_branch, scenario_path, whole_batch_mc)
 
 
 def test_single_component_estimate():
@@ -94,6 +96,59 @@ def test_full_size_estimates_are_pinned(name, explicit, expected):
     assert abs(est - system_failure_prob(net, dist)) <= 3 * se
 
 
+def _groups_over_chunks():
+    return (Network(FormulaTree(parallel(series(*range(0, 20, 2)), series(*range(1, 20, 2))))),
+            make_groups_across_sampling_chunks())
+
+
+def _independent_over_chunks():
+    return (Network(FormulaTree(parallel(*(series(*range(4 * b, 4 * b + 4)) for b in range(5))))),
+            Independent(np.linspace(0.05, 0.3, 20)))
+
+
+@pytest.mark.parametrize("belief", [lambda: _scenario("substation"), _groups_over_chunks,
+                                    _independent_over_chunks],
+                         ids=["substation", "groups-over-chunks", "independent-over-chunks"])
+def test_pieces_change_no_estimate(belief):
+    # batches below one piece, at a piece and one draw past it, and across many pieces
+    net, dist = belief()
+    for n in (2, 33, 20_000, N_BATCHES * PIECE + 1, 1_000_003):
+        cfg = SimulationConfig(n, seed=9)
+        assert mc_system_failure(net, dist, cfg) == whole_batch_mc(net, dist, cfg), n
+
+
+@pytest.mark.parametrize("dist, chunks", [(make_substation()[1], 1),
+                                          (make_groups_across_sampling_chunks(), 2)],
+                         ids=["one-chunk", "two-chunks"])
+def test_sample_in_pieces_is_one_sample(dist, chunks):
+    stream = _substream(4, 5)
+    pieces = np.concatenate([dist.sample(stream, m) for m in (1, 7, 8192) * 3])
+    assert np.array_equal(pieces, dist.sample(_substream(4, 5), pieces.size))
+    # (cdf, guide, state masks) per chunk: two chunks on bits other than 0..k-1 need masks
+    assert len(dist._chunks) == chunks
+    assert chunks == 1 or all(masks is not None for _, _, masks in dist._chunks)
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_memory_is_one_piece():
+    net, dist = _scenario("substation")
+    mc_system_failure(net, dist, SimulationConfig(2))  # the truth table and search tables
+    failed = ~net.truth_table()
+    piece = _peak_bytes(lambda: np.count_nonzero(failed[dist.sample(_substream(0, 0), PIECE)]))
+    small, large = (_peak_bytes(lambda: mc_system_failure(net, dist, SimulationConfig(n)))
+                    for n in (100_000, 10_000_000))
+    assert large < 1 << 20
+    assert large - small <= piece
+
+
 def _same_state(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
@@ -119,6 +174,17 @@ def test_simulation_settings_must_be_integers(n_samples, seed, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         SimulationConfig(n_samples, seed=seed)
     assert SimulationConfig(np.int64(100), seed=np.uint64(3)).n_samples == 100
+
+
+@pytest.mark.parametrize("n_samples, seed, message", [
+    (True, 0, "n_samples must be an integer, not True"),
+    (100, True, "seed must be an integer, not True"),
+    (100, False, "seed must be an integer, not False"),
+])
+def test_simulation_settings_refuse_bools(n_samples, seed, message):
+    # bool is an Integral, but True is no sample count or Philox key
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SimulationConfig(n_samples, seed=seed)
 
 
 def test_error_shrinks_with_sample_size():
