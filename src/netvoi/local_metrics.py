@@ -101,7 +101,9 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     plan-by-state enumeration. Both kinds of step apply a batch of weight
     tables, here a batch of one. Posteriors after one inspection need no run
     of their own: ``voi_local`` reweights this vector's two halves split by
-    the inspected component, which ``_split_risks`` forms from zero-padded halves.
+    the inspected component (``_splits``). For a component independent of
+    the rest they are read off this vector; ``_split_risks`` sweeps the others
+    from zero-padded halves.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -125,27 +127,77 @@ def _risks(risk: np.ndarray, steps) -> np.ndarray:
     return risk
 
 
-def _split_risks(fail: np.ndarray, steps):
+def _splits(fail: np.ndarray, steps, blocks, prior: np.ndarray):
     """Each component i, its plan risks (R_i0, R_i1) and masses (m0, m1) with i failed and working.
 
+    A component whose block is a singleton has its split read off the
+    prior's plan risks ``prior`` (``_read_off``), into one buffer that the
+    next such component overwrites. Members of larger blocks, and the
+    singletons whose read-off cancels, are swept (``_split_risks``). The
+    larger blocks go first, so the buffer is made only once their arrays
+    are freed: a call that held both would raise the heap's peak, which
+    the allocator then returns to the system, and the next call would
+    fault it back in.
+    """
+    yield from _split_risks(fail, steps, {m for members, _ in blocks if len(members) > 1
+                                          for m in members})
+    singles = [(members[0], table) for members, table in blocks if len(members) == 1]
+    if singles:
+        out, floor = np.empty((2, prior.size)), prior * 2.0 ** -10
+    cancels = set()
+    for i, table in singles:
+        if _read_off(prior, floor, i, table, out):
+            yield i, out, tuple(table.tolist())
+        else:
+            cancels.add(i)
+    yield from _split_risks(fail, steps, cancels)
+
+
+def _read_off(prior: np.ndarray, floor: np.ndarray, i: int, table: np.ndarray,
+              out: np.ndarray) -> bool:
+    """Split of component i, a singleton block of weights (t0, t1), from the prior's risks R.
+
+    Writes (R_i0, R_i1) into ``out``. With i working, a plan A and A | i are
+    the same plan, and A | i makes i's state irrelevant, so it splits R[A | i]
+    as the weights do: R_i1[A] = R[A | i] t1 / (t0 + t1), and R_i0 = R - R_i1.
+    That difference cancels where i rarely fails: returns False, for a
+    sweep, where R_i0 < ``floor`` = 2^-10 R at some plan, which would cost it
+    10 of its bits. At a plan that repairs i, that is t0 < 2^-10 (t0 + t1).
+    """
+    t0, t1 = table.tolist()
+    np.multiply(prior.reshape(-1, 2, 1 << i)[:, 1:], t1 / (t0 + t1),
+                out=out[1].reshape(-1, 2, 1 << i))
+    np.subtract(prior, out[1], out=out[0])
+    return not np.less(out[0], floor).any()
+
+
+def _split_risks(fail: np.ndarray, steps, swept):
+    """Each component i in ``swept``, its split and masses as ``_splits`` gives them, by sweeps.
+
     R_i0 + R_i1 is the prior's plan risk vector. The steps that do not hold
-    i run once for all members of i's step, which then applies its table's
-    two halves split by i's state, each zero-padded to the full table: a
-    dense step one batch of two per member, a lattice step the halves of as
-    many members as ``SPLIT_BYTES`` holds (all k up to an explicit table at
-    N = 16) in one sweep. R_i1 is swept, not taken as R - R_i0, which cancels at
-    small risks. The masses of all members come from one fold of the table.
+    i run once for the swept members of i's step, which then applies its
+    table's two halves split by i's state, each zero-padded to the full
+    table: a dense step one batch of two per member, a lattice step the
+    halves of as many members as ``SPLIT_BYTES`` holds (all k up to an
+    explicit table at N = 16) in one sweep. A step with no swept member
+    runs nothing. Both halves are swept, neither taken as a difference,
+    which cancels at small risks: ``_splits`` sends here every singleton
+    whose read-off would. The masses of all members come from one fold of
+    the table.
     """
     for s, (members, table) in enumerate(steps):
+        bits = [bit for bit, m in enumerate(members) if m in swept]
+        if not bits:
+            continue
         shared = _risks(fail, steps[:s] + steps[s + 1:])
         masses = _fold_halves(table, np.empty(table.size // 2))
         dense = _fuses(members)
         group = 1 if dense else max(1, SPLIT_BYTES // (16 * (fail.size + table.size)))
-        for lo in range(0, len(members), group):
-            bits = range(lo, min(lo + group, len(members)))
+        for lo in range(0, len(bits), group):
+            batch_bits = bits[lo:lo + group]
             batch = (_apply_chunk if dense else _lattice)(shared, members, np.concatenate(
-                [(table.reshape(-1, 2, 1 << bit) * _ONE_HALF).reshape(2, -1) for bit in bits]))
-            for j, bit in enumerate(bits):
+                [(table.reshape(-1, 2, 1 << b) * _ONE_HALF).reshape(2, -1) for b in batch_bits]))
+            for j, bit in enumerate(batch_bits):
                 yield members[bit], batch[2 * j:2 * j + 2].reshape(2, -1), masses[bit]
 
 
@@ -269,21 +321,24 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     Outcome y on component i reweights the prior's plan risks restricted to
     i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
     the posterior's plan risks are (w_f R_i0 + w_w R_i1) / (w_f m0 + w_w m1)
-    for the masses m0 and m1 of i failed and working (``_split_risks``). A
-    loss is c_fail times a nonnegative risk plus a repair bill, so, in
-    floating point too, only plans billed at most T can lie in the tie band
-    of the least loss: T is the larger over both outcomes of the heuristic's
-    cheaper loss, of the prior plan and its flip at i, plus the band. Pricing
-    those plans in mask order gives the floats of a scan of all 2^N plans;
-    with free repairs it prices every plan.
+    for the masses m0 and m1 of i failed and working (``_splits``): read off
+    the prior's plan risks where i's block is a singleton and the
+    difference R - R_i1 keeps its digits, else swept. A loss is c_fail
+    times a nonnegative risk plus a repair bill, so, in floating point too,
+    only plans billed at most T can lie in the tie band of the least loss:
+    T is the larger over both outcomes of the heuristic's cheaper loss, of
+    the prior plan and its flip at i, plus the band. Pricing those plans in
+    mask order gives the floats of a scan of all 2^N plans; with free
+    repairs it prices every plan.
     """
     _check_sizes(net, dist, insp, costs)
     steps = _steps(dist)
     fail = (~net.truth_table()).astype(np.float64)
     repair = _bit_sums(costs.c_repair)
-    prior_plan, prior_loss = _cheapest(costs.c_fail * _risks(fail, steps) + repair, costs.c_fail)
+    prior = _risks(fail, steps)
+    prior_plan, prior_loss = _cheapest(costs.c_fail * prior + repair, costs.c_fail)
     rows = [None] * net.n_components
-    for i, split, masses in _split_risks(fail, steps):
+    for i, split, masses in _splits(fail, steps, dist.blocks(), prior):
         row, value = {}, 0.0
         outcomes = _outcomes(dist, i, insp)
         heuristic = {y: [costs.c_fail * _posterior_mean(masses, split[:, a].tolist(), w)
@@ -321,23 +376,30 @@ def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -
     _check_sizes(net, dist, insp, costs)
     _, prob, kept = _split_masses(net, dist, prior_plan)
     pmf, fail, masks = dist.pmf_vector(), ~net.truth_table(), np.arange(1 << net.n_components)
+    indicator = fail[masks | prior_plan] if prior_plan else fail  # of the kept plan
     rows = []
     for i in range(net.n_components):
         flip = prior_plan ^ (1 << i)
-        # with i working, s | P is s | flip: a flip changes only the failed half
-        failed = pmf.reshape(-1, 2, 1 << i)[:, 0] * fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip]
+        # with i working, s | P is s | flip: a flip changes only the failed half,
+        # where adding repair i makes s | flip the kept plan's s | P with i working
+        failed = pmf.reshape(-1, 2, 1 << i)[:, 0] * (
+            indicator.reshape(-1, 2, 1 << i)[:, 1] if flip > prior_plan
+            else fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip])
         mass = {prior_plan: kept[i], flip: (float(failed.sum()), kept[i][1])}
+        bills = {plan: repair_cost(plan, costs) for plan in mass}
         row, value = {}, 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = {plan: costs.c_fail * _posterior_mean(prob[i], mass[plan], w)
-                    + repair_cost(plan, costs) for plan in plans}
-            best, least = _cheapest(list(loss.values()), costs.c_fail)
-            row[y] = plans[best], least
+            loss = {plan: costs.c_fail * _posterior_mean(prob[i], mass[plan], w) + bills[plan]
+                    for plan in plans}
+            # the lowest mask within the tie band, as _cheapest picks it
+            band = min(loss.values()) + PLAN_TIE_RTOL * costs.c_fail
+            best = next(plan for plan in plans if loss[plan] <= band)
+            row[y] = best, loss[best]
             # the prior loss of the kept plan is the mixture of its posterior
             # losses, so only a flipped outcome adds value
-            value += p_y * (loss[prior_plan] - row[y][1])
+            value += p_y * (loss[prior_plan] - loss[best])
         rows.append((row, value))
     return _report("heuristic", prior_plan, prior_loss, rows)
 

@@ -108,11 +108,13 @@ def _columns(n: int) -> np.ndarray:
 def _bit_sums(values) -> np.ndarray:
     """For every mask over len(values) bits, the sum of ``values[j]`` over its set bits j.
 
-    Built by doubling, so each sum adds its terms in bit order.
+    Built by doubling in one array, so each sum adds its terms in bit order.
     """
-    out = np.zeros(1, dtype=np.asarray(values).dtype)
-    for v in values:  # the masks with bit j set are those before, plus values[j]
-        out = np.concatenate((out, out + v))
+    values = np.asarray(values)
+    out = np.empty(1 << values.size, dtype=values.dtype)
+    out[0] = 0
+    for j, v in enumerate(values):  # the masks with bit j set are those before, plus values[j]
+        np.add(out[:1 << j], v, out=out[1 << j:2 << j])
     return out
 
 

@@ -264,7 +264,8 @@ def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
         masks = np.arange(1 << n)
         unit = LocalCostModel.uniform(n, 1.0, 0.0)  # brute-force losses are the risks
         seen = []
-        for i, risks, masses in _split_risks((~net.truth_table()).astype(float), _steps(dist)):
+        for i, risks, masses in _split_risks((~net.truth_table()).astype(float), _steps(dist),
+                                             range(n)):
             seen.append(i)
             np.testing.assert_allclose(risks[0] + risks[1], prior, rtol=1e-12, atol=0.0)
             # with i working, repairing it changes nothing
@@ -299,7 +300,7 @@ def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, ki
         net = random_network(rng, n)
         fail, steps = (~net.truth_table()).astype(float), _steps(dist)
         costs = LocalCostModel(1.0, rng.uniform(0.01, 0.3, size=n))
-        whole = {i: risks for i, risks, _ in _split_risks(fail, steps)}
+        whole = {i: risks for i, risks, _ in _split_risks(fail, steps, range(n))}
         report = voi_local(net, dist, insp, costs)
         batches = []
         with monkeypatch.context() as m:
@@ -307,7 +308,7 @@ def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, ki
             m.setattr(local_metrics, "SPLIT_BYTES", per_sweep * 16 * (fail.size + widest))
             m.setattr(local_metrics, "_lattice", lambda risk, members, tables:
                       batches.append(len(tables)) or lattice(risk, members, tables))
-            for i, risks, _ in _split_risks(fail, steps):
+            for i, risks, _ in _split_risks(fail, steps, range(n)):
                 np.testing.assert_allclose(risks, whole[i], rtol=1e-13, atol=0.0)
                 working = risks[1].reshape(-1, 2, 1 << i)
                 assert np.array_equal(working[:, 0], working[:, 1]), i
@@ -315,11 +316,19 @@ def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, ki
         for plans in ("silence_plans", "alarm_plans"):
             assert getattr(grouped.action_table, plans) == getattr(report.action_table, plans)
         np.testing.assert_allclose(grouped.voi, report.voi, rtol=1e-9, atol=1e-15)
-        # the batches of both grouped splits above: k // per_sweep full groups and the rest
-        sizes = [len(members) for members, _ in steps if not local_metrics._fuses(members)]
-        expected = sum(([2 * per_sweep] * (k // per_sweep) + [2 * (k % per_sweep)]
-                        * (k % per_sweep > 0) for k in sizes), [])
-        assert sorted(b for b in batches if b > 1) == sorted(expected * 2)
+        # the batches of both grouped splits above, for k swept members of a
+        # lattice step: k // per_sweep full groups and the rest. The loop sweeps
+        # every member, voi_local those of larger blocks: it reads each
+        # singleton's split off the prior's plan risks
+        def batches_of(counts):
+            return sum(([2 * per_sweep] * (k // per_sweep) + [2 * (k % per_sweep)]
+                        * (k % per_sweep > 0) for k in counts), [])
+
+        lattice_steps = [members for members, _ in steps if not local_metrics._fuses(members)]
+        wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
+        expected = batches_of(map(len, lattice_steps)) + batches_of(
+            len(wider.intersection(members)) for members in lattice_steps)
+        assert sorted(b for b in batches if b > 1) == sorted(expected)
 
 
 def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half():
@@ -333,7 +342,7 @@ def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half()
     # the component in a fused chunk, and in a 6-bit lattice block
     for dist in (Independent(probs), Explicit(Independent(probs).pmf_vector())):
         assert _outcomes(dist, 0, insp)[1][:2] == (ALARM, pytest.approx(0.1, rel=1e-12))
-        splits = _split_risks((~net.truth_table()).astype(float), _steps(dist))
+        splits = _split_risks((~net.truth_table()).astype(float), _steps(dist), range(6))
         _, risks, masses = next(s for s in splits if s[0] == 0)
         assert masses[0] == 0.0 and not risks[0].any()
         assert_local_matches_posteriors(net, dist, insp, costs)
@@ -368,21 +377,115 @@ def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
     steps = _steps(dist)
     lattice = [members for members, _ in steps if not local_metrics._fuses(members)]
     assert len(lattice) == len(steps) == (1 if kind == "explicit" else 2)
-    # each step sweeps alone in the prior and in the split of every other
-    # step, and as its members' 2k halves in its own split
-    expected = sum((([1] * len(steps) + [2 * len(m)]) * leaves_of(len(m)) for m in lattice), [])
+    # only steps that hold a larger block's member are split: the singles'
+    # splits are read off the prior. Each step sweeps alone in the prior and
+    # in the split of every other such step, and as its members' 2k halves in
+    # its own split
+    wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
+    split = [m for m in lattice if wider.intersection(m)]
+    expected = sum((([1] * (1 + len(split) - (m in split)) + [2 * len(m)] * (m in split))
+                    * leaves_of(len(m)) for m in lattice), [])
     assert sorted(leaves) == sorted(expected)
     if kind == "explicit":
         assert len(leaves) == 2 * leaves_of(n)
 
 
+def record_swept(monkeypatch, swept):
+    """Append to ``swept`` the set of components each ``_split_risks`` call sweeps."""
+    split_risks = local_metrics._split_risks
+    monkeypatch.setattr(local_metrics, "_split_risks", lambda fail, steps, members:
+                        swept.append(set(members)) or split_risks(fail, steps, members))
+    return split_risks
+
+
+@pytest.mark.parametrize("certain", [False, True], ids=["uncertain", "certain"])
+def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certain):
+    # the split of every singleton block that voi_local uses, read off the
+    # prior's plan risks or swept where that cancels, is its sweep's to rel
+    # 1e-12, and zero exactly where the sweep's is
+    swept = []
+    split_risks = record_swept(monkeypatch, swept)
+    rng = np.random.default_rng(71)
+    singles = read = 0
+    for n in range(2, 11):
+        net = random_network(rng, n)
+        fail = (~net.truth_table()).astype(float)
+        # independent, and groups that mix singletons with larger groups
+        for dist in beliefs_of_every_kind(rng, n, certain=certain)[::2]:
+            steps, blocks = _steps(dist), dist.blocks()
+            ones = {members[0] for members, _ in blocks if len(members) == 1}
+            reference = {i: (risks, masses) for i, risks, masses in split_risks(fail, steps, ones)}
+            swept.clear()
+            for i, risks, masses in local_metrics._splits(
+                    fail, steps, blocks, plan_failure_risks(net, dist)):
+                if i not in ones:
+                    continue
+                want, want_masses = reference[i]
+                for got, exact in zip(risks, want):
+                    assert np.array_equal(got == 0.0, exact == 0.0), (n, i)
+                    np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+                assert masses == pytest.approx(want_masses, rel=1e-12, abs=0.0)
+            singles += len(ones)
+            read += len(ones - set().union(*swept))
+    # most are read off: a sweep takes only those whose R_i0 cancels
+    assert singles > 50 and read > 0.75 * singles
+
+
+class TableNetwork:
+    """Stand-in network whose system state is any table, monotone or not."""
+
+    def __init__(self, works):
+        self.n_components = works.size.bit_length() - 1
+        self._works = works
+
+    def truth_table(self):
+        return self._works
+
+
+def test_components_whose_read_off_cancels_are_swept(monkeypatch):
+    # R_i0 = R - R_i1 cancels where i rarely fails (q = 1e-6 and 1e-9 on
+    # layered16) and where i's failure can only help (a non-monotone system:
+    # c2..c4 in series with exactly one of c0, c1 working). Those components
+    # are swept, and every report matches the route that sweeps them all
+    swept = []
+    record_swept(monkeypatch, swept)
+    doc = parse_scenario_file(scenario_path("layered16.json"))
+    probs = [0.01] * 16
+    probs[3], probs[11] = 1e-6, 1e-9
+    states = np.arange(32)
+    works = (states >> 2 == 7) & ((states ^ (states >> 1)) & 1 == 1)
+    cases = [(doc.build_network(), Independent(probs), doc.build_costs(), {3, 11}),
+             (TableNetwork(works), Independent([0.1, 0.2, 0.05, 0.15, 0.1]),
+              LocalCostModel(1.0, (0.05, 0.1, 0.02, 0.08, 0.03)), {0, 1})]
+    for net, dist, costs, cancels in cases:
+        swept.clear()
+        report = voi_local(net, dist, PERFECT_INSPECTION, costs)
+        assert set().union(*swept) == cancels
+        swept.clear()
+        with monkeypatch.context() as m:
+            m.setattr(local_metrics, "_read_off", lambda *args: False)
+            reference = voi_local(net, dist, PERFECT_INSPECTION, costs)
+        assert set().union(*swept) == set(range(net.n_components))
+        assert report.prior_plan == reference.prior_plan
+        got, want = report.action_table, reference.action_table
+        assert (got.silence_plans, got.alarm_plans) == (want.silence_plans, want.alarm_plans)
+        for values in ("silence_losses", "alarm_losses"):
+            assert getattr(got, values) == pytest.approx(getattr(want, values), rel=1e-12, abs=0.0)
+        for values in ("voi", "posterior_loss"):
+            assert getattr(report, values) == pytest.approx(getattr(reference, values),
+                                                            rel=1e-12, abs=0.0)
+
+
 def local_by_full_scan(net, dist, insp, costs):
     """``voi_local``'s report with each outcome's posterior losses formed over
-    all 2^N plans from ``_split_risks``: the search without the heuristic's bound."""
+    all 2^N plans from the splits ``voi_local`` reads (``_splits``): the search
+    without the heuristic's bound."""
     fail, repair = (~net.truth_table()).astype(float), _bit_sums(costs.c_repair)
     prior_plan, prior_loss = _cheapest(plan_losses(net, dist, costs), costs.c_fail)
     rows = [None] * net.n_components
-    for i, split, masses in _split_risks(fail, _steps(dist)):
+    splits = local_metrics._splits(fail, _steps(dist), dist.blocks(),
+                                   plan_failure_risks(net, dist))
+    for i, split, masses in splits:
         row = {}
         value = 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
