@@ -19,7 +19,8 @@ from .distributions import system_failure_prob
 from .errors import NetvoiError, ScenarioError, SizeCapError
 from .global_metrics import importance_measures, rank_global
 from .inference import InspectionModel, _intervals, _reported
-from .local_metrics import _voi_heuristic, posterior_action_table, voi_heuristic, voi_local
+from .local_metrics import (_voi_heuristic, _voi_local, plan_failure_risks,
+                            posterior_action_table, voi_heuristic, voi_local)
 from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
 from .output import (format_number, json_value, render_bar_chart_svg, render_csv,
@@ -205,12 +206,10 @@ def _cmd_actions(args) -> int:
 def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load_priced(args)
     costs = doc.build_costs()
-    system = rank_global(net, dist, insp, doc.build_envelope())
-    local = voi_local(net, dist, insp, costs)
-    # the heuristic starts from the prior plan the local metric optimised
-    heuristic = _voi_heuristic(net, dist, insp, costs, local.prior_plan, local.prior_loss)
-    series = [("global", system.voi_normalized), ("local", local.voi_normalized),
-              ("heuristic", heuristic.voi_normalized)]
+    risks = plan_failure_risks(net, dist)  # one engine run for both component-level metrics
+    series = [("global", rank_global(net, dist, insp, doc.build_envelope()).voi_normalized),
+              ("local", _voi_local(net, dist, insp, costs, risks).voi_normalized),
+              ("heuristic", _voi_heuristic(net, dist, insp, costs, risks).voi_normalized)]
     _emit(render_bar_chart_svg(net.names, series), args)
     return EXIT_OK
 

@@ -33,6 +33,9 @@ PLAN_TIE_RTOL = 1e-9
 CHUNK_BITS = 4
 # Bytes of plan-risk vectors and weight tables a lattice step's split holds at once.
 SPLIT_BYTES = 1 << 25
+# A half read off as a difference a - b below this share of a has lost 10 of
+# a's bits: the metrics then sweep or fold that half on its own.
+_CANCEL_FLOOR = 2.0 ** -10
 # Times a (-1, 2, 2^b) view of a table: row 0 keeps the states in which the
 # component on bit b has failed, row 1 those in which it works.
 _ONE_HALF = np.eye(2).reshape(2, 1, 2, 1)
@@ -68,11 +71,7 @@ def apply_repairs(state: int, plan: int) -> int:
 
 
 def repair_cost(plan: int, costs: LocalCostModel) -> float:
-    total = 0.0
-    for i, c in enumerate(costs.c_repair):
-        if (plan >> i) & 1:
-            total += c
-    return total
+    return float(sum(c for i, c in enumerate(costs.c_repair) if (plan >> i) & 1))
 
 
 def plan_expected_loss(net, dist: JointDistribution, plan: int,
@@ -103,7 +102,8 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     of their own: ``voi_local`` reweights this vector's two halves split by
     the inspected component (``_splits``). For a component independent of
     the rest they are read off this vector; ``_split_risks`` sweeps the others
-    from zero-padded halves.
+    from zero-padded halves. ``voi_heuristic`` reads every flip of its prior
+    plan off this vector, and ``netvoi plot`` runs it once for both metrics.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -143,7 +143,7 @@ def _splits(fail: np.ndarray, steps, blocks, prior: np.ndarray):
                                           for m in members})
     singles = [(members[0], table) for members, table in blocks if len(members) == 1]
     if singles:
-        out, floor = np.empty((2, prior.size)), prior * 2.0 ** -10
+        out, floor = np.empty((2, prior.size)), prior * _CANCEL_FLOOR
     cancels = set()
     for i, table in singles:
         if _read_off(prior, floor, i, table, out):
@@ -331,11 +331,16 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     mask order gives the floats of a scan of all 2^N plans; with free
     repairs it prices every plan.
     """
+    return _voi_local(net, dist, insp, costs)
+
+
+def _voi_local(net, dist, insp, costs, prior=None) -> VoIReport:
+    """``voi_local`` from the prior's plan risks ``prior``, if the caller has run them."""
     _check_sizes(net, dist, insp, costs)
     steps = _steps(dist)
     fail = (~net.truth_table()).astype(np.float64)
     repair = _bit_sums(costs.c_repair)
-    prior = _risks(fail, steps)
+    prior = _risks(fail, steps) if prior is None else prior
     prior_plan, prior_loss = _cheapest(costs.c_fail * prior + repair, costs.c_fail)
     rows = [None] * net.n_components
     for i, split, masses in _splits(fail, steps, dist.blocks(), prior):
@@ -352,8 +357,8 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
             best, least = _cheapest(losses, costs.c_fail)
             row[y] = int(plans[best]), least
             # the prior loss of the prior plan is the mixture of its posterior
-            # losses, so an outcome that keeps that plan adds exactly 0
-            value += p_y * (heuristic[y][0] - least)
+            # losses, so an outcome that keeps that plan, or ties it, adds 0
+            value += p_y * max(heuristic[y][0] - least, 0.0)
         rows[i] = (row, value)
     return _report("local", prior_plan, prior_loss, rows)
 
@@ -368,38 +373,38 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     otherwise the exact posterior losses of keeping the plan and of
     flipping just that one action are compared and the cheaper executed.
     """
-    return _voi_heuristic(net, dist, insp, costs, *optimal_plan(net, dist, costs))
+    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist))
 
 
-def _voi_heuristic(net, dist, insp, costs, prior_plan: int, prior_loss: float) -> VoIReport:
-    """``voi_heuristic`` around the optimal prior plan and its loss, found by the caller."""
+def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
+    """``voi_heuristic`` from the prior's plan risks R, ``risks``, run by the caller.
+
+    With i working, repairing i changes nothing, so the flip F = P ^ i of the
+    prior plan P has the halves (R[F] - R_i1[P], R_i1[P]), R_i1[P] from one
+    fold at P. A failed half below ``_CANCEL_FLOOR`` R[F] is F's own fold's.
+    """
     _check_sizes(net, dist, insp, costs)
+    repair = _bit_sums(costs.c_repair)
+    prior_plan, prior_loss = _cheapest(costs.c_fail * risks + repair, costs.c_fail)
     _, prob, kept = _split_masses(net, dist, prior_plan)
-    pmf, fail, masks = dist.pmf_vector(), ~net.truth_table(), np.arange(1 << net.n_components)
-    indicator = fail[masks | prior_plan] if prior_plan else fail  # of the kept plan
     rows = []
     for i in range(net.n_components):
         flip = prior_plan ^ (1 << i)
-        # with i working, s | P is s | flip: a flip changes only the failed half,
-        # where adding repair i makes s | flip the kept plan's s | P with i working
-        failed = pmf.reshape(-1, 2, 1 << i)[:, 0] * (
-            indicator.reshape(-1, 2, 1 << i)[:, 1] if flip > prior_plan
-            else fail[masks.reshape(-1, 2, 1 << i)[:, 0] | flip])
-        mass = {prior_plan: kept[i], flip: (float(failed.sum()), kept[i][1])}
-        bills = {plan: repair_cost(plan, costs) for plan in mass}
+        failed = risks.item(flip) - kept[i][1]
+        if failed < _CANCEL_FLOOR * risks.item(flip):
+            failed = _split_masses(net, dist, flip)[2][i][0]
+        mass = {prior_plan: kept[i], flip: (failed, kept[i][1])}
         row, value = {}, 0.0
         for y, p_y, w in _outcomes(dist, i, insp):
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = {plan: costs.c_fail * _posterior_mean(prob[i], mass[plan], w) + bills[plan]
-                    for plan in plans}
-            # the lowest mask within the tie band, as _cheapest picks it
-            band = min(loss.values()) + PLAN_TIE_RTOL * costs.c_fail
-            best = next(plan for plan in plans if loss[plan] <= band)
-            row[y] = best, loss[best]
-            # the prior loss of the kept plan is the mixture of its posterior
-            # losses, so only a flipped outcome adds value
-            value += p_y * (loss[prior_plan] - loss[best])
+            loss = [costs.c_fail * _posterior_mean(prob[i], mass[plan], w) + repair.item(plan)
+                    for plan in plans]
+            best, least = _cheapest(loss, costs.c_fail)
+            row[y] = plans[best], least
+            # the kept plan's prior loss is the mixture of its posterior losses,
+            # so only a flipped outcome saves, and a plan in its tie band saves 0
+            value += p_y * max(loss[plans.index(prior_plan)] - least, 0.0)
         rows.append((row, value))
     return _report("heuristic", prior_plan, prior_loss, rows)
 
@@ -419,12 +424,10 @@ def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:
     if not 0.0 < peak <= 0.5:
         raise ValueError(f"cost ratio {peak} must lie in (0, 0.5]")
     both = p1 * p2 + rho * math.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))
-    lo = max(0.0, p1 + p2 - 1.0)
-    hi = min(p1, p2)
+    lo, hi = max(0.0, p1 + p2 - 1.0), min(p1, p2)  # the Frechet bounds on both
     if both < lo - FRECHET_TOL or both > hi + FRECHET_TOL:
-        raise InfeasibleCorrelationError(
-            f"correlation {rho} is infeasible for marginals ({p1}, {p2})"
-        )
+        raise InfeasibleCorrelationError(f"correlation {rho} is infeasible for marginals "
+                                         f"({p1}, {p2})")
     both = min(max(both, lo), hi)
 
     def loss(p_i, p_j):
@@ -452,7 +455,5 @@ def cumulative_approx_voi(dist: JointDistribution, costs: LocalCostModel) -> tup
     if not isinstance(dist, Independent):
         raise NotApplicableError("the additive-risk shortcut needs independent components")
     _check_sizes(dist, costs)
-    out = []
-    for p, c_r in zip(dist.failure_probs, costs.c_repair):
-        out.append(min(p * costs.c_fail, c_r) - p * c_r)
-    return tuple(out)
+    return tuple(min(p * costs.c_fail, c_r) - p * c_r
+                 for p, c_r in zip(dist.failure_probs, costs.c_repair))

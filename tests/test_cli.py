@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from netvoi import JointDistribution, distributions
+from netvoi import JointDistribution, cli, distributions, local_metrics
 from netvoi.cli import run_command
 from netvoi.output import format_number, render_bar_chart_svg
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
@@ -165,6 +165,29 @@ def test_plot_writes_svg(tmp_path, capsys):
     text = target.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("name", ["layered16.json", "substation.json", "three_branch.json"])
+def test_plot_runs_the_plan_risk_engine_once(capsys, monkeypatch, name):
+    # the local metric and the heuristic both start from the one prior run
+    calls, runs = [], []
+    engine, risks = local_metrics.plan_failure_risks, local_metrics._risks
+    for module in (cli, local_metrics):
+        monkeypatch.setattr(module, "plan_failure_risks",
+                            lambda net, dist: calls.append(dist) or engine(net, dist))
+    monkeypatch.setattr(local_metrics, "_risks",
+                        lambda fail, steps: runs.append(len(steps)) or risks(fail, steps))
+    code, out, err = run(capsys, "plot", scenario_path(name))
+    assert (code, err) == (0, "") and out.startswith("<svg")
+    assert len(calls) == 1
+    # every other run is a split's, which leaves out the inspected step
+    steps = len(local_metrics._steps(parse_scenario_file(scenario_path(name)).build_distribution()))
+    assert runs.count(steps) == 1
+
+
+def test_non_finite_numbers_print_as_words():
+    assert [format_number(x) for x in (float("nan"), float("inf"), -float("inf"))] == [
+        "nan", "inf", "-inf"]
 
 
 def test_bar_chart_refuses_a_series_of_the_wrong_length():

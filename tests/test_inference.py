@@ -24,6 +24,11 @@ def test_alarm_probability_formula():
     assert alarm_probability(Independent([0.0]), 0, noisy) == pytest.approx(0.01)
 
 
+def test_an_outcome_other_than_alarm_or_silence_is_refused():
+    with pytest.raises(ValueError, match=r"^outcome must be 0 \(alarm\) or 1 \(silence\)$"):
+        posterior_given_observation(Independent([0.3, 0.2]), 0, 2, PERFECT_INSPECTION)
+
+
 def test_inspection_model_validation():
     with pytest.raises(ValueError):
         InspectionModel(0.5, 0.0)

@@ -476,10 +476,11 @@ def test_components_whose_read_off_cancels_are_swept(monkeypatch):
                                                             rel=1e-12, abs=0.0)
 
 
-def local_by_full_scan(net, dist, insp, costs):
+def local_by_full_scan(net, dist, insp, costs, saving=lambda d: max(d, 0.0)):
     """``voi_local``'s report with each outcome's posterior losses formed over
     all 2^N plans from the splits ``voi_local`` reads (``_splits``): the search
-    without the heuristic's bound."""
+    without the heuristic's bound. ``saving`` maps each outcome's L_y(P) - least,
+    for the prior plan P, to what it adds to the value."""
     fail, repair = (~net.truth_table()).astype(float), _bit_sums(costs.c_repair)
     prior_plan, prior_loss = _cheapest(plan_losses(net, dist, costs), costs.c_fail)
     rows = [None] * net.n_components
@@ -491,7 +492,7 @@ def local_by_full_scan(net, dist, insp, costs):
         for y, p_y, w in _outcomes(dist, i, insp):
             losses = costs.c_fail * _posterior_mean(masses, split, w) + repair
             row[y] = _cheapest(losses, costs.c_fail)
-            value += p_y * (float(losses[prior_plan]) - row[y][1])
+            value += p_y * saving(float(losses[prior_plan]) - row[y][1])
         rows[i] = (row, value)
     return local_metrics._report("local", prior_plan, prior_loss, rows)
 
@@ -519,6 +520,41 @@ def test_bounded_posterior_search_is_the_full_scan(monkeypatch):
                     sizes.clear()
     # with costs drawn here, most posterior searches price only some of the plans
     assert cut > searches / 2
+
+
+def test_an_outcome_that_ties_the_prior_plan_saves_nothing():
+    # with free repairs, plans tie in exact arithmetic, and the lowest-mask
+    # rule may pick a plan whose float loss lies an ulp above the prior plan's:
+    # that outcome saves 0, where its difference of losses is about -1e-17
+    rng = np.random.default_rng(70)
+    negative = 0
+    for _ in range(8):
+        for n in range(2, 11):
+            net = random_network(rng, n)
+            c_fail = float(rng.uniform(0.5, 5.0))
+            costs = LocalCostModel(c_fail, np.where(rng.random(n) < 0.5, 0.0,
+                                                    rng.uniform(0.0, 0.3 * c_fail, size=n)))
+            for certain in (False, True):
+                for dist in beliefs_of_every_kind(rng, n, certain=certain):
+                    for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                        local = voi_local(net, dist, insp, costs)
+                        assert local == local_by_full_scan(net, dist, insp, costs)
+                        assert min(local.voi) >= 0.0
+                        assert min(voi_heuristic(net, dist, insp, costs).voi) >= 0.0
+                        negative += min(local_by_full_scan(net, dist, insp, costs,
+                                                           saving=float).voi) < 0.0
+    # cases where an unclamped difference of losses reads below 0
+    assert negative >= 2
+    # a free repair of c0 that a silence all but rules out: dropping it costs
+    # 3.4e-10, inside the tie band, so both metrics pick the lower mask, and
+    # that outcome saves 0 rather than -2.4e-10
+    net = Network(FormulaTree(series(0, 1)))
+    costs = LocalCostModel(1.0, (0.0, 0.5))
+    for metric in (voi_local, voi_heuristic):
+        report = metric(net, Independent([0.3, 0.2]), InspectionModel(0.0, 1e-9), costs)
+        assert (report.prior_plan, report.action_table.silence_plans[0]) == (0b01, 0)
+        assert report.action_table.silence_losses[0] > report.prior_loss
+        assert report.voi[0] == 0.0
 
 
 def test_near_tie_above_the_heuristic_bound_goes_to_the_lower_mask():
@@ -779,35 +815,70 @@ def heuristic_by_full_masses(net, dist, insp, costs, prior_plan):
                     + repair_cost(plan, costs) for plan in choices}
             best, least = _cheapest(list(loss.values()), costs.c_fail)
             row[y] = choices[best], least
-            value += p_y * (loss[prior_plan] - least)
+            value += p_y * max(loss[prior_plan] - least, 0.0)
         rows.append((row, value))
     return rows
 
 
-def test_heuristic_at_every_plan_is_priced_as_from_full_masses():
-    # every plan, not only the optimal one: the all-ones plan, plans that
-    # repair the inspected component and plans that leave it alone
+def assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs):
+    """Plans equal, and values and losses to rel 1e-12, to ``heuristic_by_full_masses``'s."""
+    plan, loss = report.prior_plan, report.prior_loss
+    table = report.action_table
+    for i, (row, value) in enumerate(heuristic_by_full_masses(net, dist, insp, costs, plan)):
+        for y, plans, losses in ((SILENCE, table.silence_plans, table.silence_losses),
+                                 (ALARM, table.alarm_plans, table.alarm_losses)):
+            want_plan, want_loss = row.get(y, (plan, loss))
+            assert plans[i] == want_plan, (i, y)
+            assert losses[i] == pytest.approx(want_loss, rel=1e-12, abs=0.0), (i, y)
+        assert report.voi[i] == pytest.approx(value, rel=1e-12, abs=0.0), i
+
+
+def test_heuristic_is_priced_as_from_full_masses():
+    # at the optimal plan, which here repairs something in most cases, so
+    # that flips drop repairs as well as add them; a flip's failed half is a
+    # difference of plan risks, so it agrees to rounding, not to the bit
     rng = np.random.default_rng(67)
-    for n in (2, 4, 6):
+    cases = repairs = 0
+    for n in range(2, 9):
         for certain in (False, True):
             net = random_network(rng, n)
-            costs = LocalCostModel(float(rng.uniform(0.5, 2.0)), rng.uniform(0.0, 0.5, size=n))
+            c_fail = float(rng.uniform(0.5, 2.0))
+            costs = LocalCostModel(c_fail, rng.uniform(0.0, 0.3 * c_fail, size=n))
             for dist in beliefs_of_every_kind(rng, n, certain=certain):
+                # the reference's full masses price every plan as plan_expected_loss does
                 pmf, fail = dist.pmf_vector(), ~net.truth_table()
                 for plan in range(1 << n):
-                    loss = plan_expected_loss(net, dist, plan, costs)
                     mass = pmf * fail[np.arange(fail.size) | plan]
-                    assert loss == costs.c_fail * float(mass.sum()) + repair_cost(plan, costs)
-                    for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
-                        report = local_metrics._voi_heuristic(net, dist, insp, costs, plan, loss)
-                        table = report.action_table
-                        for i, (row, value) in enumerate(
-                                heuristic_by_full_masses(net, dist, insp, costs, plan)):
-                            assert report.voi[i] == value, (plan, i)
-                            assert row.get(SILENCE, (plan, loss)) == (
-                                table.silence_plans[i], table.silence_losses[i]), (plan, i)
-                            assert row.get(ALARM, (plan, loss)) == (
-                                table.alarm_plans[i], table.alarm_losses[i]), (plan, i)
+                    assert plan_expected_loss(net, dist, plan, costs) == (
+                        costs.c_fail * float(mass.sum()) + repair_cost(plan, costs))
+                for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+                    report = voi_heuristic(net, dist, insp, costs)
+                    assert (report.prior_plan, report.prior_loss) == optimal_plan(net, dist, costs)
+                    assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
+                    cases += 1
+                    repairs += report.prior_plan != 0
+    # repair costs of at most 0.3 c_fail: the prior plan repairs in 70 of 84 cases
+    assert repairs >= 0.75 * cases
+
+
+def test_heuristic_flips_whose_difference_cancels_fold_their_own_mass(monkeypatch):
+    # with q = 1e-6 and 1e-9 on components 3 and 11 of layered16, R[F] - R_i1[P]
+    # keeps few digits of the failed half of the flip F that repairs them:
+    # those two flips, and no other, fold their own mass
+    folds = []
+    split_masses = local_metrics._split_masses
+    monkeypatch.setattr(local_metrics, "_split_masses", lambda net, dist, plan=0:
+                        folds.append(plan) or split_masses(net, dist, plan))
+    doc = parse_scenario_file(scenario_path("layered16.json"))
+    probs = [0.01] * 16
+    probs[3], probs[11] = 1e-6, 1e-9
+    net, dist, costs = doc.build_network(), Independent(probs), doc.build_costs()
+    for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+        folds.clear()
+        report = voi_heuristic(net, dist, insp, costs)
+        plan = report.prior_plan
+        assert folds == [plan, plan ^ 1 << 3, plan ^ 1 << 11]
+        assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
 
 
 def test_heuristic_keeping_the_empty_plan_reads_the_intervals():

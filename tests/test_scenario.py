@@ -317,6 +317,72 @@ def test_invalid_value_is_reported_once():
     assert errors_of(obj) == ["structure.st_graph.edges[2]: must be a pair of node labels"]
 
 
+def _edited(make, path, value):
+    """``make()`` with ``value`` at the field ``path`` leads to (appended past a list's end)."""
+    obj = make()
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    if isinstance(target, list) and path[-1] == len(target):
+        target.append(value)
+    else:
+        target[path[-1]] = value
+    return obj
+
+
+_EDGES = [["o", "a"], ["a", "b"], ["b", "s"]]
+# one malformed field per document, and the one error it gives
+MALFORMED = [
+    (_edited(_base_doc, ("components", 2), 7), "components[2]: must be an object"),
+    (_edited(_base_doc, ("components", 2), {"id": "9x", "failure_probability": 0.1}),
+     "components[2].id: '9x' is not a valid identifier"),
+    (_edited(_base_doc, ("components", 2), {"id": "series", "failure_probability": 0.1}),
+     "components[2].id: 'series' is a reserved word"),
+    (_edited(_base_doc, ("components", 2), {"id": "a", "failure_probability": 0.1}),
+     "components[2].id: duplicate id 'a'"),
+    (_edited(_base_doc, ("components", 1, "name"), ""),
+     "components[1].name: must be a non-empty string"),
+    (_edited(_base_doc, ("structure",), "series(a, b)"), "structure: must be an object"),
+    (_edited(_base_doc, ("structure",), {"formula": 3}), "structure.formula: must be a string"),
+    (_edited(_base_doc, ("structure",), {"st_graph": _EDGES}),
+     "structure.st_graph: must be an object"),
+    (_edited(_base_doc, ("structure",), {"st_graph": {"edges": []}}),
+     "structure.st_graph.edges: must be a non-empty list"),
+    (_edited(_base_doc, ("structure",), {"st_graph": {"edges": _EDGES, "sink": 5}}),
+     "structure.st_graph: source and sink must be strings"),
+    (_edited(_base_doc, ("dependence",), "independent"), "dependence: must be an object"),
+    (_edited(_base_doc, ("dependence", "kind"), "copula"),
+     "dependence.kind: unknown kind 'copula'"),
+    (_edited(_groups_doc, ("dependence", "groups"), []),
+     "dependence.groups: must be a non-empty list"),
+    (_edited(_groups_doc, ("dependence", "groups", 1), "b"),
+     "dependence.groups[1]: must be an object"),
+    (_edited(_groups_doc, ("dependence", "groups", 0, "members"), ["a", "zz"]),
+     "dependence.groups[0].members: unknown component ids ['zz']"),
+    (_edited(_base_doc, ("inspection",), 0.1),
+     "inspection: must be an object with eps_fa and eps_fs"),
+    (_edited(_base_doc, ("costs",), 1.0), "costs: must be an object with c_fail and c_repair"),
+    (_edited(_base_doc, ("costs",), {"c_fail": 1e308, "c_repair": [1e308, 1e308]}),
+     "costs.c_repair: c_fail plus the sum of c_repair must be finite"),
+    (_edited(_actions_doc, ("global_actions",), []), "global_actions: must be a non-empty list"),
+    (_edited(_actions_doc, ("global_actions", 1), 3), "global_actions[1]: must be an object"),
+    ([_base_doc()], "document: must be a JSON object"),
+    (_edited(_base_doc, ("structure", "formula"), "series(a; b)"),
+     "structure.formula: unexpected character ';' at position 8"),
+    (_edited(_base_doc, ("structure", "formula"), "series a, b"),
+     "structure.formula: expected '(' at position 7, got 'a'"),
+]
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED, ids=[m.split(":")[0] for _, m in MALFORMED])
+def test_malformed_field_is_one_error_at_its_path(obj, message, tmp_path, capsys):
+    assert errors_of(obj) == [message]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj))
+    assert run_command(["reliability", str(doc)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_duplicate_component_names_rejected():
     obj = _base_doc()
     obj["components"][1]["name"] = "a"
