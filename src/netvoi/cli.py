@@ -206,10 +206,13 @@ def _cmd_actions(args) -> int:
 def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load_priced(args)
     costs = doc.build_costs()
+    system = rank_global(net, dist, insp, doc.build_envelope())
     risks = plan_failure_risks(net, dist)  # one engine run for both component-level metrics
-    series = [("global", rank_global(net, dist, insp, doc.build_envelope()).voi_normalized),
-              ("local", _voi_local(net, dist, insp, costs, risks).voi_normalized),
-              ("heuristic", _voi_heuristic(net, dist, insp, costs, risks).voi_normalized)]
+    local = _voi_local(net, dist, insp, costs, risks)
+    # the heuristic starts from the prior plan the local metric optimised
+    heuristic = _voi_heuristic(net, dist, insp, costs, risks, (local.prior_plan, local.prior_loss))
+    series = [("global", system.voi_normalized), ("local", local.voi_normalized),
+              ("heuristic", heuristic.voi_normalized)]
     _emit(render_bar_chart_svg(net.names, series), args)
     return EXIT_OK
 

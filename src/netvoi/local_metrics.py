@@ -71,7 +71,11 @@ def apply_repairs(state: int, plan: int) -> int:
 
 
 def repair_cost(plan: int, costs: LocalCostModel) -> float:
-    return float(sum(c for i, c in enumerate(costs.c_repair) if (plan >> i) & 1))
+    total = 0.0
+    for i, c in enumerate(costs.c_repair):
+        if (plan >> i) & 1:
+            total += c
+    return total
 
 
 def plan_expected_loss(net, dist: JointDistribution, plan: int,
@@ -376,26 +380,33 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist))
 
 
-def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
+def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, prior=None) -> VoIReport:
     """``voi_heuristic`` from the prior's plan risks R, ``risks``, run by the caller.
 
-    With i working, repairing i changes nothing, so the flip F = P ^ i of the
-    prior plan P has the halves (R[F] - R_i1[P], R_i1[P]), R_i1[P] from one
-    fold at P. A failed half below ``_CANCEL_FLOOR`` R[F] is F's own fold's.
+    ``prior`` is the optimal prior plan P and its loss, if the caller has
+    found them. With i working, repairing i changes nothing, so the flip
+    F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]), R_i1[P] from one fold
+    at P. Where F repairs i and i fails independently of the rest, the failed
+    half is R[F] t0 / (t0 + t1) for i's weights (t0, t1), as in ``_read_off``.
+    Any other failed half below ``_CANCEL_FLOOR`` R[F] is F's own fold's.
     """
     _check_sizes(net, dist, insp, costs)
     repair = _bit_sums(costs.c_repair)
-    prior_plan, prior_loss = _cheapest(costs.c_fail * risks + repair, costs.c_fail)
+    prior_plan, prior_loss = prior or _cheapest(costs.c_fail * risks + repair, costs.c_fail)
     _, prob, kept = _split_masses(net, dist, prior_plan)
+    singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
     rows = []
     for i in range(net.n_components):
-        flip = prior_plan ^ (1 << i)
+        outcomes, flip = _outcomes(dist, i, insp), prior_plan ^ (1 << i)
         failed = risks.item(flip) - kept[i][1]
-        if failed < _CANCEL_FLOOR * risks.item(flip):
+        if flip > prior_plan and i in singles:
+            t0, t1 = singles[i]
+            failed = risks.item(flip) * t0 / (t0 + t1)
+        elif outcomes and failed < _CANCEL_FLOOR * risks.item(flip):
             failed = _split_masses(net, dist, flip)[2][i][0]
         mass = {prior_plan: kept[i], flip: (failed, kept[i][1])}
         row, value = {}, 0.0
-        for y, p_y, w in _outcomes(dist, i, insp):
+        for y, p_y, w in outcomes:
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
             loss = [costs.c_fail * _posterior_mean(prob[i], mass[plan], w) + repair.item(plan)
@@ -424,10 +435,12 @@ def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:
     if not 0.0 < peak <= 0.5:
         raise ValueError(f"cost ratio {peak} must lie in (0, 0.5]")
     both = p1 * p2 + rho * math.sqrt(p1 * (1.0 - p1) * p2 * (1.0 - p2))
-    lo, hi = max(0.0, p1 + p2 - 1.0), min(p1, p2)  # the Frechet bounds on both
+    lo = max(0.0, p1 + p2 - 1.0)
+    hi = min(p1, p2)
     if both < lo - FRECHET_TOL or both > hi + FRECHET_TOL:
-        raise InfeasibleCorrelationError(f"correlation {rho} is infeasible for marginals "
-                                         f"({p1}, {p2})")
+        raise InfeasibleCorrelationError(
+            f"correlation {rho} is infeasible for marginals ({p1}, {p2})"
+        )
     both = min(max(both, lo), hi)
 
     def loss(p_i, p_j):
@@ -455,5 +468,7 @@ def cumulative_approx_voi(dist: JointDistribution, costs: LocalCostModel) -> tup
     if not isinstance(dist, Independent):
         raise NotApplicableError("the additive-risk shortcut needs independent components")
     _check_sizes(dist, costs)
-    return tuple(min(p * costs.c_fail, c_r) - p * c_r
-                 for p, c_r in zip(dist.failure_probs, costs.c_repair))
+    out = []
+    for p, c_r in zip(dist.failure_probs, costs.c_repair):
+        out.append(min(p * costs.c_fail, c_r) - p * c_r)
+    return tuple(out)

@@ -862,22 +862,27 @@ def test_heuristic_is_priced_as_from_full_masses():
 
 
 def test_heuristic_flips_whose_difference_cancels_fold_their_own_mass(monkeypatch):
-    # with q = 1e-6 and 1e-9 on components 3 and 11 of layered16, R[F] - R_i1[P]
-    # keeps few digits of the failed half of the flip F that repairs them:
-    # those two flips, and no other, fold their own mass
+    # with q = 1e-6, 0 and 1e-9 on components 3, 5 and 11 of layered16,
+    # R[F] - R_i1[P] keeps few digits of the failed half of the flip F that
+    # repairs them. Independent, that half is R[F] q and nothing but P folds.
+    # Read off one explicit table, those flips fold their own mass, but 5's
+    # only where an outcome on it is priced: a perfect inspection of it has none
     folds = []
     split_masses = local_metrics._split_masses
     monkeypatch.setattr(local_metrics, "_split_masses", lambda net, dist, plan=0:
                         folds.append(plan) or split_masses(net, dist, plan))
     doc = parse_scenario_file(scenario_path("layered16.json"))
     probs = [0.01] * 16
-    probs[3], probs[11] = 1e-6, 1e-9
-    net, dist, costs = doc.build_network(), Independent(probs), doc.build_costs()
-    for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+    probs[3], probs[5], probs[11] = 1e-6, 0.0, 1e-9
+    net, costs, independent = doc.build_network(), doc.build_costs(), Independent(probs)
+    explicit, noisy = Explicit(independent.pmf_vector()), InspectionModel(0.05, 0.1)
+    for dist, insp, folded in ((independent, PERFECT_INSPECTION, ()), (independent, noisy, ()),
+                               (explicit, PERFECT_INSPECTION, (3, 11)),
+                               (explicit, noisy, (3, 5, 11))):
         folds.clear()
         report = voi_heuristic(net, dist, insp, costs)
         plan = report.prior_plan
-        assert folds == [plan, plan ^ 1 << 3, plan ^ 1 << 11]
+        assert folds == [plan] + [plan ^ 1 << i for i in folded]
         assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
 
 
