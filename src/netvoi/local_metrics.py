@@ -9,6 +9,7 @@ risk plus the summed repair costs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,14 +32,11 @@ PLAN_TIE_RTOL = 1e-9
 # Small blocks fuse into steps of this width; a step on adjacent bits is one
 # matmul, any other recurses on the restriction lattice down to this width.
 CHUNK_BITS = 4
-# Bytes of plan-risk vectors and weight tables a lattice step's split holds at once.
+# Bytes a lattice step's split batch holds at once: a plan-risk vector and a table a row.
 SPLIT_BYTES = 1 << 25
 # A half read off as a difference a - b below this share of a has lost 10 of
-# a's bits: the metrics then sweep or fold that half on its own.
+# a's bits: the metrics then sweep or sum that half on its own.
 _CANCEL_FLOOR = 2.0 ** -10
-# Times a (-1, 2, 2^b) view of a table: row 0 keeps the states in which the
-# component on bit b has failed, row 1 those in which it works.
-_ONE_HALF = np.eye(2).reshape(2, 1, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,12 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     tables, here a batch of one. Posteriors after one inspection need no run
     of their own: ``voi_local`` reweights this vector's two halves split by
     the inspected component (``_splits``). For a component independent of
-    the rest they are read off this vector; ``_split_risks`` sweeps the others
-    from zero-padded halves. ``voi_heuristic`` reads every flip of its prior
-    plan off this vector, and ``netvoi plot`` runs it once for both metrics.
+    the rest they are read off this vector. Each step that holds any other
+    sweeps one batch of its members' working halves (``_split_risks``), the
+    first such step after its own table, whose row is this vector:
+    ``voi_local`` takes it from there. ``voi_heuristic`` reads every flip of
+    its prior plan off this vector, and ``netvoi plot`` hands it over from
+    ``voi_local``'s run.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -131,20 +132,27 @@ def _risks(risk: np.ndarray, steps) -> np.ndarray:
     return risk
 
 
-def _splits(fail: np.ndarray, steps, blocks, prior: np.ndarray):
-    """Each component i, its plan risks (R_i0, R_i1) and masses (m0, m1) with i failed and working.
+def _splits(fail: np.ndarray, steps, blocks):
+    """The prior's plan risks R, then each component i with its split and masses.
 
-    A component whose block is a singleton has its split read off the
-    prior's plan risks ``prior`` (``_read_off``), into one buffer that the
-    next such component overwrites. Members of larger blocks, and the
-    singletons whose read-off cancels, are swept (``_split_risks``). The
-    larger blocks go first, so the buffer is made only once their arrays
-    are freed: a call that held both would raise the heap's peak, which
-    the allocator then returns to the system, and the next call would
-    fault it back in.
+    The split is R restricted to i failed and to i working, (R_i0, R_i1);
+    the masses (m0, m1) are those of the two states. Members of larger
+    blocks are swept first (``_split_risks``), and R is a row of the first
+    step's batch; with no such member, R is one run of every step. A
+    singleton block's member then has its split read off R (``_read_off``)
+    into one buffer that the next such component overwrites, or is swept
+    where that cancels. The buffer is made only once the batch arrays are
+    freed: a call that held both would raise the heap's peak, which the
+    allocator then returns to the system, and the next call would fault
+    it back in.
     """
-    yield from _split_risks(fail, steps, {m for members, _ in blocks if len(members) > 1
-                                          for m in members})
+    swept = _split_risks(fail, steps, {m for members, _ in blocks if len(members) > 1
+                                       for m in members})
+    prior = next(swept, None)
+    if prior is None:
+        prior = _risks(fail, steps)
+    yield prior
+    yield from swept
     singles = [(members[0], table) for members, table in blocks if len(members) == 1]
     if singles:
         out, floor = np.empty((2, prior.size)), prior * _CANCEL_FLOOR
@@ -154,55 +162,91 @@ def _splits(fail: np.ndarray, steps, blocks, prior: np.ndarray):
             yield i, out, tuple(table.tolist())
         else:
             cancels.add(i)
-    yield from _split_risks(fail, steps, cancels)
+    cancelled = _split_risks(fail, steps, cancels)
+    next(cancelled, None)  # R again
+    yield from cancelled
 
 
 def _read_off(prior: np.ndarray, floor: np.ndarray, i: int, table: np.ndarray,
               out: np.ndarray) -> bool:
     """Split of component i, a singleton block of weights (t0, t1), from the prior's risks R.
 
-    Writes (R_i0, R_i1) into ``out``. With i working, a plan A and A | i are
-    the same plan, and A | i makes i's state irrelevant, so it splits R[A | i]
-    as the weights do: R_i1[A] = R[A | i] t1 / (t0 + t1), and R_i0 = R - R_i1.
-    That difference cancels where i rarely fails: returns False, for a
-    sweep, where R_i0 < ``floor`` = 2^-10 R at some plan, which would cost it
-    10 of its bits. At a plan that repairs i, that is t0 < 2^-10 (t0 + t1).
+    Writes (R_i0, R_i1) into the two rows of ``out``. With i working, a plan
+    A and A | i are the same plan, and A | i makes i's state irrelevant, so
+    it splits R[A | i] as the weights do: R_i1[A] = R[A | i] t1 / (t0 + t1),
+    and R_i0 = R - R_i1. That difference cancels where i rarely fails:
+    returns False, for a sweep, where R_i0 < ``floor`` = 2^-10 R at some
+    plan, which would cost it 10 of its bits. At a plan that repairs i, that
+    is t0 < 2^-10 (t0 + t1).
     """
-    t0, t1 = table.tolist()
+    (t0, t1), (failed, working) = table.tolist(), out
     np.multiply(prior.reshape(-1, 2, 1 << i)[:, 1:], t1 / (t0 + t1),
-                out=out[1].reshape(-1, 2, 1 << i))
-    np.subtract(prior, out[1], out=out[0])
-    return not np.less(out[0], floor).any()
+                out=working.reshape(-1, 2, 1 << i))
+    np.subtract(prior, working, out=failed)
+    return not np.less(failed, floor).any()
 
 
 def _split_risks(fail: np.ndarray, steps, swept):
-    """Each component i in ``swept``, its split and masses as ``_splits`` gives them, by sweeps.
+    """R, then each component i in ``swept`` with its split and masses as ``_splits`` gives them.
 
-    R_i0 + R_i1 is the prior's plan risk vector. The steps that do not hold
-    i run once for the swept members of i's step, which then applies its
-    table's two halves split by i's state, each zero-padded to the full
-    table: a dense step one batch of two per member, a lattice step the
-    halves of as many members as ``SPLIT_BYTES`` holds (all k up to an
-    explicit table at N = 16) in one sweep. A step with no swept member
-    runs nothing. Both halves are swept, neither taken as a difference,
-    which cancels at small risks: ``_splits`` sends here every singleton
-    whose read-off would. The masses of all members come from one fold of
-    the table.
+    Yields nothing for no member. The steps that do not hold i run once for
+    i's step, which then applies one batch (``_batch``): the working half
+    of each swept member, whose row is R_i1, and ahead of them, in the
+    first such step, its own table, whose row is R. A later step's own row
+    would be R again up to rounding. Each R_i0 is R - R_i1 unless that is
+    below ``_CANCEL_FLOOR`` R at some plan, as where i rarely or never
+    fails: those failed halves are one more batch of the step. The masses
+    of all members come from one fold of the table.
     """
+    risk = None
     for s, (members, table) in enumerate(steps):
         bits = [bit for bit, m in enumerate(members) if m in swept]
         if not bits:
             continue
         shared = _risks(fail, steps[:s] + steps[s + 1:])
         masses = _fold_halves(table, np.empty(table.size // 2))
-        dense = _fuses(members)
-        group = 1 if dense else max(1, SPLIT_BYTES // (16 * (fail.size + table.size)))
-        for lo in range(0, len(bits), group):
-            batch_bits = bits[lo:lo + group]
-            batch = (_apply_chunk if dense else _lattice)(shared, members, np.concatenate(
-                [(table.reshape(-1, 2, 1 << b) * _ONE_HALF).reshape(2, -1) for b in batch_bits]))
-            for j, bit in enumerate(batch_bits):
-                yield members[bit], batch[2 * j:2 * j + 2].reshape(2, -1), masses[bit]
+        tables = (_half(table, bit, 1) for bit in bits)
+        if risk is None:
+            rows = _batch(shared, members, itertools.chain([table], tables))
+            risk = next(rows).copy()  # a copy, so that no batch outlives its rows
+            yield risk
+        else:
+            rows = _batch(shared, members, tables)
+        cancels = []
+        for bit, working in zip(bits, rows):
+            failed = risk - working
+            if np.less(failed, risk * _CANCEL_FLOOR).any():
+                cancels.append((bit, working))
+            else:
+                yield members[bit], (failed, working), masses[bit]
+            del failed, working  # or the next group's sweep would hold this one's rows
+        if cancels:
+            sweep = _batch(shared, members, (_half(table, bit, 0) for bit, _ in cancels))
+            for (bit, working), failed in zip(cancels, sweep):
+                yield members[bit], (failed, working), masses[bit]
+
+
+def _half(table: np.ndarray, bit: int, state: int) -> np.ndarray:
+    """``table`` zero-padded where the component on ``bit`` is not in ``state`` (1 works)."""
+    half = table.copy()
+    half.reshape(-1, 2, 1 << bit)[:, 1 - state] = 0.0
+    return half
+
+
+def _batch(risk: np.ndarray, members, tables):
+    """Each of the weight ``tables`` applied over ``members`` to ``risk``, one row at a time.
+
+    A lattice step sweeps as many at a time as ``SPLIT_BYTES`` holds (all
+    1 + k of a k-bit explicit table up to N = 16), taken from the iterable
+    as it goes. A dense step's matmul costs the same per row in a batch or
+    alone, so it applies one at a time and holds one 2^N row, not 1 + k.
+    """
+    dense = _fuses(members)
+    apply = _apply_chunk if dense else _lattice
+    group = 1 if dense else max(1, SPLIT_BYTES // (8 * (risk.size + (1 << len(members)))))
+    tables = iter(tables)
+    while len(batch := np.array(list(itertools.islice(tables, group)))):
+        yield from (row.reshape(-1) for row in apply(risk, members, batch))
 
 
 @functools.cache
@@ -326,8 +370,9 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
     the posterior's plan risks are (w_f R_i0 + w_w R_i1) / (w_f m0 + w_w m1)
     for the masses m0 and m1 of i failed and working (``_splits``): read off
-    the prior's plan risks where i's block is a singleton and the
-    difference R - R_i1 keeps its digits, else swept. A loss is c_fail
+    the prior's plan risks R where i's block is a singleton and the
+    difference R - R_i1 keeps its digits, else from a sweep of R_i1 beside
+    R, and of R_i0 too where R - R_i1 cancels. A loss is c_fail
     times a nonnegative risk plus a repair bill, so, in floating point too,
     only plans billed at most T can lie in the tie band of the least loss:
     T is the larger over both outcomes of the heuristic's cheaper loss, of
@@ -335,27 +380,26 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     mask order gives the floats of a scan of all 2^N plans; with free
     repairs it prices every plan.
     """
-    return _voi_local(net, dist, insp, costs)
+    return _voi_local(net, dist, insp, costs, _bit_sums(costs.c_repair))[0]
 
 
-def _voi_local(net, dist, insp, costs, prior=None) -> VoIReport:
-    """``voi_local`` from the prior's plan risks ``prior``, if the caller has run them."""
+def _voi_local(net, dist, insp, costs, repair: np.ndarray) -> tuple[VoIReport, np.ndarray]:
+    """``voi_local``'s report and the prior's plan risks R it ran, for the bills ``repair``."""
     _check_sizes(net, dist, insp, costs)
-    steps = _steps(dist)
-    fail = (~net.truth_table()).astype(np.float64)
-    repair = _bit_sums(costs.c_repair)
-    prior = _risks(fail, steps) if prior is None else prior
+    splits = _splits((~net.truth_table()).astype(np.float64), _steps(dist), dist.blocks())
+    prior = next(splits)
     prior_plan, prior_loss = _cheapest(costs.c_fail * prior + repair, costs.c_fail)
     rows = [None] * net.n_components
-    for i, split, masses in _splits(fail, steps, dist.blocks(), prior):
+    for i, (failed, working), masses in splits:
         row, value = {}, 0.0
         outcomes = _outcomes(dist, i, insp)
-        heuristic = {y: [costs.c_fail * _posterior_mean(masses, split[:, a].tolist(), w)
-                         + repair.item(a) for a in (prior_plan, prior_plan ^ (1 << i))]
-                     for y, _, w in outcomes}
+        heuristic = {y: [costs.c_fail * _posterior_mean(masses, (failed.item(a), working.item(a)),
+                                                        w) + repair.item(a)
+                         for a in (prior_plan, prior_plan ^ (1 << i))] for y, _, w in outcomes}
         bound = max(map(min, heuristic.values()), default=-math.inf) + PLAN_TIE_RTOL * costs.c_fail
         plans = (repair <= bound).nonzero()[0]
-        risks, bills = split.take(plans, axis=1), repair[plans]
+        risks, bills = (failed.take(plans), working.take(plans)), repair[plans]
+        del failed, working  # before the next split is made: a higher heap peak is refaulted
         for y, p_y, w in outcomes:
             losses = costs.c_fail * _posterior_mean(masses, risks, w) + bills
             best, least = _cheapest(losses, costs.c_fail)
@@ -364,7 +408,7 @@ def _voi_local(net, dist, insp, costs, prior=None) -> VoIReport:
             # losses, so an outcome that keeps that plan, or ties it, adds 0
             value += p_y * max(heuristic[y][0] - least, 0.0)
         rows[i] = (row, value)
-    return _report("local", prior_plan, prior_loss, rows)
+    return _report("local", prior_plan, prior_loss, rows), prior
 
 
 def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
@@ -377,21 +421,23 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     otherwise the exact posterior losses of keeping the plan and of
     flipping just that one action are compared and the cheaper executed.
     """
-    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist))
+    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist),
+                          _bit_sums(costs.c_repair))
 
 
-def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, prior=None) -> VoIReport:
-    """``voi_heuristic`` from the prior's plan risks R, ``risks``, run by the caller.
+def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, repair: np.ndarray,
+                   prior=None) -> VoIReport:
+    """``voi_heuristic`` from the prior's plan risks R, ``risks``, and repair bills ``repair``.
 
     ``prior`` is the optimal prior plan P and its loss, if the caller has
     found them. With i working, repairing i changes nothing, so the flip
     F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]), R_i1[P] from one fold
     at P. Where F repairs i and i fails independently of the rest, the failed
     half is R[F] t0 / (t0 + t1) for i's weights (t0, t1), as in ``_read_off``.
-    Any other failed half below ``_CANCEL_FLOOR`` R[F] is F's own fold's.
+    Any other failed half below ``_CANCEL_FLOOR`` R[F] is summed directly
+    (``_failed_half``).
     """
     _check_sizes(net, dist, insp, costs)
-    repair = _bit_sums(costs.c_repair)
     prior_plan, prior_loss = prior or _cheapest(costs.c_fail * risks + repair, costs.c_fail)
     _, prob, kept = _split_masses(net, dist, prior_plan)
     singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
@@ -403,7 +449,7 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, prior=None) -> VoI
             t0, t1 = singles[i]
             failed = risks.item(flip) * t0 / (t0 + t1)
         elif outcomes and failed < _CANCEL_FLOOR * risks.item(flip):
-            failed = _split_masses(net, dist, flip)[2][i][0]
+            failed = _failed_half(net, dist, i, flip)
         mass = {prior_plan: kept[i], flip: (failed, kept[i][1])}
         row, value = {}, 0.0
         for y, p_y, w in outcomes:
@@ -418,6 +464,13 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, prior=None) -> VoI
             value += p_y * max(loss[plans.index(prior_plan)] - least, 0.0)
         rows.append((row, value))
     return _report("heuristic", prior_plan, prior_loss, rows)
+
+
+def _failed_half(net, dist, i: int, plan: int) -> float:
+    """Sum of pmf(s) fail(s | plan) over the 2^(N-1) states s in which component i has failed."""
+    states = np.add.outer(np.arange(0, 1 << net.n_components, 2 << i), np.arange(1 << i))
+    return float((dist.pmf_vector().reshape(-1, 2, 1 << i)[:, 0]
+                  * ~net.truth_table()[states | plan]).sum())
 
 
 def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:

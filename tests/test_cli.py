@@ -16,6 +16,7 @@ from netvoi.output import format_number, render_bar_chart_svg
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
 
 from conftest import scenario_path
+from test_golden import scenario_files
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -167,22 +168,43 @@ def test_plot_writes_svg(tmp_path, capsys):
     assert text.rstrip().endswith("</svg>")
 
 
-@pytest.mark.parametrize("name", ["layered16.json", "substation.json", "three_branch.json"])
-def test_plot_runs_the_plan_risk_engine_once(capsys, monkeypatch, name):
-    # the local metric and the heuristic both start from the one prior run
-    calls, runs = [], []
+@pytest.mark.parametrize("name", ["layered16.json", "substation.json",
+                                  "substation_explicit.json", "three_branch.json"])
+def test_plot_runs_the_plan_risk_engine_once(capsys, monkeypatch, tmp_path, name):
+    # the local metric and the heuristic both start from the one prior R:
+    # a run of every step where every component is read off it (layered16,
+    # three_branch), else the first split batch's row 0; the heuristic gets
+    # that array itself
+    path = scenario_files(tmp_path)[name.removesuffix(".json")]
+    steps = len(local_metrics._steps(parse_scenario_file(path).build_distribution()))
+    priors, handed = [], []
     engine, risks = local_metrics.plan_failure_risks, local_metrics._risks
-    for module in (cli, local_metrics):
-        monkeypatch.setattr(module, "plan_failure_risks",
-                            lambda net, dist: calls.append(dist) or engine(net, dist))
-    monkeypatch.setattr(local_metrics, "_risks",
-                        lambda fail, steps: runs.append(len(steps)) or risks(fail, steps))
-    code, out, err = run(capsys, "plot", scenario_path(name))
+    split_risks, heuristic = local_metrics._split_risks, cli._voi_heuristic
+    monkeypatch.setattr(local_metrics, "plan_failure_risks",
+                        lambda net, dist: priors.append("public") or engine(net, dist))
+
+    def run_all(fail, run_steps):  # every other run is a split's, without its own step
+        out = risks(fail, run_steps)
+        if len(run_steps) == steps:
+            priors.append(out)
+        return out
+
+    def first_rows(fail, run_steps, swept):
+        rows = split_risks(fail, run_steps, swept)
+        prior = next(rows, None)
+        if prior is not None:
+            priors.append(prior)
+            yield prior
+        yield from rows
+
+    monkeypatch.setattr(local_metrics, "_risks", run_all)
+    monkeypatch.setattr(local_metrics, "_split_risks", first_rows)
+    monkeypatch.setattr(cli, "_voi_heuristic", lambda *args: handed.append(args[4])
+                        or heuristic(*args))
+    code, out, err = run(capsys, "plot", str(path))
     assert (code, err) == (0, "") and out.startswith("<svg")
-    assert len(calls) == 1
-    # every other run is a split's, which leaves out the inspected step
-    steps = len(local_metrics._steps(parse_scenario_file(scenario_path(name)).build_distribution()))
-    assert runs.count(steps) == 1
+    assert len(priors) == len(handed) == 1
+    assert handed[0] is priors[0]
 
 
 def test_non_finite_numbers_print_as_words():

@@ -24,6 +24,7 @@ from netvoi.scenario import parse_scenario_file
 
 from conftest import (brute_force_plan_risks, make_three_branch, random_distribution,
                       random_network, scenario_path, THREE_BRANCH_PROBS)
+from test_golden import scenario_files
 
 
 def plan_of(names_on, names):
@@ -183,8 +184,8 @@ def test_batched_lattice_equals_each_table_alone():
         for members in (list(range(lo, lo + k)), scattered):
             w = rng.uniform(0.0, 1.0, size=(3, 1 << k)) * (rng.random((3, 1 << k)) < 0.9)
             w /= w.sum(axis=1, keepdims=True)
-            halves = np.concatenate([(w[0].reshape(-1, 2, 1 << bit) * local_metrics._ONE_HALF
-                                      ).reshape(2, -1) for bit in range(k)])
+            halves = np.array([local_metrics._half(w[0], bit, state)
+                               for bit in range(k) for state in (0, 1)])
             states = np.arange(1 << k)
             spread = sum(((states >> j) & 1) << m for j, m in enumerate(members))
             for tables in (w, halves):
@@ -264,8 +265,9 @@ def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
         masks = np.arange(1 << n)
         unit = LocalCostModel.uniform(n, 1.0, 0.0)  # brute-force losses are the risks
         seen = []
-        for i, risks, masses in _split_risks((~net.truth_table()).astype(float), _steps(dist),
-                                             range(n)):
+        splits = _split_risks((~net.truth_table()).astype(float), _steps(dist), range(n))
+        np.testing.assert_allclose(next(splits), prior, rtol=1e-14, atol=0.0)
+        for i, risks, masses in splits:
             seen.append(i)
             np.testing.assert_allclose(risks[0] + risks[1], prior, rtol=1e-12, atol=0.0)
             # with i working, repairing it changes nothing
@@ -290,9 +292,10 @@ def test_split_risks_reweight_into_the_posterior_risks(kind, insp):
 @pytest.mark.parametrize("per_sweep", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["explicit", "mixed"])
 def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, kind, per_sweep):
-    # a budget below a lattice step's 2k tables sweeps its members per_sweep
-    # at a time; each pair matches the step's split in one batch, R_i1 still
-    # ignores repairing i, and the local metric picks the same plans
+    # a budget below a lattice step's rows sweeps them per_sweep at a time,
+    # R's row ahead of the first step's; R and each split match the step's
+    # batch in one group, R_i1 still ignores repairing i, and the local
+    # metric picks the same plans
     rng = np.random.default_rng(59)
     insp, lattice = InspectionModel(0.05, 0.1), local_metrics._lattice
     for dist in split_beliefs(kind, rng):
@@ -300,35 +303,47 @@ def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, ki
         net = random_network(rng, n)
         fail, steps = (~net.truth_table()).astype(float), _steps(dist)
         costs = LocalCostModel(1.0, rng.uniform(0.01, 0.3, size=n))
-        whole = {i: risks for i, risks, _ in _split_risks(fail, steps, range(n))}
+        whole = list(_split_risks(fail, steps, range(n)))
         report = voi_local(net, dist, insp, costs)
         batches = []
         with monkeypatch.context() as m:
             widest = max(table.size for _, table in steps)
-            m.setattr(local_metrics, "SPLIT_BYTES", per_sweep * 16 * (fail.size + widest))
+            budget = per_sweep * 8 * (fail.size + widest)
+            m.setattr(local_metrics, "SPLIT_BYTES", budget)
             m.setattr(local_metrics, "_lattice", lambda risk, members, tables:
                       batches.append(len(tables)) or lattice(risk, members, tables))
-            for i, risks, _ in _split_risks(fail, steps, range(n)):
-                np.testing.assert_allclose(risks, whole[i], rtol=1e-13, atol=0.0)
+            splits = _split_risks(fail, steps, range(n))
+            np.testing.assert_allclose(next(splits), whole[0], rtol=1e-13, atol=0.0)
+            for (i, risks, _), (j, want, _) in zip(splits, whole[1:], strict=True):
+                assert i == j
+                np.testing.assert_allclose(risks, want, rtol=1e-13, atol=0.0)
                 working = risks[1].reshape(-1, 2, 1 << i)
                 assert np.array_equal(working[:, 0], working[:, 1]), i
             grouped = voi_local(net, dist, insp, costs)
         for plans in ("silence_plans", "alarm_plans"):
             assert getattr(grouped.action_table, plans) == getattr(report.action_table, plans)
         np.testing.assert_allclose(grouped.voi, report.voi, rtol=1e-9, atol=1e-15)
-        # the batches of both grouped splits above, for k swept members of a
-        # lattice step: k // per_sweep full groups and the rest. The loop sweeps
-        # every member, voi_local those of larger blocks: it reads each
-        # singleton's split off the prior's plan risks
-        def batches_of(counts):
-            return sum(([2 * per_sweep] * (k // per_sweep) + [2 * (k % per_sweep)]
-                        * (k % per_sweep > 0) for k in counts), [])
 
-        lattice_steps = [members for members, _ in steps if not local_metrics._fuses(members)]
+        # every lattice run of both grouped splits above. A step with k swept
+        # members sweeps k rows, and the first such step R's row too, as many
+        # at a time as the budget holds, after one run of each other lattice
+        # step. The loop sweeps every member, voi_local those of larger
+        # blocks: it reads each singleton's split off R, and none cancels here
+        def batches_of(swept):
+            out, first = [], 1
+            for s, (members, table) in enumerate(steps):
+                k = len(swept.intersection(members))
+                if k:
+                    out += [1] * sum(not local_metrics._fuses(other)
+                                     for t, (other, _) in enumerate(steps) if t != s)
+                if k and not local_metrics._fuses(members):
+                    group, rows = budget // (8 * (fail.size + table.size)), first + k
+                    out += [group] * (rows // group) + [rows % group] * (rows % group > 0)
+                first = first and not k
+            return out
+
         wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
-        expected = batches_of(map(len, lattice_steps)) + batches_of(
-            len(wider.intersection(members)) for members in lattice_steps)
-        assert sorted(b for b in batches if b > 1) == sorted(expected)
+        assert sorted(batches) == sorted(batches_of(set(range(n))) + batches_of(wider))
 
 
 def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half():
@@ -343,6 +358,7 @@ def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half()
     for dist in (Independent(probs), Explicit(Independent(probs).pmf_vector())):
         assert _outcomes(dist, 0, insp)[1][:2] == (ALARM, pytest.approx(0.1, rel=1e-12))
         splits = _split_risks((~net.truth_table()).astype(float), _steps(dist), range(6))
+        next(splits)
         _, risks, masses = next(s for s in splits if s[0] == 0)
         assert masses[0] == 0.0 and not risks[0].any()
         assert_local_matches_posteriors(net, dist, insp, costs)
@@ -350,9 +366,9 @@ def test_alarm_on_a_component_that_never_fails_is_priced_from_the_working_half()
 
 @pytest.mark.parametrize("kind", ["explicit", "scattered"])
 def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
-    # each component is swept once, in one sweep of the halves of all the
-    # members of its lattice step as a batch: not one sweep per member, nor
-    # two per posterior
+    # each component is swept once, in one sweep of its lattice step's table
+    # and the working halves of all its members as a batch: not one sweep
+    # per member, nor two per posterior, nor a run of its own for the prior
     leaves = []
     sweep = local_metrics._sweep
 
@@ -378,16 +394,137 @@ def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
     lattice = [members for members, _ in steps if not local_metrics._fuses(members)]
     assert len(lattice) == len(steps) == (1 if kind == "explicit" else 2)
     # only steps that hold a larger block's member are split: the singles'
-    # splits are read off the prior. Each step sweeps alone in the prior and
-    # in the split of every other such step, and as its members' 2k halves in
-    # its own split
+    # splits are read off the prior, R, the first split's row 0. Each step
+    # sweeps alone in the split of every other such step, and as its members'
+    # k working halves in its own split, after its table where it is the
+    # first (here the only) one
     wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
     split = [m for m in lattice if wider.intersection(m)]
-    expected = sum((([1] * (1 + len(split) - (m in split)) + [2 * len(m)] * (m in split))
+    expected = sum((([1] * (len(split) - (m in split)) + [1 + len(m)] * (m in split))
                     * leaves_of(len(m)) for m in lattice), [])
     assert sorted(leaves) == sorted(expected)
-    if kind == "explicit":
-        assert len(leaves) == 2 * leaves_of(n)
+    if kind == "explicit":  # one lattice sweep for the whole table
+        assert leaves == [1 + n] * leaves_of(n)
+
+
+def test_first_split_row_is_the_prior_plan_risks(tmp_path):
+    # R comes from the first split batch's row 0 (or, where every component
+    # is read off, from a run of every step): it is the engine's R to rel
+    # 1e-14, and voi_local prices the same prior plan from it
+    for name, path in scenario_files(tmp_path).items():
+        doc = parse_scenario_file(path)
+        net, dist, costs = doc.build_network(), doc.build_distribution(), doc.build_costs()
+        splits = local_metrics._splits((~net.truth_table()).astype(float), _steps(dist),
+                                       dist.blocks())
+        np.testing.assert_allclose(next(splits), plan_failure_risks(net, dist),
+                                   rtol=1e-14, atol=0.0, err_msg=name)
+        report = voi_local(net, dist, doc.build_inspection(), costs)
+        assert report.prior_plan == optimal_plan(net, dist, costs)[0], name
+
+
+def test_each_members_split_is_its_both_halves_sweep():
+    # each swept member's (R - R_i1, R_i1) equals its step's two zero-padded
+    # halves swept over the other steps, to rel 1e-12, on explicit tables and
+    # scattered groups; R_i1 ignores repairing i exactly
+    rng = np.random.default_rng(89)
+    members_seen = 0
+    for n in range(3, 11):
+        net = random_network(rng, n)
+        fail = (~net.truth_table()).astype(float)
+        for certain in (False, True):
+            for dist in beliefs_of_every_kind(rng, n, certain=certain)[1:]:
+                steps = _steps(dist)
+                wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
+                want = {}
+                for s, (members, table) in enumerate(steps):
+                    shared = local_metrics._risks(fail, steps[:s] + steps[s + 1:])
+                    for bit, m in enumerate(members):
+                        halves = [local_metrics._half(table, bit, state) for state in (0, 1)]
+                        want[m] = np.array(list(local_metrics._batch(shared, members, halves)))
+                splits = _split_risks(fail, steps, wider)
+                next(splits)
+                for i, split, _ in splits:
+                    np.testing.assert_allclose(split, want[i], rtol=1e-12, atol=0.0,
+                                               err_msg=f"{n} {i}")
+                    working = split[1].reshape(-1, 2, 1 << i)
+                    assert np.array_equal(working[:, 0], working[:, 1]), (n, i)
+                    members_seen += 1
+    assert members_seen > 150
+
+
+def losses_by_brute_force(net, dist, insp, costs):
+    """Every plan's loss by ``plan_expected_loss``: under the prior, and for
+    each component i, {outcome: losses} under ``posterior_given_observation``."""
+    plans = range(1 << net.n_components)
+    return [plan_expected_loss(net, dist, a, costs) for a in plans], [
+        {y: [plan_expected_loss(net, posterior_given_observation(dist, i, y, insp), a, costs)
+             for a in plans] for y, _, _ in _outcomes(dist, i, insp)}
+        for i in range(net.n_components)]
+
+
+def test_members_whose_difference_cancels_sweep_their_failed_half(monkeypatch):
+    # one component at q = 1e-6 in an explicit table, and a shared-cause
+    # group at p = 1e-4: R - R_i1 keeps few digits of those members' failed
+    # halves, so each is swept, and only theirs. Every posterior loss of
+    # every plan agrees with brute force there, and so does the report
+    failed_halves = []
+    half = local_metrics._half
+    monkeypatch.setattr(local_metrics, "_half", lambda table, bit, state: (
+        state == 0 and failed_halves.append((table.size, bit))) or half(table, bit, state))
+    rng = np.random.default_rng(97)
+    probs = rng.uniform(0.05, 0.5, size=7)
+    probs[4] = 1e-6
+    cases = [(Explicit(Independent(probs).pmf_vector()), {(128, 4)}),
+             (CommonCauseGroups([Group((0, 2, 5), 1e-4, 0.3), Group((1, 3), 0.3, 0.2),
+                                 Group((4,), 0.1), Group((6,), 0.2)]),
+              {(8, 0), (8, 1), (8, 2)})]  # the group's step holds 0, 2 and 5 on bits 0-2
+    for dist, cancels in cases:
+        net = random_network(rng, 7)
+        fail = (~net.truth_table()).astype(float)
+        costs = LocalCostModel(1.0, rng.uniform(0.01, 0.2, size=7))
+        repair = _bit_sums(costs.c_repair)
+        for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
+            failed_halves.clear()
+            report = voi_local(net, dist, insp, costs)
+            assert set(failed_halves) == cancels
+            prior, posterior = losses_by_brute_force(net, dist, insp, costs)
+            prior_plan = _cheapest(prior, costs.c_fail)[0]
+            assert report.prior_plan == prior_plan
+            table = report.action_table
+            chosen = {SILENCE: (table.silence_plans, table.silence_losses),
+                      ALARM: (table.alarm_plans, table.alarm_losses)}
+            splits = local_metrics._splits(fail, _steps(dist), dist.blocks())
+            next(splits)
+            for i, split, masses in splits:
+                value = 0.0
+                for y, p_y, w in _outcomes(dist, i, insp):
+                    losses = costs.c_fail * _posterior_mean(masses, split, w) + repair
+                    np.testing.assert_allclose(losses, posterior[i][y], rtol=1e-12, atol=0.0)
+                    plan, least = _cheapest(posterior[i][y], costs.c_fail)
+                    assert chosen[y][0][i] == plan, (i, y)
+                    assert chosen[y][1][i] == pytest.approx(least, rel=1e-12, abs=0.0), (i, y)
+                    value += p_y * max(posterior[i][y][prior_plan] - least, 0.0)
+                assert report.voi[i] == pytest.approx(value, rel=1e-9, abs=1e-15), i
+
+
+def test_dense_steps_apply_one_row_at_a_time(monkeypatch):
+    # a dense step's matmul costs the same per row in a batch or alone, so
+    # its split applies each member's working half, and in the first step
+    # R's row, one at a time, after one run of each other step: on the
+    # substation (four dense steps, eleven group members) no call holds more
+    # than one 2^N row
+    rows = []
+    apply_chunk = local_metrics._apply_chunk
+    monkeypatch.setattr(local_metrics, "_apply_chunk", lambda risk, members, tables:
+                        rows.append(len(tables)) or apply_chunk(risk, members, tables))
+    doc = parse_scenario_file(scenario_path("substation.json"))
+    dist = doc.build_distribution()
+    voi_local(doc.build_network(), dist, doc.build_inspection(), doc.build_costs())
+    steps = _steps(dist)
+    wider = {m for members, _ in dist.blocks() if len(members) > 1 for m in members}
+    swept = [len(wider.intersection(members)) for members, _ in steps]
+    assert all(local_metrics._fuses(members) for members, _ in steps) and sum(swept) == 11
+    assert rows == [1] * (1 + sum(len(steps) - 1 + k for k in swept if k))
 
 
 def record_swept(monkeypatch, swept):
@@ -414,10 +551,12 @@ def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certai
         for dist in beliefs_of_every_kind(rng, n, certain=certain)[::2]:
             steps, blocks = _steps(dist), dist.blocks()
             ones = {members[0] for members, _ in blocks if len(members) == 1}
-            reference = {i: (risks, masses) for i, risks, masses in split_risks(fail, steps, ones)}
+            reference = {i: (risks, masses)
+                         for i, risks, masses in list(split_risks(fail, steps, ones))[1:]}
             swept.clear()
-            for i, risks, masses in local_metrics._splits(
-                    fail, steps, blocks, plan_failure_risks(net, dist)):
+            splits = local_metrics._splits(fail, steps, blocks)
+            next(splits)
+            for i, risks, masses in splits:
                 if i not in ones:
                     continue
                 want, want_masses = reference[i]
@@ -482,10 +621,9 @@ def local_by_full_scan(net, dist, insp, costs, saving=lambda d: max(d, 0.0)):
     without the heuristic's bound. ``saving`` maps each outcome's L_y(P) - least,
     for the prior plan P, to what it adds to the value."""
     fail, repair = (~net.truth_table()).astype(float), _bit_sums(costs.c_repair)
-    prior_plan, prior_loss = _cheapest(plan_losses(net, dist, costs), costs.c_fail)
+    splits = local_metrics._splits(fail, _steps(dist), dist.blocks())
+    prior_plan, prior_loss = _cheapest(costs.c_fail * next(splits) + repair, costs.c_fail)
     rows = [None] * net.n_components
-    splits = local_metrics._splits(fail, _steps(dist), dist.blocks(),
-                                   plan_failure_risks(net, dist))
     for i, split, masses in splits:
         row = {}
         value = 0.0
@@ -861,28 +999,31 @@ def test_heuristic_is_priced_as_from_full_masses():
     assert repairs >= 0.75 * cases
 
 
-def test_heuristic_flips_whose_difference_cancels_fold_their_own_mass(monkeypatch):
+def test_heuristic_flips_whose_difference_cancels_sum_their_own_failed_half(monkeypatch):
     # with q = 1e-6, 0 and 1e-9 on components 3, 5 and 11 of layered16,
     # R[F] - R_i1[P] keeps few digits of the failed half of the flip F that
-    # repairs them. Independent, that half is R[F] q and nothing but P folds.
-    # Read off one explicit table, those flips fold their own mass, but 5's
+    # repairs them. Independent, that half is R[F] q and only P folds. Read
+    # off one explicit table, those flips sum their own failed half, but 5's
     # only where an outcome on it is priced: a perfect inspection of it has none
-    folds = []
-    split_masses = local_metrics._split_masses
+    folds, sums = [], []
+    split_masses, failed_half = local_metrics._split_masses, local_metrics._failed_half
     monkeypatch.setattr(local_metrics, "_split_masses", lambda net, dist, plan=0:
                         folds.append(plan) or split_masses(net, dist, plan))
+    monkeypatch.setattr(local_metrics, "_failed_half", lambda net, dist, i, plan:
+                        sums.append(plan) or failed_half(net, dist, i, plan))
     doc = parse_scenario_file(scenario_path("layered16.json"))
     probs = [0.01] * 16
     probs[3], probs[5], probs[11] = 1e-6, 0.0, 1e-9
     net, costs, independent = doc.build_network(), doc.build_costs(), Independent(probs)
     explicit, noisy = Explicit(independent.pmf_vector()), InspectionModel(0.05, 0.1)
-    for dist, insp, folded in ((independent, PERFECT_INSPECTION, ()), (independent, noisy, ()),
+    for dist, insp, summed in ((independent, PERFECT_INSPECTION, ()), (independent, noisy, ()),
                                (explicit, PERFECT_INSPECTION, (3, 11)),
                                (explicit, noisy, (3, 5, 11))):
         folds.clear()
+        sums.clear()
         report = voi_heuristic(net, dist, insp, costs)
         plan = report.prior_plan
-        assert folds == [plan] + [plan ^ 1 << i for i in folded]
+        assert (folds, sums) == ([plan], [plan ^ 1 << i for i in summed])
         assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
 
 
