@@ -158,7 +158,8 @@ def _search_table(table) -> tuple:
     whose cdf exceeds g / G, for G = max(states, GUIDE_FLOOR) buckets: a
     power of two, so g / G is exact.
     """
-    cdf = np.append(np.cumsum(table)[:-1], 1.0)
+    cdf = np.cumsum(table)
+    cdf[-1] = 1.0
     buckets = max(cdf.size, GUIDE_FLOOR)
     return cdf, np.searchsorted(cdf, np.arange(buckets) / buckets, side="right")
 

@@ -107,8 +107,8 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     sweeps one batch of its members' working halves (``_split_risks``), the
     first such step after its own table, whose row is this vector:
     ``voi_local`` takes it from there. ``voi_heuristic`` reads every flip of
-    its prior plan off this vector, and ``netvoi plot`` hands it over from
-    ``voi_local``'s run.
+    its prior plan, and each singleton's halves at it, off this vector, and
+    ``netvoi plot`` hands it over from ``voi_local``'s run.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -329,7 +329,14 @@ def _sweep(p: np.ndarray, f: np.ndarray, r: int, plan: int, out: np.ndarray) -> 
 def plan_losses(net, dist: JointDistribution, costs: LocalCostModel) -> np.ndarray:
     """Expected loss of every plan mask under the current belief."""
     _check_sizes(net, dist, costs)
-    return costs.c_fail * plan_failure_risks(net, dist) + _bit_sums(costs.c_repair)
+    return _losses(plan_failure_risks(net, dist), costs.c_fail, _bit_sums(costs.c_repair))
+
+
+def _losses(risks: np.ndarray, c_fail: float, repair: np.ndarray) -> np.ndarray:
+    """c_fail R + repair for the plan risks R and bills ``repair``, in one new array."""
+    losses = np.multiply(risks, c_fail)
+    losses += repair
+    return losses
 
 
 def _cheapest(losses, c_fail: float) -> tuple[int, float]:
@@ -388,7 +395,7 @@ def _voi_local(net, dist, insp, costs, repair: np.ndarray) -> tuple[VoIReport, n
     _check_sizes(net, dist, insp, costs)
     splits = _splits((~net.truth_table()).astype(np.float64), _steps(dist), dist.blocks())
     prior = next(splits)
-    prior_plan, prior_loss = _cheapest(costs.c_fail * prior + repair, costs.c_fail)
+    prior_plan, prior_loss = _cheapest(_losses(prior, costs.c_fail, repair), costs.c_fail)
     rows = [None] * net.n_components
     for i, (failed, working), masses in splits:
         row, value = {}, 0.0
@@ -431,31 +438,38 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, repair: np.ndarray
 
     ``prior`` is the optimal prior plan P and its loss, if the caller has
     found them. With i working, repairing i changes nothing, so the flip
-    F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]), R_i1[P] from one fold
-    at P. Where F repairs i and i fails independently of the rest, the failed
-    half is R[F] t0 / (t0 + t1) for i's weights (t0, t1), as in ``_read_off``.
-    Any other failed half below ``_CANCEL_FLOOR`` R[F] is summed directly
-    (``_failed_half``).
+    F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]). A singleton block's
+    i, of weights (t0, t1), has marginals (t0, t1) and its halves at P read
+    off R as in ``_read_off``, where a plan that repairs i splits R as t0 : t1;
+    only members of larger blocks fold at P (``_split_masses``). A failed
+    half R - R_i1 below ``_CANCEL_FLOOR`` R is summed (``_failed_half``).
     """
     _check_sizes(net, dist, insp, costs)
-    prior_plan, prior_loss = prior or _cheapest(costs.c_fail * risks + repair, costs.c_fail)
-    _, prob, kept = _split_masses(net, dist, prior_plan)
+    prior_plan, prior_loss = prior or _cheapest(_losses(risks, costs.c_fail, repair), costs.c_fail)
     singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
+    if len(singles) < net.n_components:
+        _, prob, kept = _split_masses(net, dist, prior_plan)
     rows = []
     for i in range(net.n_components):
-        outcomes, flip = _outcomes(dist, i, insp), prior_plan ^ (1 << i)
-        failed = risks.item(flip) - kept[i][1]
-        if flip > prior_plan and i in singles:
-            t0, t1 = singles[i]
-            failed = risks.item(flip) * t0 / (t0 + t1)
-        elif outcomes and failed < _CANCEL_FLOOR * risks.item(flip):
-            failed = _failed_half(net, dist, i, flip)
-        mass = {prior_plan: kept[i], flip: (failed, kept[i][1])}
+        outcomes, flip, weights = _outcomes(dist, i, insp), prior_plan ^ (1 << i), singles.get(i)
+        if weights:
+            working = risks.item(prior_plan | 1 << i) * weights[1] / sum(weights)
+            marginal, mass, read = weights, {}, (prior_plan, flip)
+        else:
+            marginal, mass, read, working = prob[i], {prior_plan: kept[i]}, (flip,), kept[i][1]
+        for plan in read:
+            risk = risks.item(plan)
+            failed = risk - working
+            if weights and plan >> i & 1:
+                failed = risk * weights[0] / sum(weights)
+            elif outcomes and failed < _CANCEL_FLOOR * risk:
+                failed = _failed_half(net, dist, i, plan)
+            mass[plan] = failed, working
         row, value = {}, 0.0
         for y, p_y, w in outcomes:
             # an outcome that contradicts the prior action leaves no choice
             plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = [costs.c_fail * _posterior_mean(prob[i], mass[plan], w) + repair.item(plan)
+            loss = [costs.c_fail * _posterior_mean(marginal, mass[plan], w) + repair.item(plan)
                     for plan in plans]
             best, least = _cheapest(loss, costs.c_fail)
             row[y] = plans[best], least

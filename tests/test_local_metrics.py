@@ -14,6 +14,7 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     posterior_action_table, repair_cost,
                     series, series_pair_policy, system_failure_prob,
                     voi_heuristic, voi_local)
+import netvoi.inference as inference
 import netvoi.local_metrics as local_metrics
 from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
 from netvoi.inference import (ALARM, SILENCE, _intervals, _likelihood, _outcomes,
@@ -1001,35 +1002,77 @@ def test_heuristic_is_priced_as_from_full_masses():
 
 def test_heuristic_flips_whose_difference_cancels_sum_their_own_failed_half(monkeypatch):
     # with q = 1e-6, 0 and 1e-9 on components 3, 5 and 11 of layered16,
-    # R[F] - R_i1[P] keeps few digits of the failed half of the flip F that
-    # repairs them. Independent, that half is R[F] q and only P folds. Read
-    # off one explicit table, those flips sum their own failed half, but 5's
-    # only where an outcome on it is priced: a perfect inspection of it has none
+    # R - R_i1 keeps few digits of their failed half at a plan that leaves
+    # them alone. Independent, the halves at the prior plan P are read off R
+    # with no fold: the one of P and its flip that leaves i alone sums its
+    # failed half, and the one that repairs i splits R as q : 1 - q. Read off
+    # one explicit table, P folds and each flip sums. 5's half is summed only
+    # where an outcome on it is priced: a perfect inspection of it has none.
+    # A free repair of 3 makes P repair it, so that 3's flip drops a repair
     folds, sums = [], []
     split_masses, failed_half = local_metrics._split_masses, local_metrics._failed_half
     monkeypatch.setattr(local_metrics, "_split_masses", lambda net, dist, plan=0:
                         folds.append(plan) or split_masses(net, dist, plan))
     monkeypatch.setattr(local_metrics, "_failed_half", lambda net, dist, i, plan:
-                        sums.append(plan) or failed_half(net, dist, i, plan))
+                        sums.append((i, plan)) or failed_half(net, dist, i, plan))
     doc = parse_scenario_file(scenario_path("layered16.json"))
     probs = [0.01] * 16
     probs[3], probs[5], probs[11] = 1e-6, 0.0, 1e-9
     net, costs, independent = doc.build_network(), doc.build_costs(), Independent(probs)
+    free = LocalCostModel(costs.c_fail, (0.0 if i == 3 else c for i, c in enumerate(costs.c_repair)))
     explicit, noisy = Explicit(independent.pmf_vector()), InspectionModel(0.05, 0.1)
-    for dist, insp, summed in ((independent, PERFECT_INSPECTION, ()), (independent, noisy, ()),
-                               (explicit, PERFECT_INSPECTION, (3, 11)),
-                               (explicit, noisy, (3, 5, 11))):
-        folds.clear()
-        sums.clear()
-        report = voi_heuristic(net, dist, insp, costs)
-        plan = report.prior_plan
-        assert (folds, sums) == ([plan], [plan ^ 1 << i for i in summed])
+    for c, repairs in ((costs, 0), (free, 1)):
+        for dist in (independent, explicit):
+            for insp, summed in ((PERFECT_INSPECTION, (3, 11)), (noisy, (3, 5, 11))):
+                folds.clear()
+                sums.clear()
+                report = voi_heuristic(net, dist, insp, c)
+                plan = report.prior_plan
+                assert (plan >> 3 & 1, plan >> 11 & 1, plan >> 5 & 1) == (repairs, 0, 0)
+                if dist is independent:
+                    assert (folds, sums) == ([], [(i, plan & ~(1 << i)) for i in summed])
+                else:
+                    assert (folds, sums) == ([plan], [(i, plan ^ 1 << i) for i in summed])
+                assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, c)
+
+
+@pytest.mark.parametrize("name, prior, folded", [
+    ("layered16", (), False), ("crossed_pair", ("u4",), False),
+    ("three_branch", ("c2",), False), ("three_branch_alt_costs", ("c4",), False),
+    ("substation", ("DS1",), True)])
+def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, prior, folded):
+    # where every block is a singleton, voi_heuristic, and the heuristic after
+    # the local metric as plot runs them, read every half off R: they form no
+    # pmf, no failure mass and no fold. The substation's groups fold once, at
+    # P, and TB, a group of one, is read off R all the same
+    doc = parse_scenario_file(scenario_path(f"{name}.json"))
+    net, dist, insp, costs = (doc.build_network(), doc.build_distribution(),
+                              doc.build_inspection(), doc.build_costs())
+    calls = []
+    for owner, attr in ((local_metrics, "_split_masses"), (local_metrics, "_failure_masses"),
+                        (inference, "_failure_masses"), (JointDistribution, "pmf_vector")):
+        monkeypatch.setattr(owner, attr, lambda *args, f=getattr(owner, attr), attr=attr:
+                            calls.append((attr, *args[2:])) or f(*args))
+    repair = _bit_sums(costs.c_repair)
+    alone = voi_heuristic(net, dist, insp, costs)
+    alone_calls, calls[:] = calls[:], []
+    local, risks = local_metrics._voi_local(net, dist, insp, costs, repair)
+    plotted = local_metrics._voi_heuristic(net, dist, insp, costs, risks, repair,
+                                           (local.prior_plan, local.prior_loss))
+    monkeypatch.undo()
+    plan = plan_of(prior, net.names)
+    fold = [("_split_masses", plan), ("_failure_masses", plan), ("pmf_vector",)]
+    assert alone_calls == calls == (fold if folded else [])
+    for report in (alone, plotted):
+        assert report.prior_plan == plan
         assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
 
 
 def test_heuristic_keeping_the_empty_plan_reads_the_intervals():
     # at the empty plan the heuristic's kept mass is the failure mass whose
-    # halves the intervals fold, so its posterior losses are c_fail times theirs
+    # halves the intervals fold, so its posterior losses are c_fail times
+    # theirs: to the bit for members of larger blocks, which fold it too, and
+    # to rounding for singletons, whose halves are read off the plan risks
     rng = np.random.default_rng(83)
     kept = 0
     for n in range(8, 13):
@@ -1039,6 +1082,7 @@ def test_heuristic_keeping_the_empty_plan_reads_the_intervals():
             # every repair costs more than the loss of doing nothing
             prior = system_failure_prob(net, dist)
             costs = LocalCostModel(c_fail, c_fail * prior * rng.uniform(1.01, 3.0, size=n))
+            singles = {members[0] for members, _ in dist.blocks() if len(members) == 1}
             for insp in (PERFECT_INSPECTION, InspectionModel(0.05, 0.1)):
                 report = voi_heuristic(net, dist, insp, costs)
                 assert report.prior_plan == 0
@@ -1047,10 +1091,13 @@ def test_heuristic_keeping_the_empty_plan_reads_the_intervals():
                     if iv is None:
                         continue
                     assert table.silence_plans[i] == 0
-                    assert table.silence_losses[i] == c_fail * iv.lo, (n, i)
+                    pairs = [(table.silence_losses[i], c_fail * iv.lo)]
                     if table.alarm_plans[i] == 0:
-                        assert table.alarm_losses[i] == c_fail * iv.hi, (n, i)
+                        pairs.append((table.alarm_losses[i], c_fail * iv.hi))
                         kept += 1
+                    for got, want in pairs:
+                        assert got == (pytest.approx(want, rel=1e-12, abs=0.0) if i in singles
+                                       else want), (n, i)
     assert kept >= 50
 
 
