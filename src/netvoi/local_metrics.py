@@ -35,7 +35,9 @@ CHUNK_BITS = 4
 # Bytes a lattice step's split batch holds at once: a plan-risk vector and a table a row.
 SPLIT_BYTES = 1 << 25
 # A half read off as a difference a - b below this share of a has lost 10 of
-# a's bits: the metrics then sweep or sum that half on its own.
+# a's bits: the metrics then sweep or sum that half on its own. In a monotone
+# system an independent component's failed half is at least its failure
+# probability's share of R, so one whose share is at least this reads off R.
 _CANCEL_FLOOR = 2.0 ** -10
 
 
@@ -103,12 +105,13 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     tables, here a batch of one. Posteriors after one inspection need no run
     of their own: ``voi_local`` reweights this vector's two halves split by
     the inspected component (``_splits``). For a component independent of
-    the rest they are read off this vector. Each step that holds any other
-    sweeps one batch of its members' working halves (``_split_risks``), the
-    first such step after its own table, whose row is this vector:
-    ``voi_local`` takes it from there. ``voi_heuristic`` reads every flip of
-    its prior plan, and each singleton's halves at it, off this vector, and
-    ``netvoi plot`` hands it over from ``voi_local``'s run.
+    the rest that fails with probability at least ``_CANCEL_FLOOR`` they are
+    read off this vector. Each step that holds any other sweeps one batch of
+    its members' working halves (``_split_risks``), the first such step
+    after its own table, whose row is this vector: ``voi_local`` takes it
+    from there. ``voi_heuristic`` reads every flip of its prior plan, and
+    each singleton's halves at it, off this vector, and ``netvoi plot``
+    hands it over from ``voi_local``'s run.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -136,54 +139,46 @@ def _splits(fail: np.ndarray, steps, blocks):
     """The prior's plan risks R, then each component i with its split and masses.
 
     The split is R restricted to i failed and to i working, (R_i0, R_i1);
-    the masses (m0, m1) are those of the two states. Members of larger
-    blocks are swept first (``_split_risks``), and R is a row of the first
-    step's batch; with no such member, R is one run of every step. A
-    singleton block's member then has its split read off R (``_read_off``)
-    into one buffer that the next such component overwrites, or is swept
-    where that cancels. The buffer is made only once the batch arrays are
-    freed: a call that held both would raise the heap's peak, which the
-    allocator then returns to the system, and the next call would fault
-    it back in.
+    the masses (m0, m1) are those of the two states. A singleton block of
+    weights (t0, t1) with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) has its split
+    read off R (``_read_off``); every other component is swept first, in
+    one ``_split_risks`` call, and R is a row of its first step's batch;
+    with none swept, R is one run of every step. The read-off splits share
+    one buffer that the next such component overwrites. It is made only
+    once the batch arrays are freed: a call that held both would raise the
+    heap's peak, which the allocator then returns to the system, and the
+    next call would fault it back in.
     """
-    swept = _split_risks(fail, steps, {m for members, _ in blocks if len(members) > 1
-                                       for m in members})
+    read = {members[0]: table for members, table in blocks
+            if len(members) == 1 and table[0] >= _CANCEL_FLOOR * table.sum()}
+    swept = _split_risks(fail, steps, {m for members, _ in blocks for m in members
+                                       if m not in read})
     prior = next(swept, None)
     if prior is None:
         prior = _risks(fail, steps)
     yield prior
     yield from swept
-    singles = [(members[0], table) for members, table in blocks if len(members) == 1]
-    if singles:
-        out, floor = np.empty((2, prior.size)), prior * _CANCEL_FLOOR
-    cancels = set()
-    for i, table in singles:
-        if _read_off(prior, floor, i, table, out):
-            yield i, out, tuple(table.tolist())
-        else:
-            cancels.add(i)
-    cancelled = _split_risks(fail, steps, cancels)
-    next(cancelled, None)  # R again
-    yield from cancelled
+    if read:
+        out = np.empty((2, prior.size))
+    for i, table in read.items():
+        _read_off(prior, i, table, out)
+        yield i, out, tuple(table.tolist())
 
 
-def _read_off(prior: np.ndarray, floor: np.ndarray, i: int, table: np.ndarray,
-              out: np.ndarray) -> bool:
+def _read_off(prior: np.ndarray, i: int, table: np.ndarray, out: np.ndarray) -> None:
     """Split of component i, a singleton block of weights (t0, t1), from the prior's risks R.
 
     Writes (R_i0, R_i1) into the two rows of ``out``. With i working, a plan
     A and A | i are the same plan, and A | i makes i's state irrelevant, so
     it splits R[A | i] as the weights do: R_i1[A] = R[A | i] t1 / (t0 + t1),
-    and R_i0 = R - R_i1. That difference cancels where i rarely fails:
-    returns False, for a sweep, where R_i0 < ``floor`` = 2^-10 R at some
-    plan, which would cost it 10 of its bits. At a plan that repairs i, that
-    is t0 < 2^-10 (t0 + t1).
+    and R_i0 = R - R_i1. In a monotone system R_i0 >= R t0 / (t0 + t1) at
+    every plan, so with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) that difference
+    keeps all but at most 10 of R's bits.
     """
     (t0, t1), (failed, working) = table.tolist(), out
     np.multiply(prior.reshape(-1, 2, 1 << i)[:, 1:], t1 / (t0 + t1),
                 out=working.reshape(-1, 2, 1 << i))
     np.subtract(prior, working, out=failed)
-    return not np.less(failed, floor).any()
 
 
 def _split_risks(fail: np.ndarray, steps, swept):
@@ -377,9 +372,9 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
     the posterior's plan risks are (w_f R_i0 + w_w R_i1) / (w_f m0 + w_w m1)
     for the masses m0 and m1 of i failed and working (``_splits``): read off
-    the prior's plan risks R where i's block is a singleton and the
-    difference R - R_i1 keeps its digits, else from a sweep of R_i1 beside
-    R, and of R_i0 too where R - R_i1 cancels. A loss is c_fail
+    the prior's plan risks R where i's block is a singleton that fails
+    with probability at least ``_CANCEL_FLOOR``, else from a sweep of R_i1
+    beside R, and of R_i0 too where R - R_i1 cancels. A loss is c_fail
     times a nonnegative risk plus a repair bill, so, in floating point too,
     only plans billed at most T can lie in the tie band of the least loss:
     T is the larger over both outcomes of the heuristic's cheaper loss, of

@@ -50,15 +50,17 @@ def render_json(obj) -> str:
 
 
 _CHART_COLORS = ("#4878a8", "#e49444", "#5ba053", "#b04e4e")
+# XML text escapes, by a table: xml.sax.saxutils would import urllib.request and 40-odd modules
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def render_bar_chart_svg(component_names, data_series) -> str:
     """Grouped bar chart of normalized inspection values in [0, 1], one group per component.
 
     ``data_series`` is a sequence of (label, values) pairs; every value list
-    must match the component count.
+    must match the component count. Names and labels are escaped as XML text.
     """
-    names = list(component_names)
+    names = [str(name).translate(_XML_TEXT) for name in component_names]
     series = [(str(label), [float(v) for v in values]) for label, values in data_series]
     for label, values in series:
         if len(values) != len(names):
@@ -99,7 +101,7 @@ def render_bar_chart_svg(component_names, data_series) -> str:
         parts.append(f'<rect x="{legend_x}" y="{height - 20}" width="12" height="12" '
                      f'fill="{color}"/>')
         parts.append(f'<text x="{legend_x + 16}" y="{height - 10}" '
-                     f'font-family="sans-serif" font-size="11">{label}</text>')
+                     f'font-family="sans-serif" font-size="11">{label.translate(_XML_TEXT)}</text>')
     for g, name in enumerate(names):
         x = left + g * group_w + group_w / 2
         parts.append(f'<text x="{x:.2f}" y="{top + plot_h + 16}" text-anchor="middle" '

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from netvoi.output import format_number, render_bar_chart_svg
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
 
 from conftest import scenario_path
-from test_golden import scenario_files
+from test_golden import GOLDEN_DIR, scenario_files
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -215,6 +216,26 @@ def test_non_finite_numbers_print_as_words():
 def test_bar_chart_refuses_a_series_of_the_wrong_length():
     with pytest.raises(ValueError, match="^series 'local' has 1 values for 2 components$"):
         render_bar_chart_svg(["a", "b"], [("global", [1.0, 0.5]), ("local", [1.0])])
+
+
+def test_plot_escapes_markup_in_names(tmp_path, capsys):
+    # a component named with markup characters still makes well-formed SVG
+    obj = json.loads(Path(scenario_path("three_branch.json")).read_text())
+    obj["components"][1]["name"] = "Pump <A> & B"
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "plot", str(path))
+    assert (code, err) == (0, "")
+    labels = [node.firstChild.data for node in
+              xml.dom.minidom.parseString(out).getElementsByTagName("text")]
+    assert "Pump <A> & B" in labels
+
+
+def test_golden_plots_are_well_formed_svg():
+    plots = sorted(GOLDEN_DIR.glob("*/plot.svg"))
+    assert len(plots) >= 8
+    for plot in plots:
+        assert xml.dom.minidom.parse(str(plot)).documentElement.tagName == "svg", plot
 
 
 def test_plot_takes_no_format(capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree,
                     Group, Independent, InfeasibleCorrelationError,
-                    InspectionModel, LocalCostModel, Network, NotApplicableError,
+                    InspectionModel, LocalCostModel, Network, NotApplicableError, TruthTable,
                     apply_repairs, cumulative_approx_voi, optimal_plan, parallel,
                     plan_expected_loss, plan_failure_risks, plan_losses,
                     posterior_action_table, repair_cost,
@@ -26,6 +26,7 @@ from netvoi.scenario import parse_scenario_file
 from conftest import (brute_force_plan_risks, make_three_branch, random_distribution,
                       random_network, scenario_path, THREE_BRANCH_PROBS)
 from test_golden import scenario_files
+from test_model import random_st_graph
 
 
 def plan_of(names_on, names):
@@ -329,7 +330,8 @@ def test_split_in_groups_under_the_byte_budget_matches_one_batch(monkeypatch, ki
         # members sweeps k rows, and the first such step R's row too, as many
         # at a time as the budget holds, after one run of each other lattice
         # step. The loop sweeps every member, voi_local those of larger
-        # blocks: it reads each singleton's split off R, and none cancels here
+        # blocks: it reads each singleton's split off R, as none here fails
+        # with probability below 2^-10
         def batches_of(swept):
             out, first = [], 1
             for s, (members, table) in enumerate(steps):
@@ -539,8 +541,8 @@ def record_swept(monkeypatch, swept):
 @pytest.mark.parametrize("certain", [False, True], ids=["uncertain", "certain"])
 def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certain):
     # the split of every singleton block that voi_local uses, read off the
-    # prior's plan risks or swept where that cancels, is its sweep's to rel
-    # 1e-12, and zero exactly where the sweep's is
+    # prior's plan risks where it fails with probability at least 2^-10, else
+    # swept, is its sweep's to rel 1e-12, and zero exactly where the sweep's is
     swept = []
     split_risks = record_swept(monkeypatch, swept)
     rng = np.random.default_rng(71)
@@ -565,10 +567,13 @@ def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certai
                     assert np.array_equal(got == 0.0, exact == 0.0), (n, i)
                     np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
                 assert masses == pytest.approx(want_masses, rel=1e-12, abs=0.0)
+            assert len(swept) == 1
+            rule = {members[0] for members, table in blocks
+                    if len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()}
+            assert ones - swept[0] == rule, (n, dist)
             singles += len(ones)
-            read += len(ones - set().union(*swept))
-    # most are read off: a sweep takes only those whose R_i0 cancels
-    assert singles > 50 and read > 0.75 * singles
+            read += len(rule)
+    assert singles > 50 and read > 0
 
 
 class TableNetwork:
@@ -584,9 +589,10 @@ class TableNetwork:
 
 def test_components_whose_read_off_cancels_are_swept(monkeypatch):
     # R_i0 = R - R_i1 cancels where i rarely fails (q = 1e-6 and 1e-9 on
-    # layered16) and where i's failure can only help (a non-monotone system:
-    # c2..c4 in series with exactly one of c0, c1 working). Those components
-    # are swept, and every report matches the route that sweeps them all
+    # layered16): those components are swept. Where i's failure can only help
+    # (a non-monotone system: c2..c4 in series with exactly one of c0, c1
+    # working) its failure probability reads it off all the same. Every
+    # report matches the route that sweeps them all
     swept = []
     record_swept(monkeypatch, swept)
     doc = parse_scenario_file(scenario_path("layered16.json"))
@@ -596,14 +602,15 @@ def test_components_whose_read_off_cancels_are_swept(monkeypatch):
     works = (states >> 2 == 7) & ((states ^ (states >> 1)) & 1 == 1)
     cases = [(doc.build_network(), Independent(probs), doc.build_costs(), {3, 11}),
              (TableNetwork(works), Independent([0.1, 0.2, 0.05, 0.15, 0.1]),
-              LocalCostModel(1.0, (0.05, 0.1, 0.02, 0.08, 0.03)), {0, 1})]
+              LocalCostModel(1.0, (0.05, 0.1, 0.02, 0.08, 0.03)), set())]
     for net, dist, costs, cancels in cases:
         swept.clear()
         report = voi_local(net, dist, PERFECT_INSPECTION, costs)
         assert set().union(*swept) == cancels
         swept.clear()
         with monkeypatch.context() as m:
-            m.setattr(local_metrics, "_read_off", lambda *args: False)
+            m.setattr(local_metrics, "_splits", lambda fail, steps, blocks:
+                      local_metrics._split_risks(fail, steps, range(net.n_components)))
             reference = voi_local(net, dist, PERFECT_INSPECTION, costs)
         assert set().union(*swept) == set(range(net.n_components))
         assert report.prior_plan == reference.prior_plan
@@ -614,6 +621,107 @@ def test_components_whose_read_off_cancels_are_swept(monkeypatch):
         for values in ("voi", "posterior_loss"):
             assert getattr(report, values) == pytest.approx(getattr(reference, values),
                                                             rel=1e-12, abs=0.0)
+
+
+def monotone_networks(rng, n):
+    """A random formula tree, source-to-sink graph and monotone truth table over n components."""
+    states = np.arange(1 << n)
+    paths = rng.integers(1, 1 << n, size=int(rng.integers(1, 4)))  # the table's path sets
+    return [random_network(rng, n), Network(random_st_graph(rng, n, directed=n % 2 == 0)),
+            Network(TruthTable(((states[:, None] & paths) == paths).any(axis=1)))]
+
+
+def rare_beliefs(rng, n):
+    """An independent and a shared-cause belief over n components, where 40% of
+    the failure probabilities lie in [1e-12, 3e-3] and 15% are 0 or 1; the
+    groups include single-member ones."""
+    def draw(size):
+        u = rng.random(size)
+        p = np.where(u < 0.4, 10.0 ** rng.uniform(-12.0, math.log10(3e-3), size=size),
+                     rng.uniform(0.02, 0.98, size=size))
+        return np.where(u >= 0.85, rng.integers(0, 2, size=size), p)
+
+    order = [int(m) for m in rng.permutation(n)]
+    cuts = [0] + sorted(set(rng.integers(1, n, size=n // 2 + 1).tolist())) + [n]
+    groups = [Group(order[a:b], float(p), float(rng.uniform(0.0, 0.9)))
+              for a, b, p in zip(cuts, cuts[1:], draw(len(cuts) - 1))]
+    return Independent(draw(n)), CommonCauseGroups(groups, n_components=n)
+
+
+def singleton_cases(seed):
+    """(n, R, {i: (t0, t1, R_i0)}) for the singleton blocks i of rare beliefs
+    on monotone networks, R_i0 swept from its zero-padded failed half."""
+    rng = np.random.default_rng(seed)
+    for n in [*range(2, 11)] * 4:
+        for net in monotone_networks(rng, n):
+            fail = (~net.truth_table()).astype(float)
+            for dist in rare_beliefs(rng, n):
+                steps = _steps(dist)
+                singles = {members[0]: table.tolist()
+                           for members, table in dist.blocks() if len(members) == 1}
+                halves = {}
+                for s, (members, table) in enumerate(steps):
+                    shared = local_metrics._risks(fail, steps[:s] + steps[s + 1:])
+                    for bit, i in enumerate(members):
+                        if i in singles:
+                            failed = next(local_metrics._batch(
+                                shared, members, [local_metrics._half(table, bit, 0)]))
+                            halves[i] = (*singles[i], failed)
+                yield n, local_metrics._risks(fail, steps), halves
+
+
+def test_an_independent_components_failed_half_is_its_share_of_r_at_least():
+    # in a monotone system, R_i0 >= R t0 / (t0 + t1) at every plan for a
+    # singleton block i of weights (t0, t1): the bound behind its read-off
+    checked = 0
+    for n, prior, halves in singleton_cases(101):
+        for i, (t0, t1, failed) in halves.items():
+            assert np.all(failed >= prior * t0 / (t0 + t1) * (1.0 - 1e-12)), (n, i)
+            checked += 1
+    assert checked > 600
+
+
+def test_the_rule_sweeps_every_singleton_the_cancel_search_sweeps():
+    # the search over all 2^N plans for R - R_i1 < 2^-10 R sweeps a subset of
+    # the singletons with t0 < 2^-10 (t0 + t1); every other one has R = 0 at
+    # every plan that repairs it, where both routes are exact
+    searched = extra = 0
+    for n, prior, halves in singleton_cases(103):
+        for i, (t0, t1, _) in halves.items():
+            working = np.repeat(prior.reshape(-1, 2, 1 << i)[:, 1:], 2, axis=1).reshape(-1)
+            search = bool(np.less(prior - working * t1 / (t0 + t1), prior * 2.0 ** -10).any())
+            rule = t0 < 2.0 ** -10 * (t0 + t1)
+            assert rule or not search, (n, i)
+            if rule and not search:
+                assert not prior.reshape(-1, 2, 1 << i)[:, 1].any(), (n, i)
+                extra += 1
+            searched += search
+    assert searched > 200 and extra > 20
+
+
+def test_voi_local_sweeps_once_and_reads_off_by_failure_probability(monkeypatch):
+    # one _split_risks call per voi_local, and a read-off exactly for the
+    # singletons with t0 >= 2^-10 (t0 + t1)
+    swept, read = [], []
+    record_swept(monkeypatch, swept)
+    read_off = local_metrics._read_off
+    monkeypatch.setattr(local_metrics, "_read_off", lambda prior, i, table, out:
+                        read.append(i) or read_off(prior, i, table, out))
+    rng = np.random.default_rng(107)
+    reads = 0
+    for n in [*range(2, 11)] * 4:
+        for net in monotone_networks(rng, n):
+            costs = LocalCostModel(1.0, rng.uniform(0.0, 0.3, size=n))
+            for dist in rare_beliefs(rng, n):
+                swept.clear()
+                read.clear()
+                voi_local(net, dist, PERFECT_INSPECTION, costs)
+                rule = [members[0] for members, table in dist.blocks()
+                        if len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()]
+                assert len(swept) == 1 and sorted(read) == sorted(rule), (n, dist)
+                assert swept[0].isdisjoint(read) and swept[0] | set(read) == set(range(n))
+                reads += len(read)
+    assert reads > 200
 
 
 def local_by_full_scan(net, dist, insp, costs, saving=lambda d: max(d, 0.0)):
