@@ -21,7 +21,7 @@ from .global_metrics import importance_measures, rank_global
 from .inference import InspectionModel, _intervals, _reported
 from .local_metrics import (_voi_heuristic, _voi_local, posterior_action_table,
                             voi_heuristic, voi_local)
-from .model import DEFAULT_COMPONENT_CAP, _bit_sums
+from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
 from .output import (format_number, json_value, render_bar_chart_svg, render_csv,
                      render_json)
@@ -207,11 +207,8 @@ def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load_priced(args)
     costs = doc.build_costs()
     system = rank_global(net, dist, insp, doc.build_envelope())
-    repair = _bit_sums(costs.c_repair)  # both component-level metrics bill plans from it
-    # the heuristic starts from the prior plan risks the local metric ran, and its prior plan
-    local, risks = _voi_local(net, dist, insp, costs, repair)
-    heuristic = _voi_heuristic(net, dist, insp, costs, risks, repair,
-                               (local.prior_plan, local.prior_loss))
+    local, risks = _voi_local(net, dist, insp, costs)
+    heuristic = _voi_heuristic(net, dist, insp, costs, risks)
     series = [("global", system.voi_normalized), ("local", local.voi_normalized),
               ("heuristic", heuristic.voi_normalized)]
     _emit(render_bar_chart_svg(net.names, series), args)

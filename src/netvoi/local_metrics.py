@@ -101,17 +101,17 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     wider block, or a step on scattered bits, runs the restriction-lattice
     sweep along its own bits, vectorised over all other bits: Theta(2^N * 1.5^k)
     for k bits, so Theta(3^N) for an explicit table, instead of the Theta(4^N)
-    plan-by-state enumeration. Both kinds of step apply a batch of weight
-    tables, here a batch of one. Posteriors after one inspection need no run
-    of their own: ``voi_local`` reweights this vector's two halves split by
-    the inspected component (``_splits``). For a component independent of
-    the rest that fails with probability at least ``_CANCEL_FLOOR`` they are
-    read off this vector. Each step that holds any other sweeps one batch of
-    its members' working halves (``_split_risks``), the first such step
-    after its own table, whose row is this vector: ``voi_local`` takes it
-    from there. ``voi_heuristic`` reads every flip of its prior plan, and
-    each singleton's halves at it, off this vector, and ``netvoi plot``
-    hands it over from ``voi_local``'s run.
+    plan-by-state enumeration. Each step applies in ``_batch``, here to one
+    table. Posteriors after one inspection need no run of their own:
+    ``voi_local`` reweights this vector's two halves split by the inspected
+    component (``_splits``). For a component independent of the rest that
+    fails with probability at least ``_CANCEL_FLOOR`` they are read off this
+    vector. Each step that holds any other sweeps one batch of its members'
+    working halves (``_split_risks``), the first such step after its own
+    table, whose row is this vector: ``voi_local`` takes it from there.
+    ``voi_heuristic`` finds its prior plan on this vector, and reads every
+    flip of it, and each singleton's halves at it, off this vector; ``netvoi
+    plot`` hands it over from ``voi_local``'s run.
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -128,10 +128,9 @@ def _steps(dist: JointDistribution) -> list:
 
 
 def _risks(risk: np.ndarray, steps) -> np.ndarray:
-    """Apply each step to ``risk``: a dense one as one matmul, any other by the lattice sweep."""
+    """Apply each step to ``risk``, its table a batch of one (``_batch``)."""
     for members, table in steps:
-        apply = _apply_chunk if _fuses(members) else _lattice
-        risk = apply(risk, members, table[None])[0].reshape(-1)
+        risk = next(_batch(risk, members, [table]))
     return risk
 
 
@@ -231,17 +230,18 @@ def _half(table: np.ndarray, bit: int, state: int) -> np.ndarray:
 def _batch(risk: np.ndarray, members, tables):
     """Each of the weight ``tables`` applied over ``members`` to ``risk``, one row at a time.
 
-    A lattice step sweeps as many at a time as ``SPLIT_BYTES`` holds (all
-    1 + k of a k-bit explicit table up to N = 16), taken from the iterable
-    as it goes. A dense step's matmul costs the same per row in a batch or
-    alone, so it applies one at a time and holds one 2^N row, not 1 + k.
+    The only place a step is applied. A dense step's matmul costs the same
+    per row alone, so it applies one table at a time and holds one 2^N row,
+    not 1 + k. A lattice step sweeps as many as ``SPLIT_BYTES`` holds (all
+    1 + k of a k-bit explicit table up to N = 16), taken as it goes.
     """
-    dense = _fuses(members)
-    apply = _apply_chunk if dense else _lattice
-    group = 1 if dense else max(1, SPLIT_BYTES // (8 * (risk.size + (1 << len(members)))))
+    if _fuses(members):
+        yield from (_apply_chunk(risk, members, table) for table in tables)
+        return
+    group = max(1, SPLIT_BYTES // (8 * (risk.size + (1 << len(members)))))
     tables = iter(tables)
     while len(batch := np.array(list(itertools.islice(tables, group)))):
-        yield from (row.reshape(-1) for row in apply(risk, members, batch))
+        yield from (row.reshape(-1) for row in _lattice(risk, members, batch))
 
 
 @functools.cache
@@ -256,23 +256,20 @@ def _or_table(r: int) -> np.ndarray:
 def _operator(p: np.ndarray, r: int) -> np.ndarray:
     """Dense plan-risk operator of the weight tables ``p`` for the sub-plans of their ``r`` bits.
 
-    ``p`` holds tables of 2^r weights along its last axis: a matrix of them is one
-    product, a stack one product each. Returns M transposed, of shape p.shape + (2^r,):
+    ``p`` holds tables of 2^r weights along its last axis, all in one product.
+    Returns M transposed, of shape p.shape + (2^r,):
     ``M[a, t]`` sums a table's p[s] over the states s with s | a = t, so right-multiplying
     the failure indicator over t gives the failure mass of every sub-plan a.
     """
     return (p @ _or_table(r)).reshape(*p.shape, 1 << r)
 
 
-def _apply_chunk(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
-    """Apply each of the weight ``tables`` over the adjacent bits ``members`` as one matmul."""
-    size = tables.shape[1]
-    # one product per table, not one over the batch, so each table sums as it does alone
-    m_t = _operator(tables[:, None], len(members)).reshape(-1, size, size)
+def _apply_chunk(risk: np.ndarray, members, table: np.ndarray) -> np.ndarray:
+    """Apply the weight ``table`` over the adjacent bits ``members`` as one matmul."""
+    m_t = _operator(table, len(members))
     if members[0] == 0:
-        return (risk.reshape(-1, size) @ m_t).reshape(len(tables), -1)
-    return (m_t.swapaxes(1, 2)[:, None] @ risk.reshape(-1, size, 1 << members[0])
-            ).reshape(len(tables), -1)
+        return (risk.reshape(-1, table.size) @ m_t).reshape(-1)
+    return (m_t.T @ risk.reshape(-1, table.size, 1 << members[0])).reshape(-1)
 
 
 def _lattice(risk: np.ndarray, members, tables: np.ndarray) -> np.ndarray:
@@ -382,12 +379,13 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     mask order gives the floats of a scan of all 2^N plans; with free
     repairs it prices every plan.
     """
-    return _voi_local(net, dist, insp, costs, _bit_sums(costs.c_repair))[0]
+    return _voi_local(net, dist, insp, costs)[0]
 
 
-def _voi_local(net, dist, insp, costs, repair: np.ndarray) -> tuple[VoIReport, np.ndarray]:
-    """``voi_local``'s report and the prior's plan risks R it ran, for the bills ``repair``."""
+def _voi_local(net, dist, insp, costs) -> tuple[VoIReport, np.ndarray]:
+    """``voi_local``'s report and the prior's plan risks R it ran."""
     _check_sizes(net, dist, insp, costs)
+    repair = _bit_sums(costs.c_repair)
     splits = _splits((~net.truth_table()).astype(np.float64), _steps(dist), dist.blocks())
     prior = next(splits)
     prior_plan, prior_loss = _cheapest(_losses(prior, costs.c_fail, repair), costs.c_fail)
@@ -423,16 +421,14 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     otherwise the exact posterior losses of keeping the plan and of
     flipping just that one action are compared and the cheaper executed.
     """
-    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist),
-                          _bit_sums(costs.c_repair))
+    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist))
 
 
-def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, repair: np.ndarray,
-                   prior=None) -> VoIReport:
-    """``voi_heuristic`` from the prior's plan risks R, ``risks``, and repair bills ``repair``.
+def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
+    """``voi_heuristic`` from the prior's plan risks R, ``risks``, and its prior plan P on R.
 
-    ``prior`` is the optimal prior plan P and its loss, if the caller has
-    found them. With i working, repairing i changes nothing, so the flip
+    P is the local metric's, float for float, where R is the one it ran.
+    With i working, repairing i changes nothing, so the flip
     F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]). A singleton block's
     i, of weights (t0, t1), has marginals (t0, t1) and its halves at P read
     off R as in ``_read_off``, where a plan that repairs i splits R as t0 : t1;
@@ -440,7 +436,8 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray, repair: np.ndarray
     half R - R_i1 below ``_CANCEL_FLOOR`` R is summed (``_failed_half``).
     """
     _check_sizes(net, dist, insp, costs)
-    prior_plan, prior_loss = prior or _cheapest(_losses(risks, costs.c_fail, repair), costs.c_fail)
+    repair = _bit_sums(costs.c_repair)
+    prior_plan, prior_loss = _cheapest(_losses(risks, costs.c_fail, repair), costs.c_fail)
     singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
     if len(singles) < net.n_components:
         _, prob, kept = _split_masses(net, dist, prior_plan)
