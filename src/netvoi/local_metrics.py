@@ -102,16 +102,9 @@ def plan_failure_risks(net, dist: JointDistribution) -> np.ndarray:
     sweep along its own bits, vectorised over all other bits: Theta(2^N * 1.5^k)
     for k bits, so Theta(3^N) for an explicit table, instead of the Theta(4^N)
     plan-by-state enumeration. Each step applies in ``_batch``, here to one
-    table. Posteriors after one inspection need no run of their own:
-    ``voi_local`` reweights this vector's two halves split by the inspected
-    component (``_splits``). For a component independent of the rest that
-    fails with probability at least ``_CANCEL_FLOOR`` they are read off this
-    vector. Each step that holds any other sweeps one batch of its members'
-    working halves (``_split_risks``), the first such step after its own
-    table, whose row is this vector: ``voi_local`` takes it from there.
-    ``voi_heuristic`` finds its prior plan on this vector, and reads every
-    flip of it, and each singleton's halves at it, off this vector; ``netvoi
-    plot`` hands it over from ``voi_local``'s run.
+    table. Posteriors after one inspection need no run of their own: both
+    component metrics reweight this vector's halves split by the inspected
+    component, each at the plans it prices (``_splits``).
     """
     _check_sizes(net, dist)
     return _risks((~net.truth_table()).astype(np.float64), _steps(dist))
@@ -135,20 +128,16 @@ def _risks(risk: np.ndarray, steps) -> np.ndarray:
 
 
 def _splits(fail: np.ndarray, steps, blocks):
-    """The prior's plan risks R, then each component i with its split and masses.
+    """The prior's plan risks R, then each component i as (i, split, masses).
 
-    The split is R restricted to i failed and to i working, (R_i0, R_i1);
-    the masses (m0, m1) are those of the two states. A singleton block of
-    weights (t0, t1) with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) has its split
-    read off R (``_read_off``); every other component is swept first, in
-    one ``_split_risks`` call, and R is a row of its first step's batch;
-    with none swept, R is one run of every step. The read-off splits share
-    one buffer that the next such component overwrites. It is made only
-    once the batch arrays are freed: a call that held both would raise the
-    heap's peak, which the allocator then returns to the system, and the
-    next call would fault it back in.
+    ``split(plans)`` gives R restricted to i failed and to i working,
+    (R_i0, R_i1), at the plans asked for: floats at one plan, arrays at an
+    array. The masses (m0, m1) are those of the two states. A singleton block
+    of weights (t0, t1) with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) reads off R
+    (``_read_at``); every other component is swept first, in one
+    ``_split_risks`` call whose first batch holds R, and indexed (``_take``).
     """
-    read = {members[0]: table for members, table in blocks
+    read = {members[0]: table.tolist() for members, table in blocks
             if len(members) == 1 and table[0] >= _CANCEL_FLOOR * table.sum()}
     swept = _split_risks(fail, steps, {m for members, _ in blocks for m in members
                                        if m not in read})
@@ -156,32 +145,42 @@ def _splits(fail: np.ndarray, steps, blocks):
     if prior is None:
         prior = _risks(fail, steps)
     yield prior
-    yield from swept
-    if read:
-        out = np.empty((2, prior.size))
-    for i, table in read.items():
-        _read_off(prior, i, table, out)
-        yield i, out, tuple(table.tolist())
+    for i, halves, masses in swept:
+        yield i, functools.partial(_take, halves), masses
+        del halves  # or the next member's sweep would hold this one's rows
+    # One buffer as wide as R (free repairs price every plan) takes the read-offs,
+    # made once the sweep's batches are freed, for glibc's dynamic thresholds:
+    # freeing a mapped 2^N buffer raises them, so later 2^N arrays reuse heap
+    # pages, and held beside the batches it would raise the heap's peak.
+    out = np.empty((2, prior.size)) if read else None
+    for i, (t0, t1) in read.items():
+        yield i, functools.partial(_read_at, prior, i, t1 / (t0 + t1), out=out), (t0, t1)
 
 
-def _read_off(prior: np.ndarray, i: int, table: np.ndarray, out: np.ndarray) -> None:
-    """Split of component i, a singleton block of weights (t0, t1), from the prior's risks R.
+def _take(halves, plans):
+    """A swept split's halves at ``plans``: floats at one plan, arrays at an array of plans."""
+    if isinstance(plans, int):
+        return halves[0].item(plans), halves[1].item(plans)
+    return halves[0].take(plans), halves[1].take(plans)
 
-    Writes (R_i0, R_i1) into the two rows of ``out``. With i working, a plan
-    A and A | i are the same plan, and A | i makes i's state irrelevant, so
-    it splits R[A | i] as the weights do: R_i1[A] = R[A | i] t1 / (t0 + t1),
-    and R_i0 = R - R_i1. In a monotone system R_i0 >= R t0 / (t0 + t1) at
-    every plan, so with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) that difference
-    keeps all but at most 10 of R's bits.
+
+def _read_at(prior: np.ndarray, i: int, share: float, plans, out=None):
+    """Halves at ``plans`` of component i, a singleton block of weights (t0, t1), read off R.
+
+    With i working, A and A | i are the same plan, and A | i makes i's state
+    irrelevant, so R_i1[A] = R[A | i] share, for share = t1 / (t0 + t1), and
+    R_i0 = R - R_i1: floats at one plan, else the rows of ``out``, by the same operations.
     """
-    (t0, t1), (failed, working) = table.tolist(), out
-    np.multiply(prior.reshape(-1, 2, 1 << i)[:, 1:], t1 / (t0 + t1),
-                out=working.reshape(-1, 2, 1 << i))
-    np.subtract(prior, working, out=failed)
+    if isinstance(plans, int):
+        working = prior.item(plans | 1 << i) * share
+        return prior.item(plans) - working, working
+    failed, working = out[:, :plans.size]  # mode="clip": "raise" would take into a fresh copy
+    np.multiply(prior.take(plans | 1 << i, out=working, mode="clip"), share, out=working)
+    return np.subtract(prior.take(plans, out=failed, mode="clip"), working, out=failed), working
 
 
 def _split_risks(fail: np.ndarray, steps, swept):
-    """R, then each component i in ``swept`` with its split and masses as ``_splits`` gives them.
+    """R, then each component i in ``swept`` as (i, (R_i0, R_i1), masses), the split as vectors.
 
     Yields nothing for no member. The steps that do not hold i run once for
     i's step, which then applies one batch (``_batch``): the working half
@@ -368,16 +367,13 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     Outcome y on component i reweights the prior's plan risks restricted to
     i failed and to i working, R_i0 and R_i1, by its likelihood (w_f, w_w):
     the posterior's plan risks are (w_f R_i0 + w_w R_i1) / (w_f m0 + w_w m1)
-    for the masses m0 and m1 of i failed and working (``_splits``): read off
-    the prior's plan risks R where i's block is a singleton that fails
-    with probability at least ``_CANCEL_FLOOR``, else from a sweep of R_i1
-    beside R, and of R_i0 too where R - R_i1 cancels. A loss is c_fail
-    times a nonnegative risk plus a repair bill, so, in floating point too,
-    only plans billed at most T can lie in the tie band of the least loss:
-    T is the larger over both outcomes of the heuristic's cheaper loss, of
-    the prior plan and its flip at i, plus the band. Pricing those plans in
-    mask order gives the floats of a scan of all 2^N plans; with free
-    repairs it prices every plan.
+    for the masses m0 and m1 of i failed and working (``_splits``). A loss
+    is c_fail times a nonnegative risk plus a repair bill, so, in floating
+    point too, only plans billed at most T can lie in the tie band of the
+    least loss: T is the larger over both outcomes of the heuristic's
+    cheaper loss, of the prior plan P and its flip P ^ i, plus the band. The
+    split is read at P and P ^ i, then at the plans billed at most T, priced
+    in mask order as a full scan would: all with free repairs, none with no possible outcome.
     """
     return _voi_local(net, dist, insp, costs)[0]
 
@@ -390,16 +386,16 @@ def _voi_local(net, dist, insp, costs) -> tuple[VoIReport, np.ndarray]:
     prior = next(splits)
     prior_plan, prior_loss = _cheapest(_losses(prior, costs.c_fail, repair), costs.c_fail)
     rows = [None] * net.n_components
-    for i, (failed, working), masses in splits:
-        row, value = {}, 0.0
-        outcomes = _outcomes(dist, i, insp)
-        heuristic = {y: [costs.c_fail * _posterior_mean(masses, (failed.item(a), working.item(a)),
-                                                        w) + repair.item(a)
-                         for a in (prior_plan, prior_plan ^ (1 << i))] for y, _, w in outcomes}
-        bound = max(map(min, heuristic.values()), default=-math.inf) + PLAN_TIE_RTOL * costs.c_fail
-        plans = (repair <= bound).nonzero()[0]
-        risks, bills = (failed.take(plans), working.take(plans)), repair[plans]
-        del failed, working  # before the next split is made: a higher heap peak is refaulted
+    for i, split, masses in splits:
+        row, value, outcomes = {}, 0.0, _outcomes(dist, i, insp)
+        if outcomes:  # else no plan is priced, and _report fills the row
+            halves = {a: split(a) for a in (prior_plan, prior_plan ^ (1 << i))}
+            heuristic = {y: [costs.c_fail * _posterior_mean(masses, halves[a], w) + repair.item(a)
+                             for a in halves] for y, _, w in outcomes}
+            bound = max(map(min, heuristic.values())) + PLAN_TIE_RTOL * costs.c_fail
+            plans = (repair <= bound).nonzero()[0]
+            risks, bills = split(plans), repair[plans]
+        del split  # before the next split is made: a higher heap peak is refaulted
         for y, p_y, w in outcomes:
             losses = costs.c_fail * _posterior_mean(masses, risks, w) + bills
             best, least = _cheapest(losses, costs.c_fail)
@@ -428,12 +424,12 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
     """``voi_heuristic`` from the prior's plan risks R, ``risks``, and its prior plan P on R.
 
     P is the local metric's, float for float, where R is the one it ran.
-    With i working, repairing i changes nothing, so the flip
-    F = P ^ i has the halves (R[F] - R_i1[P], R_i1[P]). A singleton block's
-    i, of weights (t0, t1), has marginals (t0, t1) and its halves at P read
-    off R as in ``_read_off``, where a plan that repairs i splits R as t0 : t1;
-    only members of larger blocks fold at P (``_split_masses``). A failed
-    half R - R_i1 below ``_CANCEL_FLOOR`` R is summed (``_failed_half``).
+    With i working, repairing i changes nothing, so the flip F = P ^ i has
+    the halves (R[F] - R_i1[P], R_i1[P]). A singleton block's i, of weights
+    (t0, t1), has marginals (t0, t1) and halves read off R: the local metric's
+    (``_read_at``) if t0 >= ``_CANCEL_FLOOR`` (t0 + t1), else R split t0 : t1
+    where a plan repairs i. Only members of larger blocks fold at P (``_split_masses``).
+    A failed half R - R_i1 below ``_CANCEL_FLOOR`` R is summed (``_failed_half``).
     """
     _check_sizes(net, dist, insp, costs)
     repair = _bit_sums(costs.c_repair)
@@ -444,7 +440,10 @@ def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
     rows = []
     for i in range(net.n_components):
         outcomes, flip, weights = _outcomes(dist, i, insp), prior_plan ^ (1 << i), singles.get(i)
-        if weights:
+        if weights and weights[0] >= _CANCEL_FLOOR * sum(weights):
+            marginal, read, mass = weights, (), {
+                a: _read_at(risks, i, weights[1] / sum(weights), a) for a in (prior_plan, flip)}
+        elif weights:
             working = risks.item(prior_plan | 1 << i) * weights[1] / sum(weights)
             marginal, mass, read = weights, {}, (prior_plan, flip)
         else:

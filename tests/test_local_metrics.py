@@ -1,5 +1,6 @@
 """Plan optimization, local/heuristic inspection values, and pair policies."""
 
+import functools
 import gc
 import math
 
@@ -413,14 +414,20 @@ def test_local_metric_sweeps_each_component_once(monkeypatch, kind):
 def test_first_split_row_is_the_prior_plan_risks(tmp_path):
     # R comes from the first split batch's row 0 (or, where every component
     # is read off, from a run of every step): it is the engine's R to rel
-    # 1e-14, and voi_local prices the same prior plan from it
+    # 1e-14, each split's halves at every plan add up to it to rel 1e-12, and
+    # voi_local prices the same prior plan from it
     for name, path in scenario_files(tmp_path).items():
         doc = parse_scenario_file(path)
         net, dist, costs = doc.build_network(), doc.build_distribution(), doc.build_costs()
         splits = local_metrics._splits((~net.truth_table()).astype(float), _steps(dist),
                                        dist.blocks())
-        np.testing.assert_allclose(next(splits), plan_failure_risks(net, dist),
+        prior = next(splits)
+        np.testing.assert_allclose(prior, plan_failure_risks(net, dist),
                                    rtol=1e-14, atol=0.0, err_msg=name)
+        for i, split, _ in splits:
+            failed, working = split(np.arange(prior.size))
+            np.testing.assert_allclose(failed + working, prior, rtol=1e-12, atol=0.0,
+                                       err_msg=f"{name} {i}")
         report = voi_local(net, dist, doc.build_inspection(), costs)
         assert report.prior_plan == optimal_plan(net, dist, costs)[0], name
 
@@ -500,8 +507,9 @@ def test_members_whose_difference_cancels_sweep_their_failed_half(monkeypatch):
             next(splits)
             for i, split, masses in splits:
                 value = 0.0
+                halves = split(np.arange(1 << 7))
                 for y, p_y, w in _outcomes(dist, i, insp):
-                    losses = costs.c_fail * _posterior_mean(masses, split, w) + repair
+                    losses = costs.c_fail * _posterior_mean(masses, halves, w) + repair
                     np.testing.assert_allclose(losses, posterior[i][y], rtol=1e-12, atol=0.0)
                     plan, least = _cheapest(posterior[i][y], costs.c_fail)
                     assert chosen[y][0][i] == plan, (i, y)
@@ -543,10 +551,12 @@ def record_swept(monkeypatch, swept):
 def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certain):
     # the split of every singleton block that voi_local uses, read off the
     # prior's plan risks where it fails with probability at least 2^-10, else
-    # swept, is its sweep's to rel 1e-12, and zero exactly where the sweep's is
+    # swept, is its sweep's to rel 1e-12, and zero exactly where the sweep's
+    # is, at whatever plans are asked for: a random subset, none or all. At
+    # one plan the provider gives the floats it gives there in an array
     swept = []
     split_risks = record_swept(monkeypatch, swept)
-    rng = np.random.default_rng(71)
+    rng, pick = np.random.default_rng(71), np.random.default_rng(72)
     singles = read = 0
     for n in range(2, 11):
         net = random_network(rng, n)
@@ -560,13 +570,18 @@ def test_singleton_splits_read_off_the_prior_match_the_sweep(monkeypatch, certai
             swept.clear()
             splits = local_metrics._splits(fail, steps, blocks)
             next(splits)
-            for i, risks, masses in splits:
+            for i, split, masses in splits:
                 if i not in ones:
                     continue
                 want, want_masses = reference[i]
-                for got, exact in zip(risks, want):
-                    assert np.array_equal(got == 0.0, exact == 0.0), (n, i)
-                    np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+                subset = np.flatnonzero(pick.random(1 << n) < pick.random())
+                for plans in (subset, np.arange(0), np.arange(1 << n)):
+                    got = split(plans)
+                    for half, exact in zip(got, want):
+                        assert half.shape == plans.shape, (n, i)
+                        assert np.array_equal(half == 0.0, exact[plans] == 0.0), (n, i)
+                        np.testing.assert_allclose(half, exact[plans], rtol=1e-12, atol=0.0)
+                    assert all(split(int(a)) == (f, w) for a, f, w in zip(plans, *got))
                 assert masses == pytest.approx(want_masses, rel=1e-12, abs=0.0)
             assert len(swept) == 1
             rule = {members[0] for members, table in blocks
@@ -586,6 +601,13 @@ class TableNetwork:
 
     def truth_table(self):
         return self._works
+
+
+def swept_splits(splits):
+    """``_split_risks``'s R and vectors as ``_splits`` provides them: indexed."""
+    yield next(splits)
+    for i, halves, masses in splits:
+        yield i, functools.partial(local_metrics._take, halves), masses
 
 
 def test_components_whose_read_off_cancels_are_swept(monkeypatch):
@@ -610,8 +632,8 @@ def test_components_whose_read_off_cancels_are_swept(monkeypatch):
         assert set().union(*swept) == cancels
         swept.clear()
         with monkeypatch.context() as m:
-            m.setattr(local_metrics, "_splits", lambda fail, steps, blocks:
-                      local_metrics._split_risks(fail, steps, range(net.n_components)))
+            m.setattr(local_metrics, "_splits", lambda fail, steps, blocks: swept_splits(
+                local_metrics._split_risks(fail, steps, range(net.n_components))))
             reference = voi_local(net, dist, PERFECT_INSPECTION, costs)
         assert set().union(*swept) == set(range(net.n_components))
         assert report.prior_plan == reference.prior_plan
@@ -702,12 +724,14 @@ def test_the_rule_sweeps_every_singleton_the_cancel_search_sweeps():
 
 def test_voi_local_sweeps_once_and_reads_off_by_failure_probability(monkeypatch):
     # one _split_risks call per voi_local, and a read-off exactly for the
-    # singletons with t0 >= 2^-10 (t0 + t1)
+    # singletons with t0 >= 2^-10 (t0 + t1) that have an outcome to price:
+    # their bound's two plans, then one array of the plans under it
     swept, read = [], []
     record_swept(monkeypatch, swept)
-    read_off = local_metrics._read_off
-    monkeypatch.setattr(local_metrics, "_read_off", lambda prior, i, table, out:
-                        read.append(i) or read_off(prior, i, table, out))
+    read_at = local_metrics._read_at
+    monkeypatch.setattr(local_metrics, "_read_at", lambda prior, i, share, plans, out=None:
+                        read.append((i, np.ndim(plans)))
+                        or read_at(prior, i, share, plans, out))
     rng = np.random.default_rng(107)
     reads = 0
     for n in [*range(2, 11)] * 4:
@@ -719,15 +743,17 @@ def test_voi_local_sweeps_once_and_reads_off_by_failure_probability(monkeypatch)
                 voi_local(net, dist, PERFECT_INSPECTION, costs)
                 rule = [members[0] for members, table in dist.blocks()
                         if len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()]
-                assert len(swept) == 1 and sorted(read) == sorted(rule), (n, dist)
-                assert swept[0].isdisjoint(read) and swept[0] | set(read) == set(range(n))
-                reads += len(read)
+                priced = [i for i in rule if _outcomes(dist, i, PERFECT_INSPECTION)]
+                assert len(swept) == 1 and sorted(read) == sorted(
+                    (i, d) for i in priced for d in (0, 0, 1)), (n, dist)
+                assert swept[0].isdisjoint(rule) and swept[0] | set(rule) == set(range(n))
+                reads += len(priced)
     assert reads > 200
 
 
 def local_by_full_scan(net, dist, insp, costs, saving=lambda d: max(d, 0.0)):
     """``voi_local``'s report with each outcome's posterior losses formed over
-    all 2^N plans from the splits ``voi_local`` reads (``_splits``): the search
+    all 2^N plans from the split providers ``voi_local`` reads (``_splits``): the search
     without the heuristic's bound. ``saving`` maps each outcome's L_y(P) - least,
     for the prior plan P, to what it adds to the value."""
     fail, repair = (~net.truth_table()).astype(float), _bit_sums(costs.c_repair)
@@ -737,8 +763,9 @@ def local_by_full_scan(net, dist, insp, costs, saving=lambda d: max(d, 0.0)):
     for i, split, masses in splits:
         row = {}
         value = 0.0
+        halves = split(np.arange(1 << net.n_components))
         for y, p_y, w in _outcomes(dist, i, insp):
-            losses = costs.c_fail * _posterior_mean(masses, split, w) + repair
+            losses = costs.c_fail * _posterior_mean(masses, halves, w) + repair
             row[y] = _cheapest(losses, costs.c_fail)
             value += p_y * saving(float(losses[prior_plan]) - row[y][1])
         rows[i] = (row, value)
@@ -768,6 +795,24 @@ def test_bounded_posterior_search_is_the_full_scan(monkeypatch):
                     sizes.clear()
     # with costs drawn here, most posterior searches price only some of the plans
     assert cut > searches / 2
+    # at N = 18 every value is nonzero, and each search prices under 1% of the plans
+    net, dist, insp, costs = scaling_network(18)
+    sizes.clear()
+    report = voi_local(net, dist, insp, costs)
+    assert max(sizes[1:]) < (1 << 18) // 100 and min(report.voi) > 0.0
+    assert report == local_by_full_scan(net, dist, insp, costs)
+
+
+def scaling_network(n):
+    """A parallel of series of 4 components, the last series taking the remainder:
+    independent p uniform in [0.01, 0.2], inspection (0.05, 0.1), c_repair 0.01
+    and c_fail = 0.03 / P_sys for the prior system failure probability P_sys."""
+    starts = range(0, n - 3, 4)
+    net = Network(FormulaTree(parallel(*(series(*range(a, b))
+                                         for a, b in zip(starts, [*starts[1:], n])))))
+    dist = Independent(np.random.default_rng(0).uniform(0.01, 0.2, size=n))
+    costs = LocalCostModel.uniform(n, 0.03 / system_failure_prob(net, dist), 0.01)
+    return net, dist, InspectionModel(0.05, 0.1), costs
 
 
 def test_an_outcome_that_ties_the_prior_plan_saves_nothing():
@@ -1165,18 +1210,30 @@ def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, pr
     # where every block is a singleton, voi_heuristic, and the heuristic after
     # the local metric as plot runs them, read every half off R: they form no
     # pmf, no failure mass and no fold. The substation's groups fold once, at
-    # P, and TB, a group of one, is read off R all the same
+    # P, and TB, a group of one, is read off R all the same. Each singleton
+    # that reads off R takes its halves at P and its flip from the local
+    # metric's routine: on the plot route, the floats the local bound reads
     doc = parse_scenario_file(scenario_path(f"{name}.json"))
     net, dist, insp, costs = (doc.build_network(), doc.build_distribution(),
                               doc.build_inspection(), doc.build_costs())
-    calls = []
+    calls, reads = [], []
     for owner, attr in ((local_metrics, "_split_masses"), (local_metrics, "_failure_masses"),
                         (inference, "_failure_masses"), (JointDistribution, "pmf_vector")):
         monkeypatch.setattr(owner, attr, lambda *args, f=getattr(owner, attr), attr=attr:
                             calls.append((attr, *args[2:])) or f(*args))
+    read_at = local_metrics._read_at
+
+    def recorded_read_at(prior, i, share, plans, out=None):
+        halves = read_at(prior, i, share, plans, out)
+        if isinstance(plans, int):
+            reads.append(((i, plans), halves))
+        return halves
+
+    monkeypatch.setattr(local_metrics, "_read_at", recorded_read_at)
     alone = voi_heuristic(net, dist, insp, costs)
-    alone_calls, calls[:] = calls[:], []
+    (alone_calls, calls[:]), (alone_reads, reads[:]) = (calls[:], []), (reads[:], [])
     local, risks = local_metrics._voi_local(net, dist, insp, costs)
+    local_reads, reads[:] = dict(reads), []
     plotted = local_metrics._voi_heuristic(net, dist, insp, costs, risks)
     monkeypatch.undo()
     # the plot route finds the prior plan on the local metric's R, to the bit
@@ -1184,6 +1241,13 @@ def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, pr
     plan = plan_of(prior, net.names)
     fold = [("_split_masses", plan), ("_failure_masses", plan), ("pmf_vector",)]
     assert alone_calls == calls == (fold if folded else [])
+    rule = [members[0] for members, table in dist.blocks()
+            if len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()]
+    assert rule and len(local_reads) == 2 * len(rule)
+    for heuristic_reads in (alone_reads, reads):
+        assert [at for at, _ in heuristic_reads] == [(i, a) for i in rule
+                                                     for a in (plan, plan ^ 1 << i)]
+    assert all(local_reads[at] == halves for at, halves in reads)
     for report in (alone, plotted):
         assert report.prior_plan == plan
         assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, costs)
@@ -1236,15 +1300,31 @@ def test_local_value_of_inspections_that_change_no_plan_is_zero():
         assert report.posterior_loss[i] == report.prior_loss
 
 
-def test_degenerate_inspection_is_worth_zero():
+def test_degenerate_inspection_is_worth_zero(monkeypatch):
     # an outcome of probability zero takes the other outcome's row: both rows
-    # are the prior plan at the prior loss, and the inspection is worth 0
+    # are the prior plan at the prior loss, and the inspection is worth 0.
+    # voi_local asks that component's split for no plan, and its report is
+    # the full scan's
+    asked = []
+    splits = local_metrics._splits
+
+    def recorded(fail, steps, blocks):
+        provided = splits(fail, steps, blocks)
+        yield next(provided)
+        for i, split, masses in provided:
+            yield i, lambda plans, i=i, split=split: asked.append(i) or split(plans), masses
+
     net = Network(FormulaTree(series(0, 1)))
     costs = LocalCostModel.uniform(2, 1.0, 0.1)
     for p in (0.0, 1.0):
         for dist in (Independent([p, 0.4]), Explicit(Independent([p, 0.4]).pmf_vector())):
             prior_plan, prior_loss = optimal_plan(net, dist, costs)
-            local = voi_local(net, dist, PERFECT_INSPECTION, costs)
+            asked.clear()
+            with monkeypatch.context() as m:
+                m.setattr(local_metrics, "_splits", recorded)
+                local = voi_local(net, dist, PERFECT_INSPECTION, costs)
+            assert set(asked) == {1}
+            assert local == local_by_full_scan(net, dist, PERFECT_INSPECTION, costs)
             heuristic = voi_heuristic(net, dist, PERFECT_INSPECTION, costs)
             actions = posterior_action_table(net, dist, PERFECT_INSPECTION, costs)
             for table in (local.action_table, heuristic.action_table, actions):
