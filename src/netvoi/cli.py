@@ -19,8 +19,8 @@ from .distributions import system_failure_prob
 from .errors import NetvoiError, ScenarioError, SizeCapError
 from .global_metrics import importance_measures, rank_global
 from .inference import InspectionModel, _intervals, _reported
-from .local_metrics import (_voi_heuristic, _voi_local, posterior_action_table,
-                            voi_heuristic, voi_local)
+from .local_metrics import (_heuristic, _voi_local, posterior_action_table, voi_heuristic,
+                            voi_local)
 from .model import DEFAULT_COMPONENT_CAP
 from .oracle import SimulationConfig, mc_system_failure
 from .output import (format_number, json_value, render_bar_chart_svg, render_csv,
@@ -207,8 +207,8 @@ def _cmd_plot(args) -> int:
     doc, net, dist, insp = _load_priced(args)
     costs = doc.build_costs()
     system = rank_global(net, dist, insp, doc.build_envelope())
-    local, risks = _voi_local(net, dist, insp, costs)
-    heuristic = _voi_heuristic(net, dist, insp, costs, risks)
+    local, flips = _voi_local(net, dist, insp, costs)
+    heuristic = _heuristic(local.prior_plan, local.prior_loss, flips, costs.c_fail)
     series = [("global", system.voi_normalized), ("local", local.voi_normalized),
               ("heuristic", heuristic.voi_normalized)]
     _emit(render_bar_chart_svg(net.names, series), args)

@@ -11,34 +11,35 @@ from __future__ import annotations
 import math
 
 from .envelopes import LossEnvelope
-from .inference import InspectionModel, _intervals, posterior_interval
+from .inference import InspectionModel, _intervals
 from .reports import ImportanceReport, VoIReport
 
 RRW_SATURATION_TOL = 1e-12
 
 
-def _mix(interval, env: LossEnvelope):
+def _row(prior: float, interval, env: LossEnvelope):
+    """Posterior loss, value and posterior regret of an interval; a certain one, None, saves 0."""
+    if interval is None:  # a certain outcome carries no news: the prior's loss and regret
+        return env.value(prior), 0.0, env.regret(prior)
     posterior = (interval.alarm_prob * env.value(interval.hi)
                  + (1.0 - interval.alarm_prob) * env.value(interval.lo))
-    prior = env.value(interval.prior)
+    before = env.value(interval.prior)
     perfect = interval.prior * env.value(1.0) + (1.0 - interval.prior) * env.value(0.0)
-    return posterior, prior - posterior, posterior - perfect
+    return posterior, before - posterior, posterior - perfect
 
 
 def voi_global(net, dist, i, insp: InspectionModel, env: LossEnvelope):
-    """Posterior expected loss, value of the inspection, and posterior regret."""
-    return _mix(posterior_interval(net, dist, i, insp), env)
+    """Posterior expected loss, value and posterior regret of inspecting i: its report row."""
+    prior, intervals = _intervals(net, dist, insp)
+    dist._check_index(i)
+    return _row(prior, intervals[i], env)
 
 
 def rank_global(net, dist, insp: InspectionModel, env: LossEnvelope) -> VoIReport:
     prior, intervals = _intervals(net, dist, insp)
-    prior_loss = env.value(prior)
-    prior_regret = env.regret(prior)
-    # a certain outcome carries no news: the posterior loss is the prior's
-    rows = [_mix(iv, env) if iv else (prior_loss, 0.0, prior_regret) for iv in intervals]
-    posterior_loss, voi, posterior_regret = zip(*rows)
-    return VoIReport(metric="global", prior_loss=prior_loss, posterior_loss=posterior_loss,
-                     voi=voi, prior_regret=prior_regret, posterior_regret=posterior_regret)
+    posterior_loss, voi, posterior_regret = zip(*(_row(prior, iv, env) for iv in intervals))
+    return VoIReport(metric="global", prior_loss=env.value(prior), posterior_loss=posterior_loss,
+                     voi=voi, prior_regret=env.regret(prior), posterior_regret=posterior_regret)
 
 
 def importance_measures(net, dist, insp: InspectionModel) -> ImportanceReport:

@@ -180,10 +180,9 @@ def posterior_interval(net, dist, i, insp) -> PosteriorInterval:
     The prior is their mixture by the alarm probability, so it costs no
     pass of its own.
     """
-    _check_sizes(net, dist, insp)
+    intervals = _intervals(net, dist, insp)[1]
     dist._check_index(i)
-    _, prob, fail = _split_masses(net, dist)
-    return _reported(_interval(prob[i], fail[i], dist, i, insp), dist, i, insp)
+    return _reported(intervals[i], dist, i, insp)
 
 
 def _intervals(net, dist, insp: InspectionModel) -> tuple:

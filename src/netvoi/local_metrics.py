@@ -370,105 +370,105 @@ def voi_local(net, dist: JointDistribution, insp: InspectionModel,
     for the masses m0 and m1 of i failed and working (``_splits``). A loss
     is c_fail times a nonnegative risk plus a repair bill, so, in floating
     point too, only plans billed at most T can lie in the tie band of the
-    least loss: T is the larger over both outcomes of the heuristic's
-    cheaper loss, of the prior plan P and its flip P ^ i, plus the band. The
-    split is read at P and P ^ i, then at the plans billed at most T, priced
-    in mask order as a full scan would: all with free repairs, none with no possible outcome.
+    least loss, for T the band above the larger over both outcomes of the
+    cheaper of the prior plan P and its flip P ^ i (``_flips``). Those plans
+    are priced in mask order as a full scan would: all with free repairs, none with no outcome.
     """
     return _voi_local(net, dist, insp, costs)[0]
 
 
-def _voi_local(net, dist, insp, costs) -> tuple[VoIReport, np.ndarray]:
-    """``voi_local``'s report and the prior's plan risks R it ran."""
+def _voi_local(net, dist, insp, costs) -> tuple[VoIReport, list]:
+    """``voi_local``'s report and each component's ``_flips``, the heuristic's input."""
     _check_sizes(net, dist, insp, costs)
     repair = _bit_sums(costs.c_repair)
     splits = _splits((~net.truth_table()).astype(np.float64), _steps(dist), dist.blocks())
     prior = next(splits)
     prior_plan, prior_loss = _cheapest(_losses(prior, costs.c_fail, repair), costs.c_fail)
-    rows = [None] * net.n_components
+    rows, flips = [None] * net.n_components, [None] * net.n_components
     for i, split, masses in splits:
         row, value, outcomes = {}, 0.0, _outcomes(dist, i, insp)
+        flips[i] = _flips(split, masses, outcomes, prior_plan, i, costs.c_fail, repair)
         if outcomes:  # else no plan is priced, and _report fills the row
-            halves = {a: split(a) for a in (prior_plan, prior_plan ^ (1 << i))}
-            heuristic = {y: [costs.c_fail * _posterior_mean(masses, halves[a], w) + repair.item(a)
-                             for a in halves] for y, _, w in outcomes}
-            bound = max(map(min, heuristic.values())) + PLAN_TIE_RTOL * costs.c_fail
-            plans = (repair <= bound).nonzero()[0]
+            bound = max(min(losses.values()) for _, _, losses in flips[i])
+            plans = (repair <= bound + PLAN_TIE_RTOL * costs.c_fail).nonzero()[0]
             risks, bills = split(plans), repair[plans]
         del split  # before the next split is made: a higher heap peak is refaulted
-        for y, p_y, w in outcomes:
+        for (y, p_y, w), (_, _, kept) in zip(outcomes, flips[i]):
             losses = costs.c_fail * _posterior_mean(masses, risks, w) + bills
             best, least = _cheapest(losses, costs.c_fail)
             row[y] = int(plans[best]), least
             # the prior loss of the prior plan is the mixture of its posterior
             # losses, so an outcome that keeps that plan, or ties it, adds 0
-            value += p_y * max(heuristic[y][0] - least, 0.0)
+            value += p_y * max(kept[prior_plan] - least, 0.0)
         rows[i] = (row, value)
-    return _report("local", prior_plan, prior_loss, rows), prior
+    return _report("local", prior_plan, prior_loss, rows), flips
+
+
+def _flips(split, masses, outcomes, prior_plan: int, i: int, c_fail: float, repair) -> list:
+    """Each outcome on i as (y, p_y, {A: loss}) for A the prior plan P and its flip P ^ i.
+
+    The one pricing of both plans: the local metric's bound and the heuristic's rule read it.
+    """
+    halves = {a: split(a) for a in (prior_plan, prior_plan ^ 1 << i)} if outcomes else {}
+    return [(y, p_y, {a: c_fail * _posterior_mean(masses, h, w) + repair.item(a)
+                      for a, h in halves.items()}) for y, p_y, w in outcomes]
+
+
+def _heuristic(prior_plan: int, prior_loss: float, flips, c_fail: float) -> VoIReport:
+    """The heuristic's report from each component's ``_flips`` at the prior plan P.
+
+    An outcome that contradicts P's action on i (alarm on a repair, silence on
+    a do-nothing) keeps P; otherwise the cheaper of P and P ^ i, lower mask on a tie.
+    """
+    rows = []
+    for i, outcomes in enumerate(flips):
+        row, value = {}, 0.0
+        for y, p_y, losses in outcomes:
+            plans = sorted(losses) if y == prior_plan >> i & 1 else [prior_plan]
+            best, least = _cheapest([losses[a] for a in plans], c_fail)
+            row[y] = plans[best], least
+            # the kept plan's prior loss is the mixture of its posterior losses,
+            # so only a flipped outcome saves, and a plan in its tie band saves 0
+            value += p_y * max(losses[prior_plan] - least, 0.0)
+        rows.append((row, value))
+    return _report("heuristic", prior_plan, prior_loss, rows)
 
 
 def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
                   costs: LocalCostModel) -> VoIReport:
     """Inspection values when the posterior may only toggle the inspected repair.
 
-    The prior plan stays fixed for uninspected components. An outcome that
-    contradicts the prior action on the inspected component (alarm on a
-    planned repair, silence on a planned do-nothing) confirms the plan;
-    otherwise the exact posterior losses of keeping the plan and of
-    flipping just that one action are compared and the cheaper executed.
-    """
-    return _voi_heuristic(net, dist, insp, costs, plan_failure_risks(net, dist))
-
-
-def _voi_heuristic(net, dist, insp, costs, risks: np.ndarray) -> VoIReport:
-    """``voi_heuristic`` from the prior's plan risks R, ``risks``, and its prior plan P on R.
-
-    P is the local metric's, float for float, where R is the one it ran.
-    With i working, repairing i changes nothing, so the flip F = P ^ i has
-    the halves (R[F] - R_i1[P], R_i1[P]). A singleton block's i, of weights
-    (t0, t1), has marginals (t0, t1) and halves read off R: the local metric's
-    (``_read_at``) if t0 >= ``_CANCEL_FLOOR`` (t0 + t1), else R split t0 : t1
-    where a plan repairs i. Only members of larger blocks fold at P (``_split_masses``).
-    A failed half R - R_i1 below ``_CANCEL_FLOOR`` R is summed (``_failed_half``).
+    The rule on the prior plan P and its flip F = P ^ i (``_heuristic``), each
+    priced as the local metric prices it (``_flips``), from halves by two
+    routes: a singleton block's i, of weights (t0, t1), reads them off the
+    prior's plan risks R (``_read_at``); a larger block's member folds at P
+    (``_split_masses``) and takes F's as (R[F] - R_i1[P], R_i1[P]), as
+    repairing a working i changes nothing. A failed half below ``_CANCEL_FLOOR`` R
+    is R's t0 share where a plan repairs a singleton, else summed (``_failed_half``).
     """
     _check_sizes(net, dist, insp, costs)
+    risks = plan_failure_risks(net, dist)
     repair = _bit_sums(costs.c_repair)
     prior_plan, prior_loss = _cheapest(_losses(risks, costs.c_fail, repair), costs.c_fail)
     singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
     if len(singles) < net.n_components:
         _, prob, kept = _split_masses(net, dist, prior_plan)
-    rows = []
-    for i in range(net.n_components):
-        outcomes, flip, weights = _outcomes(dist, i, insp), prior_plan ^ (1 << i), singles.get(i)
-        if weights and weights[0] >= _CANCEL_FLOOR * sum(weights):
-            marginal, read, mass = weights, (), {
-                a: _read_at(risks, i, weights[1] / sum(weights), a) for a in (prior_plan, flip)}
-        elif weights:
-            working = risks.item(prior_plan | 1 << i) * weights[1] / sum(weights)
-            marginal, mass, read = weights, {}, (prior_plan, flip)
-        else:
-            marginal, mass, read, working = prob[i], {prior_plan: kept[i]}, (flip,), kept[i][1]
-        for plan in read:
-            risk = risks.item(plan)
-            failed = risk - working
-            if weights and plan >> i & 1:
-                failed = risk * weights[0] / sum(weights)
-            elif outcomes and failed < _CANCEL_FLOOR * risk:
-                failed = _failed_half(net, dist, i, plan)
-            mass[plan] = failed, working
-        row, value = {}, 0.0
-        for y, p_y, w in outcomes:
-            # an outcome that contradicts the prior action leaves no choice
-            plans = sorted(mass) if y == (prior_plan >> i) & 1 else [prior_plan]
-            loss = [costs.c_fail * _posterior_mean(marginal, mass[plan], w) + repair.item(plan)
-                    for plan in plans]
-            best, least = _cheapest(loss, costs.c_fail)
-            row[y] = plans[best], least
-            # the kept plan's prior loss is the mixture of its posterior losses,
-            # so only a flipped outcome saves, and a plan in its tie band saves 0
-            value += p_y * max(loss[plans.index(prior_plan)] - least, 0.0)
-        rows.append((row, value))
-    return _report("heuristic", prior_plan, prior_loss, rows)
+
+    def halves(i, weights, plan):
+        if not weights and plan == prior_plan:
+            return kept[i]
+        risk = risks.item(plan)
+        failed, working = (_read_at(risks, i, weights[1] / sum(weights), plan) if weights
+                           else (risk - kept[i][1], kept[i][1]))
+        if failed < _CANCEL_FLOOR * risk:
+            failed = (risk * weights[0] / sum(weights) if weights and plan >> i & 1
+                      else _failed_half(net, dist, i, plan))
+        return failed, working
+
+    flips = [_flips(functools.partial(halves, i, singles.get(i)), singles.get(i) or prob[i],
+                    _outcomes(dist, i, insp), prior_plan, i, costs.c_fail, repair)
+             for i in range(net.n_components)]
+    return _heuristic(prior_plan, prior_loss, flips, costs.c_fail)
 
 
 def _failed_half(net, dist, i: int, plan: int) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from netvoi import JointDistribution, cli, distributions, local_metrics
+from netvoi import JointDistribution, cli, distributions, inference, local_metrics, voi_heuristic
 from netvoi.cli import run_command
 from netvoi.output import format_number, render_bar_chart_svg
 from netvoi.scenario import _MAX_FORMULA_DEPTH, parse_scenario_file
@@ -174,13 +174,15 @@ def test_plot_writes_svg(tmp_path, capsys):
 def test_plot_runs_the_plan_risk_engine_once(capsys, monkeypatch, tmp_path, name):
     # the local metric and the heuristic both start from the one prior R:
     # a run of every step where every component is read off it (layered16,
-    # three_branch), else the first split batch's row 0; the heuristic gets
-    # that array itself
+    # three_branch), else the first split batch's row 0. The heuristic is
+    # the rule on the local metric's own flips, so past the global ranking's
+    # fold plot forms no pmf, no failure mass and no fold
     path = scenario_files(tmp_path)[name.removesuffix(".json")]
-    steps = len(local_metrics._steps(parse_scenario_file(path).build_distribution()))
-    priors, handed = [], []
+    doc = parse_scenario_file(path)
+    steps = len(local_metrics._steps(doc.build_distribution()))
+    priors, pricing, folds, handed = [], [], [], []
     engine, risks = local_metrics.plan_failure_risks, local_metrics._risks
-    split_risks, heuristic = local_metrics._split_risks, cli._voi_heuristic
+    split_risks = local_metrics._split_risks
     monkeypatch.setattr(local_metrics, "plan_failure_risks",
                         lambda net, dist: priors.append("public") or engine(net, dist))
 
@@ -198,14 +200,78 @@ def test_plot_runs_the_plan_risk_engine_once(capsys, monkeypatch, tmp_path, name
             yield prior
         yield from rows
 
+    def priced(f):  # the plot's component metrics, with the folds they call
+        def run_priced(*args):
+            pricing.append(f)
+            out = f(*args)
+            pricing.pop()
+            handed.append(out)
+            return out
+        return run_priced
+
     monkeypatch.setattr(local_metrics, "_risks", run_all)
     monkeypatch.setattr(local_metrics, "_split_risks", first_rows)
-    monkeypatch.setattr(cli, "_voi_heuristic", lambda *args: handed.append(args[4])
-                        or heuristic(*args))
+    for owner, attr in ((local_metrics, "_split_masses"), (local_metrics, "_failure_masses"),
+                        (inference, "_split_masses"), (inference, "_failure_masses"),
+                        (JointDistribution, "pmf_vector")):
+        monkeypatch.setattr(owner, attr, lambda *args, f=getattr(owner, attr), attr=attr:
+                            (pricing and folds.append(attr)) or f(*args))
+    for attr in ("_voi_local", "_heuristic"):
+        monkeypatch.setattr(cli, attr, priced(getattr(cli, attr)))
     code, out, err = run(capsys, "plot", str(path))
+    monkeypatch.undo()
     assert (code, err) == (0, "") and out.startswith("<svg")
-    assert len(priors) == len(handed) == 1
-    assert handed[0] is priors[0]
+    assert len(priors) == 1 and folds == []
+    (local, flips), heuristic = handed
+    assert flips == local_metrics._voi_local(doc.build_network(), doc.build_distribution(),
+                                             doc.build_inspection(), doc.build_costs())[1]
+    assert heuristic == local_metrics._heuristic(local.prior_plan, local.prior_loss, flips,
+                                                 doc.build_costs().c_fail)
+
+
+@pytest.mark.parametrize("name", sorted(p.parent.name for p in GOLDEN_DIR.glob("*/plot.svg")))
+def test_plot_heuristic_is_voi_heuristics(monkeypatch, tmp_path, capsys, name):
+    # plot prices the heuristic from the local metric's split, voi_heuristic
+    # from its own routes: the same floats where every component is read off
+    # R by one routine, and the same plans to rel 1e-12 where the local
+    # metric sweeps a component (a group member, a table, a rare failure)
+    path = scenario_files(tmp_path)[name]
+    doc = parse_scenario_file(path)
+    net, dist, insp, costs = (doc.build_network(), doc.build_distribution(),
+                              doc.build_inspection(), doc.build_costs())
+    plotted, rule = [], cli._heuristic
+    monkeypatch.setattr(cli, "_heuristic", lambda *args: plotted.append(rule(*args))
+                        or plotted[-1])
+    code, _, err = run(capsys, "plot", str(path))
+    assert (code, err) == (0, "")
+    alone = voi_heuristic(net, dist, insp, costs)
+    read_off = all(len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()
+                   for members, table in dist.blocks())
+    assert read_off == (name not in ("substation", "substation_explicit"))
+    if read_off:
+        assert plotted == [alone]
+        return
+    report, = plotted
+    table, want = report.action_table, alone.action_table
+    assert (report.prior_plan, table.silence_plans, table.alarm_plans) == (
+        alone.prior_plan, want.silence_plans, want.alarm_plans)
+    for got, expected in ((report.voi, alone.voi), ([report.prior_loss], [alone.prior_loss]),
+                          (table.silence_losses, want.silence_losses),
+                          (table.alarm_losses, want.alarm_losses)):
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("metric", ["bm", "crt", "raw", "rrw"])
+def test_importance_ranks_exit_1_where_the_system_never_fails(capsys, tmp_path, metric):
+    # every importance measure divides by the prior failure probability
+    obj = json.loads(Path(scenario_path("three_branch.json")).read_text())
+    for component in obj["components"]:
+        component["failure_probability"] = 0.0
+    path = tmp_path / "sound.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "rank", "--metric", metric, str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: importance measures need a positive prior failure probability\n"
 
 
 def test_non_finite_numbers_print_as_words():

@@ -170,22 +170,30 @@ def test_each_alarm_probability_is_computed_once(monkeypatch, three_branch):
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
-                         + ["substation.json as explicit"])
+                         + ["substation.json as explicit", "a series with a certain component"])
 def test_library_and_cli_read_one_interval_per_component(name):
     # the library's one-component calls and the CLI's every-component report
-    # take their halves from the same fold, so their floats agree exactly
-    doc = parse_scenario_file(SCENARIO_DIR / name.split()[0])
-    net, dist, insp = doc.build_network(), doc.build_distribution(), doc.build_inspection()
+    # take their halves from the same fold, so their floats agree exactly; a
+    # certain inspection has no interval, and both price it at 0
+    if name.startswith("a series"):
+        net, dist = Network(FormulaTree(series(0, 1))), Independent([0.0, 0.3])
+        insp, env = PERFECT_INSPECTION, QuadraticLoss()
+    else:
+        doc = parse_scenario_file(SCENARIO_DIR / name.split()[0])
+        net, dist, insp = doc.build_network(), doc.build_distribution(), doc.build_inspection()
+        env = doc.build_envelope()
     if name.endswith("explicit"):
         dist = Explicit(dist.pmf_vector())
-    env = doc.build_envelope()
     _, intervals = inference._intervals(net, dist, insp)
     report = rank_global(net, dist, insp, env)
     rows = list(zip(report.posterior_loss, report.voi, report.posterior_regret))
     for i, iv in enumerate(intervals):
+        assert voi_global(net, dist, i, insp, env) == rows[i]
         if iv is None:
+            assert rows[i] == (report.prior_loss, 0.0, report.prior_regret)
             with pytest.raises(DegenerateObservationError):
                 posterior_interval(net, dist, i, insp)
             continue
         assert posterior_interval(net, dist, i, insp) == iv
-        assert voi_global(net, dist, i, insp, env) == rows[i]
+    if name.startswith("a series"):
+        assert intervals[0] is None
