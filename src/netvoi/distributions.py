@@ -303,7 +303,11 @@ def _failure_masses(net, dist: JointDistribution, plan: int = 0) -> tuple:
     """The pmf, and the failure mass pmf(s)·fail(s | plan) over all masks s."""
     _check_sizes(net, dist)
     pmf, fail = dist.pmf_vector(), ~net.truth_table()
-    return pmf, pmf * (fail[np.arange(fail.size, dtype=np.int64) | plan] if plan else fail)
+    if plan:  # fail(s | plan) by a gather of rows, then of columns: no 2^N index
+        low = 1 << net.n_components // 2
+        fail = (fail.reshape(-1, low).take(np.arange(fail.size // low) | plan // low, axis=0)
+                .take(np.arange(low) | plan % low, axis=1).reshape(-1))
+    return pmf, pmf * fail
 
 
 def _failure_prob(mass) -> float:

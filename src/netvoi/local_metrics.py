@@ -35,9 +35,8 @@ CHUNK_BITS = 4
 # Bytes a lattice step's split batch holds at once: a plan-risk vector and a table a row.
 SPLIT_BYTES = 1 << 25
 # A half read off as a difference a - b below this share of a has lost 10 of
-# a's bits: the metrics then sweep or sum that half on its own. In a monotone
-# system an independent component's failed half is at least its failure
-# probability's share of R, so one whose share is at least this reads off R.
+# a's bits: the metrics then sweep it, or sum it from a failure mass, on its
+# own. In a monotone system a singleton's R_i0 >= R t0 / (t0 + t1), so t0 sets its route.
 _CANCEL_FLOOR = 2.0 ** -10
 
 
@@ -132,13 +131,11 @@ def _splits(fail: np.ndarray, steps, blocks):
 
     ``split(plans)`` gives R restricted to i failed and to i working,
     (R_i0, R_i1), at the plans asked for: floats at one plan, arrays at an
-    array. The masses (m0, m1) are those of the two states. A singleton block
-    of weights (t0, t1) with t0 >= ``_CANCEL_FLOOR`` (t0 + t1) reads off R
-    (``_read_at``); every other component is swept first, in one
-    ``_split_risks`` call whose first batch holds R, and indexed (``_take``).
+    array. The masses (m0, m1) are those of the two states. The components
+    ``_read_off`` names read off R (``_read_at``); every other is swept
+    first, in one ``_split_risks`` call whose first batch holds R, and indexed (``_take``).
     """
-    read = {members[0]: table.tolist() for members, table in blocks
-            if len(members) == 1 and table[0] >= _CANCEL_FLOOR * table.sum()}
+    read = _read_off(blocks)
     swept = _split_risks(fail, steps, {m for members, _ in blocks for m in members
                                        if m not in read})
     prior = next(swept, None)
@@ -155,6 +152,12 @@ def _splits(fail: np.ndarray, steps, blocks):
     out = np.empty((2, prior.size)) if read else None
     for i, (t0, t1) in read.items():
         yield i, functools.partial(_read_at, prior, i, t1 / (t0 + t1), out=out), (t0, t1)
+
+
+def _read_off(blocks) -> dict:
+    """Each singleton block's i with t0 >= ``_CANCEL_FLOOR`` (t0 + t1), to its weights (t0, t1)."""
+    return {members[0]: table.tolist() for members, table in blocks
+            if len(members) == 1 and table[0] >= _CANCEL_FLOOR * table.sum()}
 
 
 def _take(halves, plans):
@@ -439,43 +442,35 @@ def voi_heuristic(net, dist: JointDistribution, insp: InspectionModel,
     """Inspection values when the posterior may only toggle the inspected repair.
 
     The rule on the prior plan P and its flip F = P ^ i (``_heuristic``), each
-    priced as the local metric prices it (``_flips``), from halves by two
-    routes: a singleton block's i, of weights (t0, t1), reads them off the
-    prior's plan risks R (``_read_at``); a larger block's member folds at P
-    (``_split_masses``) and takes F's as (R[F] - R_i1[P], R_i1[P]), as
-    repairing a working i changes nothing. A failed half below ``_CANCEL_FLOOR`` R
-    is R's t0 share where a plan repairs a singleton, else summed (``_failed_half``).
+    priced as the local metric prices it (``_flips``), from halves read off the
+    prior's plan risks R where the local metric reads them (``_read_off``).
+    Every other component folds at P (``_split_masses``) and takes F's as
+    (R[F] - R_i1[P], R_i1[P]), as repairing a working i changes nothing, or
+    sums a failed half below ``_CANCEL_FLOOR`` R[F] from the failure mass at F.
     """
     _check_sizes(net, dist, insp, costs)
     risks = plan_failure_risks(net, dist)
     repair = _bit_sums(costs.c_repair)
     prior_plan, prior_loss = _cheapest(_losses(risks, costs.c_fail, repair), costs.c_fail)
-    singles = {members[0]: table.tolist() for members, table in dist.blocks() if len(members) == 1}
-    if len(singles) < net.n_components:
+    read = _read_off(dist.blocks())
+    if len(read) < net.n_components:
         _, prob, kept = _split_masses(net, dist, prior_plan)
 
-    def halves(i, weights, plan):
-        if not weights and plan == prior_plan:
+    def halves(i, plan):
+        if i in read:
+            return _read_at(risks, i, read[i][1] / sum(read[i]), plan)
+        if plan == prior_plan:
             return kept[i]
-        risk = risks.item(plan)
-        failed, working = (_read_at(risks, i, weights[1] / sum(weights), plan) if weights
-                           else (risk - kept[i][1], kept[i][1]))
-        if failed < _CANCEL_FLOOR * risk:
-            failed = (risk * weights[0] / sum(weights) if weights and plan >> i & 1
-                      else _failed_half(net, dist, i, plan))
-        return failed, working
+        risk, working = risks.item(plan), kept[i][1]
+        if risk - working < _CANCEL_FLOOR * risk:
+            _, mass = _failure_masses(net, dist, plan)
+            return float(mass.reshape(-1, 2, 1 << i)[:, 0].sum()), working
+        return risk - working, working
 
-    flips = [_flips(functools.partial(halves, i, singles.get(i)), singles.get(i) or prob[i],
+    flips = [_flips(functools.partial(halves, i), read.get(i) or prob[i],
                     _outcomes(dist, i, insp), prior_plan, i, costs.c_fail, repair)
              for i in range(net.n_components)]
     return _heuristic(prior_plan, prior_loss, flips, costs.c_fail)
-
-
-def _failed_half(net, dist, i: int, plan: int) -> float:
-    """Sum of pmf(s) fail(s | plan) over the 2^(N-1) states s in which component i has failed."""
-    states = np.add.outer(np.arange(0, 1 << net.n_components, 2 << i), np.arange(1 << i))
-    return float((dist.pmf_vector().reshape(-1, 2, 1 << i)[:, 0]
-                  * ~net.truth_table()[states | plan]).sum())
 
 
 def series_pair_policy(p1: float, p2: float, rho: float, peak: float) -> int:

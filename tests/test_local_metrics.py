@@ -1169,54 +1169,65 @@ def test_heuristic_is_priced_as_from_full_masses():
 def test_heuristic_flips_whose_difference_cancels_sum_their_own_failed_half(monkeypatch):
     # with q = 1e-6, 0 and 1e-9 on components 3, 5 and 11 of layered16,
     # R - R_i1 keeps few digits of their failed half at a plan that leaves
-    # them alone. Independent, the halves at the prior plan P are read off R
-    # with no fold: the one of P and its flip that leaves i alone sums its
-    # failed half, and the one that repairs i splits R as q : 1 - q. Read off
-    # one explicit table, P folds and each flip sums. 5's half is summed only
-    # where an outcome on it is priced: a perfect inspection of it has none.
-    # A free repair of 3 makes P repair it, so that 3's flip drops a repair
+    # them alone, so none of them reads off R: independent or as one explicit
+    # table, the prior plan P folds once, and each flip F = P ^ i of theirs,
+    # whose R[F] - R_i1[P] cancels, sums its failed half from the failure
+    # mass at F. 5's flip is priced only where an outcome on it is: a perfect
+    # inspection of it has none. A free repair of 3 makes P repair it, so
+    # that 3's flip drops a repair. In the drop-heavy series, P repairs the
+    # seven rarely failing components for free, and every flip of theirs
+    # drops a repair whose difference cancels; the eighth reads off R
     folds, sums = [], []
-    split_masses, failed_half = local_metrics._split_masses, local_metrics._failed_half
+    split_masses, failure_masses = local_metrics._split_masses, local_metrics._failure_masses
     monkeypatch.setattr(local_metrics, "_split_masses", lambda net, dist, plan=0:
                         folds.append(plan) or split_masses(net, dist, plan))
-    monkeypatch.setattr(local_metrics, "_failed_half", lambda net, dist, i, plan:
-                        sums.append((i, plan)) or failed_half(net, dist, i, plan))
+    monkeypatch.setattr(local_metrics, "_failure_masses", lambda net, dist, plan=0:
+                        sums.append(plan) or failure_masses(net, dist, plan))
     doc = parse_scenario_file(scenario_path("layered16.json"))
     probs = [0.01] * 16
     probs[3], probs[5], probs[11] = 1e-6, 0.0, 1e-9
     net, costs, independent = doc.build_network(), doc.build_costs(), Independent(probs)
     free = LocalCostModel(costs.c_fail, (0.0 if i == 3 else c for i, c in enumerate(costs.c_repair)))
-    explicit, noisy = Explicit(independent.pmf_vector()), InspectionModel(0.05, 0.1)
-    for c, repairs in ((costs, 0), (free, 1)):
-        for dist in (independent, explicit):
-            for insp, summed in ((PERFECT_INSPECTION, (3, 11)), (noisy, (3, 5, 11))):
-                folds.clear()
-                sums.clear()
-                report = voi_heuristic(net, dist, insp, c)
-                plan = report.prior_plan
-                assert (plan >> 3 & 1, plan >> 11 & 1, plan >> 5 & 1) == (repairs, 0, 0)
-                if dist is independent:
-                    assert (folds, sums) == ([], [(i, plan & ~(1 << i)) for i in summed])
-                else:
-                    assert (folds, sums) == ([plan], [(i, plan ^ 1 << i) for i in summed])
-                assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, c)
+    noisy = InspectionModel(0.05, 0.1)
+    cases = [(net, c, dist, insp, summed, repairs)
+             for c, repairs in ((costs, 0), (free, 1 << 3))
+             for dist in (independent, Explicit(independent.pmf_vector()))
+             for insp, summed in ((PERFECT_INSPECTION, (3, 11)), (noisy, (3, 5, 11)))]
+    series_net = Network(FormulaTree(series(*range(8))))
+    drop_heavy = LocalCostModel(1.0, (0.0,) * 7 + (10.0,))
+    cases += [(series_net, drop_heavy, Independent([1e-4] * 7 + [0.5]), insp, range(7), 0x7F)
+              for insp in (PERFECT_INSPECTION, noisy)]
+    for net, c, dist, insp, summed, repairs in cases:
+        folds.clear()
+        sums.clear()
+        report = voi_heuristic(net, dist, insp, c)
+        plan = report.prior_plan
+        assert plan & sum(1 << i for i in summed) == repairs
+        assert (folds, sums) == ([plan], [plan ^ 1 << i for i in summed])
+        assert_heuristic_is_priced_from_full_masses(report, net, dist, insp, c)
 
 
-@pytest.mark.parametrize("name, prior, folded", [
-    ("layered16", (), False), ("crossed_pair", ("u4",), False),
-    ("three_branch", ("c2",), False), ("three_branch_alt_costs", ("c4",), False),
-    ("substation", ("DS1",), True)])
-def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, prior, folded):
-    # where every block is a singleton, voi_heuristic reads every half off R:
-    # it forms no pmf, no failure mass and no fold. The substation's groups
-    # fold once, at P, and TB, a group of one, is read off R all the same.
-    # Each singleton takes its halves at P and its flip from the local
+@pytest.mark.parametrize("name, tiny, prior, folded", [
+    ("layered16", None, (), False), ("crossed_pair", None, ("u4",), False),
+    ("three_branch", None, ("c2",), False), ("three_branch_alt_costs", None, ("c4",), False),
+    ("substation", None, ("DS1",), True), ("layered16", 3, (), True)])
+def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, tiny, prior,
+                                                           folded):
+    # where every component reads off R, voi_heuristic reads every half off
+    # R: it forms no pmf, no failure mass and no fold. The substation's
+    # groups fold once, at P, and TB, a group of one, is read off R all the
+    # same. So does layered16 with q = 1e-6 on component 3, too rare a
+    # failure to read off R, while its other components read off; 3's flip,
+    # whose difference cancels, then sums the failure mass at the flip. Each
+    # component read off takes its halves at P and its flip from the local
     # metric's routine, so they are the floats the local bound reads where
     # both read one R. The heuristic after the local metric, as plot runs
     # it, folds nothing
     doc = parse_scenario_file(scenario_path(f"{name}.json"))
     net, dist, insp, costs = (doc.build_network(), doc.build_distribution(),
                               doc.build_inspection(), doc.build_costs())
+    if tiny is not None:
+        dist = Independent([1e-6 if i == tiny else p for i, p in enumerate(dist.failure_probs)])
     calls, reads = [], []
     for owner, attr in ((local_metrics, "_split_masses"), (local_metrics, "_failure_masses"),
                         (inference, "_failure_masses"), (JointDistribution, "pmf_vector")):
@@ -1239,12 +1250,15 @@ def test_heuristic_folds_only_for_members_of_larger_blocks(monkeypatch, name, pr
     monkeypatch.undo()
     plan = plan_of(prior, net.names)
     fold = [("_split_masses", plan), ("_failure_masses", plan), ("pmf_vector",)]
+    if tiny is not None:
+        fold += [("_failure_masses", plan ^ 1 << tiny), ("pmf_vector",)]
     assert alone_calls == (fold if folded else []) and calls == []
     rule = [members[0] for members, table in dist.blocks()
             if len(members) == 1 and table[0] >= 2.0 ** -10 * table.sum()]
     assert rule and len(local_reads) == 2 * len(rule)
+    assert {i for i, _ in local_reads} == set(rule) and tiny not in rule
     assert [at for at, _ in alone_reads] == [(i, a) for i in rule for a in (plan, plan ^ 1 << i)]
-    for at, halves in alone_reads:  # the same R unless the local metric swept a group for it
+    for at, halves in alone_reads:  # the same R unless the local metric swept a component for it
         assert halves == (pytest.approx(local_reads[at], rel=1e-12, abs=0.0) if folded
                           else local_reads[at]), at
     for report in (alone, plotted):
