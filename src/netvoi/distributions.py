@@ -199,17 +199,18 @@ def _weights(table, k: int, name: str) -> np.ndarray:
     return arr
 
 
-def _reweight(table: np.ndarray, bit: int, w_failed: float, w_working: float) -> np.ndarray:
-    """Posterior weights: ``table`` times a likelihood along ``bit``, renormalised.
+def _weighted(table: np.ndarray, bit: int, w_failed: float, w_working: float) -> np.ndarray:
+    """``table`` times the likelihood (w_failed, w_working) along ``bit``, left unnormalised."""
+    return (table.reshape(-1, 2, 1 << bit) * np.array([[w_failed], [w_working]])).reshape(-1)
 
-    States in which the component on that bit has failed are scaled by
-    ``w_failed``, the others by ``w_working``.
-    """
-    w = table.reshape(-1, 2, 1 << bit) * np.array([[w_failed], [w_working]])
+
+def _reweight(table: np.ndarray, bit: int, w_failed: float, w_working: float) -> np.ndarray:
+    """Posterior weights: ``table`` weighted along ``bit`` (``_weighted``), renormalised."""
+    w = _weighted(table, bit, w_failed, w_working)
     total = float(w.sum())
     if total <= 0.0:
         raise ConditioningError("observation has probability zero")
-    return _frozen((w / total).reshape(-1))
+    return _frozen(w / total)
 
 
 def _reweight_blocks(blocks, i: int, w_failed: float, w_working: float) -> tuple:

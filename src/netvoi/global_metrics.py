@@ -12,6 +12,7 @@ import math
 
 from .envelopes import LossEnvelope
 from .inference import InspectionModel, _intervals
+from .model import _check_sizes
 from .reports import ImportanceReport, VoIReport
 
 RRW_SATURATION_TOL = 1e-12
@@ -73,6 +74,7 @@ def closed_form_rule(net, dist, insp: InspectionModel | None = None):
     pure series system its most vulnerable one, for any dependence, provided
     the inspection accuracy is uniform.
     """
+    _check_sizes(net, dist, *([] if insp is None else [insp]))
     if insp is not None and not insp.uniform:
         return None
     n = net.n_components

@@ -10,6 +10,7 @@ inspected component's state, so no posterior pmf is formed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,7 +26,8 @@ PRIOR_MATCH_TOL = 1e-9
 
 
 def _normalize_rates(value, what):
-    scalar = isinstance(value, (int, float))
+    """Checked rates as a tuple, and whether ``value`` is one rate: any 0-d real, NumPy's too."""
+    scalar = isinstance(value, numbers.Real) or getattr(value, "ndim", None) == 0
     rates = tuple(RATE.check(r, what) for r in ((value,) if scalar else value))
     if not rates:
         raise ValueError(f"{what} list is empty")
@@ -149,7 +151,9 @@ def _split_masses(net, dist, plan: int = 0) -> tuple:
 
     One fold each (``_fold_halves``): the failure mass folds into itself,
     then the pmf into the mass's storage, so neither fold takes memory beyond
-    that of forming the mass.
+    that of forming the mass. The pmf's halves are not ``dist._marginal``:
+    the fold is the marginal that the mass carries, while a shared-cause
+    group reports the p it was given.
     """
     pmf, mass = _failure_masses(net, dist, plan)
     prior = _failure_prob(mass)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Independent, JointDistribution, _failure_masses, _fuse
+from .distributions import Independent, JointDistribution, _failure_masses, _fuse, _weighted
 from .errors import (NONNEGATIVE, POSITIVE, PROBABILITY, SIGNED_CORRELATION,
                      InfeasibleCorrelationError, NotApplicableError)
 from .inference import ALARM, SILENCE, InspectionModel, _outcomes, _posterior_mean, _split_masses
@@ -70,6 +70,7 @@ def apply_repairs(state: int, plan: int) -> int:
 
 
 def repair_cost(plan: int, costs: LocalCostModel) -> float:
+    check_state(plan, costs.n_components)
     total = 0.0
     for i, c in enumerate(costs.c_repair):
         if (plan >> i) & 1:
@@ -186,13 +187,15 @@ def _split_risks(fail: np.ndarray, steps, swept):
     """R, then each component i in ``swept`` as (i, (R_i0, R_i1), masses), the split as vectors.
 
     Yields nothing for no member. The steps that do not hold i run once for
-    i's step, which then applies one batch (``_batch``): the working half
-    of each swept member, whose row is R_i1, and ahead of them, in the
-    first such step, its own table, whose row is R. A later step's own row
-    would be R again up to rounding. Each R_i0 is R - R_i1 unless that is
-    below ``_CANCEL_FLOOR`` R at some plan, as where i rarely or never
-    fails: those failed halves are one more batch of the step. The masses
-    of all members come from one fold of the table.
+    i's step, which then applies one batch (``_batch``): the table weighted
+    by a perfect silence's likelihood (0, 1) for each swept member, whose
+    row is R_i1, and ahead of them, in the first such step, the table
+    itself, whose row is R. A later step's own row would be R again up to
+    rounding. Each R_i0 is R - R_i1 unless that is below ``_CANCEL_FLOOR`` R
+    at some plan, as where i rarely or never fails: weighted by a perfect
+    alarm's (1, 0), those tables are one more batch. The masses of all
+    members come from one fold of the table, the marginal that the rows
+    carry, not ``dist._marginal``: a shared-cause group reports the p it was given.
     """
     risk = None
     for s, (members, table) in enumerate(steps):
@@ -201,7 +204,7 @@ def _split_risks(fail: np.ndarray, steps, swept):
             continue
         shared = _risks(fail, steps[:s] + steps[s + 1:])
         masses = _fold_halves(table, np.empty(table.size // 2))
-        tables = (_half(table, bit, 1) for bit in bits)
+        tables = (_weighted(table, bit, 0.0, 1.0) for bit in bits)
         if risk is None:
             rows = _batch(shared, members, itertools.chain([table], tables))
             risk = next(rows).copy()  # a copy, so that no batch outlives its rows
@@ -217,16 +220,9 @@ def _split_risks(fail: np.ndarray, steps, swept):
                 yield members[bit], (failed, working), masses[bit]
             del failed, working  # or the next group's sweep would hold this one's rows
         if cancels:
-            sweep = _batch(shared, members, (_half(table, bit, 0) for bit, _ in cancels))
+            sweep = _batch(shared, members, (_weighted(table, bit, 1.0, 0.0) for bit, _ in cancels))
             for (bit, working), failed in zip(cancels, sweep):
                 yield members[bit], (failed, working), masses[bit]
-
-
-def _half(table: np.ndarray, bit: int, state: int) -> np.ndarray:
-    """``table`` zero-padded where the component on ``bit`` is not in ``state`` (1 works)."""
-    half = table.copy()
-    half.reshape(-1, 2, 1 << bit)[:, 1 - state] = 0.0
-    return half
 
 
 def _batch(risk: np.ndarray, members, tables):

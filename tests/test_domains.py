@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from netvoi import (BinaryActionLoss, CommonCauseGroups, GlobalAction, Group, Independent,
@@ -53,6 +54,23 @@ def test_every_reader_refuses_a_value_outside_its_domain_in_one_wording(reader, 
     message = f"{what} must be finite and {words}, not {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reader(x)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.05), np.int64(0), np.float64(0.25),
+                                   np.bool_(False), np.array(0.125)],
+                         ids=["float32", "int64", "float64", "bool_", "0-d array"])
+def test_a_numpy_scalar_is_one_inspection_rate(value):
+    # as Independent and LocalCostModel read it: one rate, stored as a Python float
+    insp = InspectionModel(value, value)
+    for rate in (insp.eps_fa, insp.eps_fs):
+        assert type(rate) is float and rate == float(value)
+    assert insp.uniform and insp.n_components is None
+
+
+def test_a_one_dimensional_array_gives_one_rate_per_component():
+    insp = InspectionModel(np.array([0.05, 0.1, 0.2]), np.array([0.0, 0.1, 0.0], np.float32))
+    assert insp.eps_fa == (0.05, 0.1, 0.2) and insp.n_components == 3
+    assert all(type(r) is float for r in insp.eps_fa + insp.eps_fs)
 
 
 def test_an_envelope_needs_an_action():

@@ -9,7 +9,8 @@ import pytest
 
 from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree,
                     Group, Independent, InfeasibleCorrelationError,
-                    InspectionModel, LocalCostModel, Network, NotApplicableError, TruthTable,
+                    InspectionModel, InvalidStateError, LocalCostModel, Network,
+                    NotApplicableError, TruthTable,
                     apply_repairs, cumulative_approx_voi, optimal_plan, parallel,
                     plan_expected_loss, plan_failure_risks, plan_losses,
                     posterior_action_table, repair_cost,
@@ -17,7 +18,7 @@ from netvoi import (PERFECT_INSPECTION, CommonCauseGroups, Explicit, FormulaTree
                     voi_heuristic, voi_local)
 import netvoi.inference as inference
 import netvoi.local_metrics as local_metrics
-from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks
+from netvoi.distributions import JointDistribution, _frozen, _reweight_blocks, _weighted
 from netvoi.inference import (ALARM, SILENCE, _intervals, _likelihood, _outcomes,
                               _posterior_mean, posterior_given_observation)
 from netvoi.local_metrics import PLAN_TIE_RTOL, _cheapest, _split_risks, _steps
@@ -187,8 +188,8 @@ def test_batched_lattice_equals_each_table_alone():
         for members in (list(range(lo, lo + k)), scattered):
             w = rng.uniform(0.0, 1.0, size=(3, 1 << k)) * (rng.random((3, 1 << k)) < 0.9)
             w /= w.sum(axis=1, keepdims=True)
-            halves = np.array([local_metrics._half(w[0], bit, state)
-                               for bit in range(k) for state in (0, 1)])
+            halves = np.array([_weighted(w[0], bit, *likelihood)
+                               for bit in range(k) for likelihood in ((1.0, 0.0), (0.0, 1.0))])
             states = np.arange(1 << k)
             spread = sum(((states >> j) & 1) << m for j, m in enumerate(members))
             for tables in (w, halves):
@@ -433,9 +434,10 @@ def test_first_split_row_is_the_prior_plan_risks(tmp_path):
 
 
 def test_each_members_split_is_its_both_halves_sweep():
-    # each swept member's (R - R_i1, R_i1) equals its step's two zero-padded
-    # halves swept over the other steps, to rel 1e-12, on explicit tables and
-    # scattered groups; R_i1 ignores repairing i exactly
+    # each swept member's (R - R_i1, R_i1) equals its step's table weighted by
+    # a perfect alarm's and a perfect silence's likelihood, swept over the
+    # other steps, to rel 1e-12, on explicit tables and scattered groups;
+    # R_i1 ignores repairing i exactly
     rng = np.random.default_rng(89)
     members_seen = 0
     for n in range(3, 11):
@@ -449,7 +451,7 @@ def test_each_members_split_is_its_both_halves_sweep():
                 for s, (members, table) in enumerate(steps):
                     shared = local_metrics._risks(fail, steps[:s] + steps[s + 1:])
                     for bit, m in enumerate(members):
-                        halves = [local_metrics._half(table, bit, state) for state in (0, 1)]
+                        halves = [_weighted(table, bit, 1.0, 0.0), _weighted(table, bit, 0.0, 1.0)]
                         want[m] = np.array(list(local_metrics._batch(shared, members, halves)))
                 splits = _split_risks(fail, steps, wider)
                 next(splits)
@@ -478,9 +480,8 @@ def test_members_whose_difference_cancels_sweep_their_failed_half(monkeypatch):
     # halves, so each is swept, and only theirs. Every posterior loss of
     # every plan agrees with brute force there, and so does the report
     failed_halves = []
-    half = local_metrics._half
-    monkeypatch.setattr(local_metrics, "_half", lambda table, bit, state: (
-        state == 0 and failed_halves.append((table.size, bit))) or half(table, bit, state))
+    monkeypatch.setattr(local_metrics, "_weighted", lambda table, bit, w_f, w_w: (
+        w_w == 0.0 and failed_halves.append((table.size, bit))) or _weighted(table, bit, w_f, w_w))
     rng = np.random.default_rng(97)
     probs = rng.uniform(0.05, 0.5, size=7)
     probs[4] = 1e-6
@@ -673,7 +674,7 @@ def rare_beliefs(rng, n):
 
 def singleton_cases(seed):
     """(n, R, {i: (t0, t1, R_i0)}) for the singleton blocks i of rare beliefs
-    on monotone networks, R_i0 swept from its zero-padded failed half."""
+    on monotone networks, R_i0 swept from its table weighted by a perfect alarm's (1, 0)."""
     rng = np.random.default_rng(seed)
     for n in [*range(2, 11)] * 4:
         for net in monotone_networks(rng, n):
@@ -688,7 +689,7 @@ def singleton_cases(seed):
                     for bit, i in enumerate(members):
                         if i in singles:
                             failed = next(local_metrics._batch(
-                                shared, members, [local_metrics._half(table, bit, 0)]))
+                                shared, members, [_weighted(table, bit, 1.0, 0.0)]))
                             halves[i] = (*singles[i], failed)
                 yield n, local_metrics._risks(fail, steps), halves
 
@@ -912,6 +913,16 @@ def test_repair_cost_vector_matches_repair_cost():
         costs = LocalCostModel(1.0, rng.uniform(0.0, 3.0, size=n))
         expected = np.array([repair_cost(plan, costs) for plan in range(1 << n)])
         assert np.array_equal(_bit_sums(costs.c_repair), expected)
+
+
+def test_repair_cost_refuses_a_plan_beyond_its_components():
+    # as plan_expected_loss does: bits past the cost model's components are no plan
+    costs = LocalCostModel.uniform(2, 1.0, 0.5)
+    assert repair_cost(0b11, costs) == 1.0
+    for plan in (0b1111, 0b100, -1):
+        with pytest.raises(InvalidStateError, match=f"^mask {plan} does not encode a "
+                                                    "2-component state$"):
+            repair_cost(plan, costs)
 
 
 def test_local_metrics_leave_no_reference_cycles():

@@ -9,10 +9,11 @@ import pytest
 from netvoi import (ALARM, Explicit, FormulaTree, Independent, InspectionModel,
                     InvalidStateError, LocalCostModel, Network, NonMonotoneError,
                     QuadraticLoss, SimulationConfig, SizeCapError, STGraph, TruthTable,
-                    alarm_probability, importance_measures, mc_system_failure, parallel,
-                    plan_expected_loss, plan_failure_risks, posterior_given_observation,
-                    posterior_interval, posterior_system_failure, rank_global, series,
-                    system_failure_prob, voi_global, voi_heuristic, voi_local)
+                    alarm_probability, closed_form_rule, importance_measures,
+                    mc_system_failure, parallel, plan_expected_loss, plan_failure_risks,
+                    posterior_given_observation, posterior_interval, posterior_system_failure,
+                    rank_global, series, system_failure_prob, voi_global, voi_heuristic,
+                    voi_local)
 from netvoi.model import ComponentRef, ParallelNode, SeriesNode, _fold_halves
 
 from conftest import make_three_branch, random_formula, random_network, strided_halves
@@ -382,6 +383,20 @@ def test_inspection_rates_must_number_the_components(name, eps_fa, eps_fs, count
     with pytest.raises(ValueError, match=f"^{owner} has 3 components but InspectionModel "
                                          f"has {count}$"):
         _SIZED[name](_NET3, _DIST3, insp, _COSTS3)
+
+
+@pytest.mark.parametrize("dist, insp, message", [
+    (Independent([0.1, 0.2, 0.3, 0.9]), None, "Independent has 4"),
+    (Explicit([0.5, 0.5]), _NOISY, "Explicit has 1"),
+    (_DIST3, InspectionModel((0.1, 0.2), 0.0), "InspectionModel has 2"),
+], ids=["belief", "belief-with-rates", "rates"])
+def test_closed_form_rule_checks_sizes_with_or_without_rates(dist, insp, message):
+    # unchecked, the series rule names a component of a belief over other
+    # components, and rates for another count return None as non-uniform
+    net = Network(FormulaTree(series(0, 1, 2)))
+    with pytest.raises(ValueError, match=f"^Network has 3 components but {message}$"):
+        closed_form_rule(net, dist, insp)
+    assert closed_form_rule(net, _DIST3) == 2 and closed_form_rule(net, _DIST3, _NOISY) == 2
 
 
 def test_inspection_rate_lists_must_agree_and_a_full_list_fits():
